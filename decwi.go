@@ -161,10 +161,11 @@ type GenerateOptions struct {
 	// are the point, as decwi-trace does. PerValueTransport implies it.
 	StreamedTransport bool
 	// BreakID is Listing 2's counter delay index for the delayed exit
-	// ("here it suffices to use zero"). Values > 0 make every work-item
-	// overshoot its quota by BreakID extra MAINLOOP trips before the
-	// gated exit fires; the surplus values are discarded, not stored,
-	// so the output layout is unchanged.
+	// ("here it suffices to use zero"). The exit reads the output counter
+	// through BreakID+1 register stages, so every work-item runs
+	// BreakID+1 MAINLOOP trips past its quota in each sector before the
+	// exit fires; values those trips accept are discarded, not stored,
+	// so the output layout is unchanged but the twister streams advance.
 	BreakID int
 	// Telemetry, when non-nil, records engine instrumentation for the
 	// run (stream backpressure, per-work-item divergence, retry and

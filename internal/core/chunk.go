@@ -95,9 +95,9 @@ func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, s
 			dst[off] = v
 			off++
 		},
-		// The block phase only runs while at least n outputs remain in
-		// the current sector's row, so dst[off:off+n] can never cross
-		// the work-item's block (generateWI's chunk-boundary argument).
+		// A block of n attempts only runs while at least n outputs remain
+		// in the current sector's row, so dst[off:off+n] can never cross
+		// the work-item's block (blockPhase.sector's quota bound).
 		block: func(n int) []float32 {
 			return dst[off : off+int64(n)]
 		},

@@ -50,8 +50,9 @@ type Config struct {
 	// consumption, exactly as the Listing 2/3 hardware formulation. The
 	// default (false) selects the block compute path, which bulk-fills
 	// Mersenne-Twister words and runs batched normal/gamma kernels over
-	// chunks of blockCycles attempts, falling back to the gated loop for
-	// each sector's tail. Both paths produce bitwise-identical output
+	// blocks of up to blockCycles attempts, bounded by each sector's
+	// remaining quota, with the delayed-exit overshoot run as a discarded
+	// block. Both paths produce bitwise-identical output
 	// (TestBlockComputeEquivalence); the gated path exists for FPGA
 	// co-simulation and cycle-level stall tracing, where per-cycle
 	// interleaving is observable.
@@ -378,10 +379,11 @@ func (e *Engine) instrumentTrips(gen *gamma.Generator) {
 		"pipeline iterations per accepted gamma output (nested rejection-loop trip count)"))
 }
 
-// blockCycles is the attempts-per-batch of the block compute path: big
-// enough to amortize the bulk Mersenne-Twister fills (several MT521
-// state blocks, a third of an MT19937 one), small enough that the
-// per-work-item scratch stays cache-resident.
+// blockCycles is the largest attempts-per-batch of the block compute
+// path: big enough to amortize the bulk Mersenne-Twister fills (several
+// MT521 state blocks, a third of an MT19937 one), small enough that the
+// per-work-item scratch stays cache-resident. A sector's last blocks
+// and its delayed-exit overshoot are shorter, bounded by the quota.
 const blockCycles = 256
 
 // blockBuffers bundles one work-item's block-path scratch. The buffers
@@ -405,22 +407,8 @@ var blockBuffersPool = sync.Pool{New: func() any {
 // stream. Validated outputs are staged in a WordRNs-sized batch and
 // moved with one WriteBurst per 512-bit word (unless PerValueTransport
 // re-selects the per-value handshake); the value sequence on the stream
-// is identical either way.
-//
-// Unless Config.GatedCompute demands the cycle-exact one-word loop, the
-// bulk of each sector runs through gamma.CycleBlock in chunks of
-// blockCycles attempts. The chunked phase only runs while the remaining
-// output quota is at least blockCycles: a chunk of n attempts yields at
-// most n outputs, so the counter cannot pass limitMain mid-chunk, and it
-// can reach the quota only exactly at a chunk boundary (every attempt
-// accepted) — in which case the quota trip index is the chunk's last
-// trip, as on the gated path. The sector tail (fewer than blockCycles
-// outputs remaining, plus the delayed-exit overshoot) reuses the
-// original gated MAINLOOP verbatim; entering it with a fresh RegDelay is
-// exact because the register's zero-initialized stages are below
-// limitMain, just as every pre-quota counter value the gated path would
-// have shifted through, so the delayed exit fires after the identical
-// number of overshoot trips.
+// is identical either way, and identical on both compute paths (see
+// generateWI).
 func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *hls.Stream[float32], stats *WorkItemStats) error {
 	defer out.Close()
 	var batch []float32
@@ -450,12 +438,12 @@ func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *h
 }
 
 // sink is generateWI's output hand-off. value delivers one validated
-// output (the gated compute path and every sector's gated tail). block,
-// when non-nil, returns a destination slice for up to n outputs so the
-// block compute phase can generate straight into final storage — the
-// fused pipe — with commit(produced) advancing past the outputs
-// actually produced; a nil block stages each chunk in scratch and
-// replays it through value, which is what the streamed transport needs.
+// output: every output of the gated compute path, and on the block path
+// each block's outputs replayed from scratch when block is nil, which
+// is what the streamed transport needs. block, when non-nil, returns a
+// destination slice for up to n outputs so every block generates
+// straight into final storage — the fused pipe — with commit(produced)
+// advancing past the outputs actually produced.
 type sink struct {
 	value  func(float32)
 	block  func(n int) []float32
@@ -470,26 +458,34 @@ type sink struct {
 // path and the fused RunChunk path bitwise-identical. ctx, when
 // non-nil, is polled at sector boundaries so a cancelled chunked run
 // aborts promptly without perturbing any completed sector.
+//
+// Each sector runs on the block compute path (blockPhase.sector) unless
+// Config.GatedCompute demands the cycle-exact one-word loop
+// (gatedSector). Both spend the same trips on the same Mersenne-Twister
+// words and hand the sink the same values (TestBlockComputeEquivalence).
 func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *gamma.Generator, snk sink, stats *WorkItemStats) error {
 	cfg := e.cfg
 	limitMax := cfg.LimitMaxFactor*limitMain + 1024
 	// Telemetry: a cycle-domain track timestamped by the generator's own
 	// cycle counter. All handles are nil-safe no-ops when tracing is off,
-	// and everything here is per-sector or per-chunk — the MAINLOOP body
+	// and everything here is per-sector or per-block — the MAINLOOP body
 	// itself carries no instrumentation.
 	tr := cfg.Telemetry.Track(fmt.Sprintf("GammaRNG[%d]", wid), telemetry.Cycles)
 
-	var bufs *blockBuffers
-	var cFills, cWords *telemetry.Counter
+	var blk blockPhase
 	if !cfg.GatedCompute {
-		bufs = blockBuffersPool.Get().(*blockBuffers)
+		bufs := blockBuffersPool.Get().(*blockBuffers)
 		defer blockBuffersPool.Put(bufs)
-		cFills = cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
-			"bulk block-generation batches (CycleBlock calls)")
-		cWords = cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
-			"Mersenne-Twister words consumed through bulk fills")
+		blk = blockPhase{
+			gen: gen, bufs: bufs, snk: snk,
+			overshoot:  int64(cfg.BreakID) + 1,
+			perAttempt: int64(cfg.Transform.UniformsPerCandidate()),
+			cFills: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
+				"bulk block-generation batches (CycleBlock calls)"),
+			cWords: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
+				"Mersenne-Twister words consumed through bulk fills"),
+		}
 	}
-	uniformsPerAttempt := int64(cfg.Transform.UniformsPerCandidate())
 
 	for sector := 0; sector < cfg.Sectors; sector++ {
 		if ctx != nil {
@@ -498,57 +494,15 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 			}
 		}
 		gen.SetParams(gamma.MustFromVariance(cfg.variance(sector)))
-
-		var counter uint32
-		var quotaAt, trips int64 = -1, 0
 		sectorStart := int64(gen.Cycles())
 
-		if bufs != nil {
-			for int64(counter)+blockCycles <= limitMain && trips < limitMax {
-				attempts := int64(blockCycles)
-				if rem := limitMax - trips; rem < attempts {
-					attempts = rem // starvation guard: never exceed limitMax trips
-				}
-				nvBefore := gen.NormalValid()
-				out := bufs.out[:attempts]
-				if snk.block != nil {
-					out = snk.block(int(attempts))
-				}
-				produced := gen.CycleBlock(out, int(attempts), bufs.scratch)
-				if snk.block != nil {
-					snk.commit(produced)
-				} else {
-					for _, v := range out[:produced] {
-						snk.value(v)
-					}
-				}
-				counter += uint32(produced)
-				trips += attempts
-				if int64(counter) == limitMain {
-					quotaAt = trips - 1 // quota can only land on the chunk's last trip
-				}
-				// One bulk increment per chunk: MT0 words (always enabled),
-				// the gated MT1 words (one per valid normal) and the gated
-				// MT2 words (one per accepted candidate).
-				cWords.Add(attempts*uniformsPerAttempt + int64(gen.NormalValid()-nvBefore) + int64(produced))
-				cFills.Add(1)
-			}
+		var counter, trips, quotaAt int64
+		if blk.bufs != nil {
+			counter, trips, quotaAt = blk.sector(limitMain, limitMax)
+		} else {
+			counter, trips, quotaAt = e.gatedSector(gen, limitMain, limitMax, snk)
 		}
-
-		reg := hls.NewRegDelay(cfg.BreakID)
-		for k := trips; k < limitMax && int64(reg.Delayed()) < limitMain; k++ {
-			reg.Update(counter)
-			r := gen.CycleStep()
-			if r.Valid && int64(counter) < limitMain {
-				snk.value(r.Gamma)
-				counter++
-				if int64(counter) == limitMain {
-					quotaAt = k
-				}
-			}
-			trips++
-		}
-		if int64(counter) < limitMain {
+		if counter < limitMain {
 			return fmt.Errorf("core: work-item %d starved in sector %d: %d/%d outputs within limitMax=%d",
 				wid, sector, counter, limitMain, limitMax)
 		}
@@ -561,6 +515,99 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	stats.Accepted = gen.Accepted()
 	e.recordWICounters(wid, gen)
 	return nil
+}
+
+// gatedSector is one sector of Listing 2's MAINLOOP verbatim: one
+// CycleStep per trip, the counter<limitMain write guard, and the delayed
+// exit read through BreakID+1 register stages. It returns the outputs
+// written, the trips spent and the trip index at which the quota was
+// reached (-1 if never).
+func (e *Engine) gatedSector(gen *gamma.Generator, limitMain, limitMax int64, snk sink) (counter, trips, quotaAt int64) {
+	quotaAt = -1
+	reg := hls.NewRegDelay(e.cfg.BreakID)
+	for ; trips < limitMax && int64(reg.Delayed()) < limitMain; trips++ {
+		reg.Update(uint32(counter))
+		if r := gen.CycleStep(); r.Valid && counter < limitMain {
+			snk.value(r.Gamma)
+			counter++
+			if counter == limitMain {
+				quotaAt = trips
+			}
+		}
+	}
+	return counter, trips, quotaAt
+}
+
+// blockPhase is one work-item's block compute path: every trip of every
+// sector runs through gamma.CycleBlock.
+type blockPhase struct {
+	gen            *gamma.Generator
+	bufs           *blockBuffers
+	snk            sink
+	overshoot      int64 // delayed-exit trips after the quota: BreakID+1
+	perAttempt     int64 // always-enabled MT0 words per attempt
+	cFills, cWords *telemetry.Counter
+}
+
+// sector runs one sector as quota-bounded blocks and returns what
+// gatedSector would: outputs, trips and the quota trip index. It is
+// exact for three reasons:
+//
+//   - Each block runs min(blockCycles, limitMain−counter, limitMax−trips)
+//     attempts. A block of k attempts yields at most k outputs, so the
+//     counter never passes the quota and no accepted value is dropped.
+//   - The counter reaches the quota only when every attempt of a block
+//     accepts, so the quota trip is the block's last trip, as it is on
+//     the gated path.
+//   - The gated delayed exit reads the counter through BreakID+1
+//     register stages, so it always fires exactly BreakID+1 trips after
+//     the quota trip (limitMax permitting). Those trips run as discarded
+//     blocks into the scratch row — never into the sink, which at a
+//     work-item's last sector would be the next work-item's rows.
+func (b *blockPhase) sector(limitMain, limitMax int64) (counter, trips, quotaAt int64) {
+	for counter < limitMain && trips < limitMax {
+		n := min(blockCycles, limitMain-counter, limitMax-trips)
+		counter += b.block(n, true)
+		trips += n
+	}
+	if counter < limitMain || limitMain == 0 {
+		// Starved, or an empty quota whose exit fires before the first trip.
+		return counter, trips, -1
+	}
+	quotaAt = trips - 1
+	for over := min(b.overshoot, limitMax-trips); over > 0; {
+		n := min(blockCycles, over)
+		b.block(n, false)
+		trips += n
+		over -= n
+	}
+	return counter, trips, quotaAt
+}
+
+// block runs one CycleBlock of n attempts and returns the outputs it
+// produced. Kept outputs go to the sink; the overshoot's are discarded.
+func (b *blockPhase) block(n int64, keep bool) int64 {
+	nvBefore := b.gen.NormalValid()
+	out := b.bufs.out[:n]
+	if keep && b.snk.block != nil {
+		out = b.snk.block(int(n))
+	}
+	produced := b.gen.CycleBlock(out, int(n), b.bufs.scratch)
+	switch {
+	case !keep:
+	case b.snk.block != nil:
+		b.snk.commit(produced)
+	default:
+		for _, v := range out[:produced] {
+			b.snk.value(v)
+		}
+	}
+	// One bulk increment per block: MT0 words (always enabled), the gated
+	// MT1 words (one per valid normal) and the gated MT2 words (one per
+	// accepted candidate).
+	b.cWords.Add(n*b.perAttempt + int64(b.gen.NormalValid()-nvBefore) + int64(produced))
+	b.cFills.Add(1)
+	return int64(produced)
 }
 
 // recordWICounters publishes the per-work-item cycle attribution the

@@ -78,7 +78,8 @@ func TestFusedRunEquivalence(t *testing.T) {
 }
 
 // TestFusedRunTinyQuota drives the adversarial splits through both
-// transports: quotas below one candidate block (pure gated tail), quotas
+// transports: quotas below one candidate block (a few short blocks per
+// sector), quotas
 // landing exactly on a block boundary, single-scenario runs where some
 // work-items receive nothing, all with delayed exit enabled.
 func TestFusedRunTinyQuota(t *testing.T) {
@@ -112,9 +113,10 @@ func TestFusedRunTinyQuota(t *testing.T) {
 
 // TestFusedTelemetryCounters: the fused path accounts for its direct
 // writes — every block landing in the device buffer bumps
-// engine.fused-blocks and every value engine.fused-direct, and together
-// with the gated tails the direct writes never exceed the output total.
-// The streamed run must not create fused counters at all.
+// engine.fused-blocks and every value engine.fused-direct. Every output
+// of the block path lands through a block, so the direct writes equal
+// the output total exactly. The streamed run must not create fused
+// counters at all.
 func TestFusedTelemetryCounters(t *testing.T) {
 	run := func(streamed bool) (int64, int64, []string) {
 		rec := telemetry.New(64)
@@ -147,8 +149,8 @@ func TestFusedTelemetryCounters(t *testing.T) {
 	if blocks == 0 || direct == 0 {
 		t.Fatalf("fused run recorded %d blocks / %d direct values, want both non-zero", blocks, direct)
 	}
-	if total := int64(2000 * 2); direct > total {
-		t.Fatalf("fused-direct %d exceeds output total %d", direct, total)
+	if total := int64(2000 * 2); direct != total {
+		t.Fatalf("fused-direct %d, want the output total %d", direct, total)
 	}
 	if blocks, direct, names := run(true); blocks != 0 || direct != 0 {
 		t.Fatalf("streamed run created fused counters (%d blocks, %d direct): %v", blocks, direct, names)

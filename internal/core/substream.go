@@ -74,10 +74,11 @@ func (e *Engine) PartQuota(wid, part, parts int) (quota, partLo int64) {
 // SubstreamStride words and (for parts > 1) decorrelated with a key
 // derived from (seed[wid], part); part counts therefore select distinct
 // deterministic stream families, with parts == 1 byte-identical to the
-// fused work-item path. The part body is the gated MAINLOOP of
-// Listing 2 without the delayed-exit register (substream scheduling is
-// rejected for BreakID > 0 at the options layer: overshoot semantics
-// are defined per work-item, not per lane).
+// fused work-item path. The part body is Listing 2's MAINLOOP on the
+// block compute path without the delayed exit: a lane stops on its
+// quota trip (substream scheduling is rejected for BreakID > 0 at the
+// options layer: overshoot semantics are defined per work-item, not per
+// lane).
 func (e *Engine) RunItemPart(ctx context.Context, dst []float32, wid, part, parts int, stats *WorkItemStats) error {
 	cfg := e.cfg
 	if wid < 0 || wid >= cfg.WorkItems {
@@ -118,13 +119,14 @@ func (e *Engine) RunItemPart(ctx context.Context, dst []float32, wid, part, part
 	limitMain := e.per[wid]
 	limitMax := cfg.LimitMaxFactor*quota + 1024
 	base := e.offsets[wid] + partLo
-	// Lane bodies run the same block compute phase as a fused work-item:
-	// bulk chunks of blockCycles attempts written directly into the
-	// lane's slot, falling back to the gated loop for each sector's
-	// tail. CycleBlock keeps the value sequence identical to the gated
-	// loop (TestRunItemPartBlockEquivalence), and the pooled scratch is
-	// shared across RunItemPart calls, so a lane allocates nothing in
-	// steady state.
+	// Lane bodies run the same block compute path as a fused work-item,
+	// written directly into the lane's slot: quota-bounded blocks of
+	// min(blockCycles, quota−counter, limitMax−trips) attempts, each
+	// yielding at most as many outputs as the slot has room left for.
+	// CycleBlock keeps the value sequence identical to a gated walk
+	// (TestRunItemPartBlockEquivalence), and the pooled scratch is shared
+	// across RunItemPart calls, so a lane allocates nothing in steady
+	// state.
 	bufs := blockBuffersPool.Get().(*blockBuffers)
 	defer blockBuffersPool.Put(bufs)
 	for sector := 0; sector < cfg.Sectors; sector++ {
@@ -136,23 +138,10 @@ func (e *Engine) RunItemPart(ctx context.Context, dst []float32, wid, part, part
 		gen.SetParams(gamma.MustFromVariance(cfg.variance(sector)))
 		out := dst[base+int64(sector)*limitMain:]
 		var counter, trips int64
-		// Bulk phase: a chunk of n attempts yields at most n outputs, so
-		// running it only while quota-counter ≥ blockCycles keeps every
-		// write inside the lane's [counter, quota) slot of the row.
-		for quota-counter >= blockCycles && trips < limitMax {
-			attempts := int64(blockCycles)
-			if rem := limitMax - trips; rem < attempts {
-				attempts = rem // starvation guard: never exceed limitMax trips
-			}
-			produced := gen.CycleBlock(out[counter:counter+attempts], int(attempts), bufs.scratch)
-			counter += int64(produced)
-			trips += attempts
-		}
-		for ; counter < quota && trips < limitMax; trips++ {
-			if r := gen.CycleStep(); r.Valid {
-				out[counter] = r.Gamma
-				counter++
-			}
+		for counter < quota && trips < limitMax {
+			n := min(blockCycles, quota-counter, limitMax-trips)
+			counter += int64(gen.CycleBlock(out[counter:counter+n], int(n), bufs.scratch))
+			trips += n
 		}
 		if counter < quota {
 			return fmt.Errorf("core: work-item %d part %d starved in sector %d: %d/%d outputs within limitMax=%d",

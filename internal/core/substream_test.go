@@ -281,3 +281,62 @@ func TestRunItemPartCancellation(t *testing.T) {
 		t.Fatal("cancelled part did not error")
 	}
 }
+
+// TestRunItemPartQuotaSweep drives single lanes through every quota of
+// quotaSweep and every transform: each lane's quota-bounded blocks must
+// write the values of a gated CycleStep walk of the same substream into
+// the lane's slot, spend the same cycles and accept the same candidates,
+// stopping on the quota trip. Four parts per work-item put the lane
+// quotas of the sweep side by side in one row, so a block writing past
+// its slot would overwrite the next lane's values.
+func TestRunItemPartQuotaSweep(t *testing.T) {
+	const parts = 4
+	for i, tr := range sweepTransforms {
+		for _, quota := range quotaSweep {
+			cfg := Config{
+				Transform: tr, MTParams: mt.MT521Params,
+				WorkItems: 1, Scenarios: parts * quota, Sectors: 2,
+				SectorVariances: []float64{0.6, 2.5},
+				Seed:            uint64(100*i) + uint64(quota),
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := cfg.Scenarios * int64(cfg.Sectors)
+			got := make([]float32, total)
+			want := make([]float32, total)
+			for part := 0; part < parts; part++ {
+				var st WorkItemStats
+				if err := e.RunItemPart(context.Background(), got, 0, part, parts, &st); err != nil {
+					t.Fatalf("%v quota=%d part=%d: %v", tr, quota, part, err)
+				}
+				lane, partLo := e.PartQuota(0, part, parts)
+				if lane != quota {
+					t.Fatalf("%v quota=%d part=%d: lane quota %d", tr, quota, part, lane)
+				}
+				gen := gamma.NewGenerator(cfg.Transform, cfg.MTParams,
+					gamma.MustFromVariance(cfg.variance(0)), e.seeds[0])
+				e.seekStreams(gen, rng.SubstreamSeek(part))
+				gen.DecorrelateStreams(rng.SubstreamKey(e.seeds[0], part))
+				for sector := 0; sector < cfg.Sectors; sector++ {
+					gen.SetParams(gamma.MustFromVariance(cfg.variance(sector)))
+					out := want[e.offsets[0]+partLo+int64(sector)*e.per[0]:]
+					for counter := int64(0); counter < quota; {
+						if r := gen.CycleStep(); r.Valid {
+							out[counter] = r.Gamma
+							counter++
+						}
+					}
+				}
+				if st.Cycles != gen.Cycles() || st.Accepted != gen.Accepted() {
+					t.Fatalf("%v quota=%d part=%d: lane {cycles %d accepted %d}, gated walk {%d %d}",
+						tr, quota, part, st.Cycles, st.Accepted, gen.Cycles(), gen.Accepted())
+				}
+			}
+			if !bytes.Equal(floatBytes(got), floatBytes(want)) {
+				t.Fatalf("%v quota=%d: lanes diverge from the gated walk", tr, quota)
+			}
+		}
+	}
+}

@@ -110,8 +110,10 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 
 // TestTelemetryBlockCounters verifies the block compute path publishes
 // its bulk-fill accounting: the number of CycleBlock batches and the
-// total Mersenne-Twister words those batches consumed. The word count
-// must cover at least the always-enabled MT0 draws of every bulk cycle,
+// total Mersenne-Twister words those batches consumed. Every trip of the
+// block path runs inside a CycleBlock, so the word count must equal the
+// work-item's whole consumption — the always-enabled MT0 draws of every
+// cycle, one MT1 word per valid normal and one MT2 word per acceptance —
 // and the counters must vanish when GatedCompute forces the one-word
 // path.
 func TestTelemetryBlockCounters(t *testing.T) {
@@ -144,9 +146,12 @@ func TestTelemetryBlockCounters(t *testing.T) {
 			t.Fatalf("work-item %d: no block fills recorded on the block path", wid)
 		}
 		perAttempt := int64(normal.MarsagliaBray.UniformsPerCandidate())
-		if min := fills.Value() * 256 * perAttempt; words.Value() < min {
-			t.Fatalf("work-item %d: block-words %d below the MT0 floor %d for %d fills",
-				wid, words.Value(), min, fills.Value())
+		cycles := block[fmt.Sprintf("engine.cycles[%d]", wid)].Value()
+		accepted := block[fmt.Sprintf("engine.accepted[%d]", wid)].Value()
+		nvalid := cycles - block[fmt.Sprintf("rejection.normal-transform[%d]", wid)].Value()
+		if want := cycles*perAttempt + nvalid + accepted; words.Value() != want {
+			t.Fatalf("work-item %d: block-words %d, want the run's whole consumption %d (%d cycles, %d valid normals, %d accepted)",
+				wid, words.Value(), want, cycles, nvalid, accepted)
 		}
 	}
 

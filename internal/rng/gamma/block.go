@@ -3,6 +3,7 @@ package gamma
 import (
 	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/normal"
+	"github.com/decwi/decwi/internal/telemetry"
 )
 
 // BlockScratch holds the preallocated intermediate buffers CycleBlock
@@ -105,15 +106,18 @@ func (g *Generator) CycleBlock(dst []float32, attempts int, s *BlockScratch) (pr
 	g.accepted += uint64(accepted)
 	if g.tripHist != nil {
 		// Same trip accounting as the gated path, replayed over the
-		// block's acceptance flags; sinceAccept carries a partial trip
-		// across block boundaries and into a gated tail.
+		// block's acceptance flags into a block-local batch that is
+		// published with one flush; sinceAccept carries a partial trip
+		// across block boundaries and into gated cycles.
+		var trips telemetry.HistogramBatch
 		for i := 0; i < attempts; i++ {
 			g.sinceAccept++
 			if acc[i] {
-				g.tripHist.Record(g.sinceAccept)
+				trips.Record(g.sinceAccept)
 				g.sinceAccept = 0
 			}
 		}
+		g.tripHist.RecordBatch(&trips)
 	}
 	return produced
 }

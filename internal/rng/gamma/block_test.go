@@ -5,6 +5,7 @@ import (
 
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
+	"github.com/decwi/decwi/internal/telemetry"
 )
 
 var blockTransforms = []normal.Kind{
@@ -141,6 +142,12 @@ func TestSteadyStateBlockZeroAllocs(t *testing.T) {
 		g.CycleBlock(dst, 256, s) // warm lazy tables
 		if avg := testing.AllocsPerRun(30, func() { g.CycleBlock(dst, 256, s) }); avg != 0 {
 			t.Fatalf("%v: CycleBlock allocates %v times per call, want 0", tr, avg)
+		}
+		// With the trip histogram attached, the block-local batch and its
+		// one flush per block must not allocate either.
+		g.InstrumentTrips(telemetry.New(8).Histogram("trips", "trips", "alloc gate"))
+		if avg := testing.AllocsPerRun(30, func() { g.CycleBlock(dst, 256, s) }); avg != 0 {
+			t.Fatalf("%v: instrumented CycleBlock allocates %v times per call, want 0", tr, avg)
 		}
 	}
 }

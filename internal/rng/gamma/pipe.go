@@ -28,21 +28,17 @@ func (g *Generator) ConsumeBlock(attempts int, s *BlockScratch, consume func([]f
 // while keeping the consumed value sequence, the generator's cycle/
 // accept counters and the rejection-trip histogram bitwise-identical to
 // calling Generator.Next() the same number of times. total is the exact
-// number of values the consumer will draw; the pipe refills through
-// ConsumeBlock only while at least blockAttempts values remain
-// unproduced and serves the tail through the gated Next() path.
+// number of values the consumer will draw; every one of them comes out
+// of a ConsumeBlock of min(blockAttempts, remaining) attempts, where
+// remaining counts the values not yet produced.
 //
-// Why that discipline is exact: a block of k attempts yields at most k
-// outputs, so refilling only while remaining ≥ blockAttempts ≥ k can
-// never produce a value the consumer will not draw. remaining can hit
-// zero on the block path only when a block of exactly blockAttempts
-// attempts accepts every attempt with remaining == blockAttempts — and
-// then the block's last cycle *is* the accepting cycle of the final
-// value, just as on the gated path. Every other run ends inside the
-// gated tail, whose final cycle is the accepting cycle of the final
-// value by construction. Either way the generator stops on the same
-// cycle, with the same counters and the same trip records, as a pure
-// Next() consumer.
+// Why that discipline is exact: a block of k ≤ remaining attempts yields
+// at most k outputs, so it can never produce a value the consumer will
+// not draw. remaining can reach zero only when every attempt of a block
+// accepts, so the block's last cycle *is* the accepting cycle of the
+// final value, just as on the gated path. The generator therefore stops
+// on the same cycle, with the same counters and the same trip records,
+// as a pure Next() consumer.
 type Pipe struct {
 	g         *Generator
 	s         *BlockScratch
@@ -70,16 +66,13 @@ func (p *Pipe) Next() float32 {
 		p.pos++
 		return v
 	}
-	for p.remaining >= int64(p.attempts) {
-		n := p.g.ConsumeBlock(p.attempts, p.s, func([]float32) {})
+	for p.remaining > 0 {
+		n := p.g.ConsumeBlock(int(min(int64(p.attempts), p.remaining)), p.s, func([]float32) {})
 		if n > 0 {
 			p.remaining -= int64(n)
 			p.n, p.pos = n, 1
 			return p.s.out[0]
 		}
-	}
-	if p.remaining > 0 {
-		p.remaining--
 	}
 	return p.g.Next()
 }

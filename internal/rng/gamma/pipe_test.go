@@ -46,6 +46,43 @@ func TestPipeMatchesGatedNext(t *testing.T) {
 	}
 }
 
+// TestPipeQuotaSweep runs every transform's pipe at totals of 1, one
+// short of and one past a 64-attempt block (the creditrisk block size),
+// and just under two such blocks; with 256-attempt blocks every total
+// sits below one block. The drawn values, the end-state counters and the
+// whole trip-histogram snapshot (buckets, count, sum, max, percentiles)
+// must equal those of the same number of Next() calls.
+func TestPipeQuotaSweep(t *testing.T) {
+	for _, tr := range blockTransforms {
+		for _, attempts := range []int{64, 256} {
+			for _, total := range []int64{1, 63, 65, 127} {
+				pg := NewGenerator(tr, mt.MT19937Params, MustFromVariance(0.7), 5)
+				gg := NewGenerator(tr, mt.MT19937Params, MustFromVariance(0.7), 5)
+				ph := telemetry.New(8).Histogram("trips", "trips", "trip records")
+				gh := telemetry.New(8).Histogram("trips", "trips", "trip records")
+				pg.InstrumentTrips(ph)
+				gg.InstrumentTrips(gh)
+				pipe := NewPipe(pg, total, attempts, NewBlockScratch(attempts))
+				for i := int64(0); i < total; i++ {
+					if got, want := pipe.Next(), gg.Next(); got != want {
+						t.Fatalf("%v attempts=%d total=%d value %d: piped %x, gated %x",
+							tr, attempts, total, i, got, want)
+					}
+				}
+				if pg.Cycles() != gg.Cycles() || pg.NormalValid() != gg.NormalValid() || pg.Accepted() != gg.Accepted() {
+					t.Fatalf("%v attempts=%d total=%d end state: piped (%d,%d,%d), gated (%d,%d,%d)",
+						tr, attempts, total, pg.Cycles(), pg.NormalValid(), pg.Accepted(),
+						gg.Cycles(), gg.NormalValid(), gg.Accepted())
+				}
+				if ps, gs := ph.Snapshot(), gh.Snapshot(); ps != gs {
+					t.Fatalf("%v attempts=%d total=%d trip histograms diverge:\npiped %+v\ngated %+v",
+						tr, attempts, total, ps, gs)
+				}
+			}
+		}
+	}
+}
+
 // TestConsumeBlock: the hand-off invokes consume exactly once per
 // non-empty block with a view of the accepted prefix, and the values
 // match the equivalent Next() sequence.

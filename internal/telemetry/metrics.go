@@ -147,6 +147,48 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
+// HistogramBatch accumulates observations for one owner without
+// atomics, to be published with a single Histogram.RecordBatch: a hot
+// loop that would otherwise Record once per item keeps a batch on its
+// stack instead. The zero value is an empty batch.
+type HistogramBatch struct {
+	count, sum, max int64
+	buckets         [NumHistogramBuckets]int64
+}
+
+// Record adds one observation to the batch.
+func (b *HistogramBatch) Record(v int64) {
+	b.buckets[histogramBucket(v)]++
+	b.count++
+	b.sum += v
+	if v > b.max {
+		b.max = v
+	}
+}
+
+// RecordBatch publishes every observation of b, leaving the histogram
+// in the state the same Records one by one would have (one atomic add
+// per non-empty bucket, then count, sum and a CAS loop for the max). A
+// nil histogram swallows the batch; b itself is not modified.
+func (h *Histogram) RecordBatch(b *HistogramBatch) {
+	if h == nil || b.count == 0 {
+		return
+	}
+	for i, n := range b.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	for {
+		m := h.max.Load()
+		if b.max <= m || h.max.CompareAndSwap(m, b.max) {
+			return
+		}
+	}
+}
+
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

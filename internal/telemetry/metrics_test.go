@@ -168,6 +168,38 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
+// TestHistogramBatchMatchesRecord: publishing observations through
+// batches leaves every Snapshot field — buckets, count, sum, max and
+// percentiles — exactly as recording them one by one does, including
+// zero, negative and overflow-bucket values, batches split at arbitrary
+// points, empty batches and a max that only a later batch raises.
+func TestHistogramBatchMatchesRecord(t *testing.T) {
+	obs := []int64{1, 1, 2, 3, 0, -4, 7, 1, 1 << 20, 5, math.MaxInt64, 2, 9, 1, 4}
+	for _, split := range []int{1, 2, 3, 5, len(obs)} {
+		one := New(8).Histogram("h", "trips", "d")
+		bat := New(8).Histogram("h", "trips", "d")
+		for _, v := range obs {
+			one.Record(v)
+		}
+		var b HistogramBatch
+		bat.RecordBatch(&b) // empty batch: no-op
+		for i, v := range obs {
+			b.Record(v)
+			if (i+1)%split == 0 || i == len(obs)-1 {
+				bat.RecordBatch(&b)
+				b = HistogramBatch{}
+			}
+		}
+		if so, sb := one.Snapshot(), bat.Snapshot(); so != sb {
+			t.Fatalf("split %d: per-value %+v, batched %+v", split, so, sb)
+		}
+	}
+	var nilH *Histogram
+	var b HistogramBatch
+	b.Record(3)
+	nilH.RecordBatch(&b) // nil histogram swallows the batch
+}
+
 // The alloc gates are meaningful only without -race (whose shadow
 // instrumentation allocates); testing.AllocsPerRun already runs the body
 // with GC pinned.
@@ -187,9 +219,21 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("enabled Record/Set/Add allocated %.1f allocs/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() {
+		var b HistogramBatch
+		b.Record(v)
+		b.Record(v + 1)
+		h.RecordBatch(&b)
+		v++
+	}); n != 0 {
+		t.Fatalf("batched Record/RecordBatch allocated %.1f allocs/op, want 0", n)
+	}
 	var hn *Histogram
 	var gn *Gauge
 	if n := testing.AllocsPerRun(1000, func() {
+		var b HistogramBatch
+		b.Record(v)
+		hn.RecordBatch(&b)
 		hn.Record(v)
 		gn.Set(v)
 		v++

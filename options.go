@@ -109,7 +109,7 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 		case opt.BreakID != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with BreakID %d (delayed-exit overshoot is a whole-work-item contract)", opt.BreakID)
 		case opt.GatedCompute:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with GatedCompute (lane execution is already the gated loop; per-work-item cycle traces would be meaningless)")
+			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with GatedCompute (lanes run the block compute path; per-work-item cycle traces would be meaningless)")
 		case opt.SequentialSeek:
 			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with SequentialSeek (lane offsets are %d words apart; stepping there sequentially is the O(n) cost this mode removes)", rng.SubstreamStride)
 		case opt.Shards != 0 || opt.ChunkWorkItems != 0:

@@ -27,7 +27,7 @@ sh scripts/bce_check.sh
 # checking (already part of the tree-wide -race run above, but named
 # here so a narrowed test filter can never drop it).
 echo "== block-compute equivalence under -race"
-go test -race -run 'TestBlockCompute|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
+go test -race -run 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
     ./internal/core ./internal/rng/gamma ./internal/rng/mt
 
 # Fused-pipe equivalence under the race detector: the fused transport
@@ -38,7 +38,7 @@ go test -race -run 'TestBlockCompute|TestCycleBlock|TestFillUint32|TestPropertyF
 # synchronization checking.
 echo "== fused-pipe & gamma→loss pipe equivalence under -race"
 go test -race -count=1 \
-    -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestSimulateMCPipeEquivalence|TestPipe|TestConsumeBlock' \
+    -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestRunItemPartQuotaSweep|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
     ./internal/core ./internal/creditrisk ./internal/rng/gamma
 
 # Serve fast-lane correctness under the race detector: cache semantics
@@ -86,12 +86,13 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 # scheduler: GOMAXPROCS=1 exercises the sequential claim order,
 # GOMAXPROCS=4 multiplexes the work-stealing cursor so the race
 # detector sees real chunk-claim interleavings. Both must reproduce
-# the sequential bytes (the GenerateParallel == Generate contract).
-echo "== parallel equivalence under GOMAXPROCS=1 and GOMAXPROCS=4 (-race)"
+# the sequential bytes (the GenerateParallel == Generate contract) and
+# the committed golden digests.
+echo "== parallel equivalence & golden digests under GOMAXPROCS=1 and GOMAXPROCS=4 (-race)"
 GOMAXPROCS=1 go test -race -count=1 \
-    -run 'TestGenerateParallel|TestRunChunk|TestNormalize' . ./internal/core
+    -run 'TestGenerateParallel|TestRunChunk|TestNormalize|TestGolden' . ./internal/core
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestGenerateParallel|TestRunChunk|TestNormalize' . ./internal/core
+    -run 'TestGenerateParallel|TestRunChunk|TestNormalize|TestGolden' . ./internal/core
 
 # Jump-vs-sequential seek smoke through the CLI: the same (seed, offset)
 # window generated with the O(log n) jump and with the O(n) word-by-word
