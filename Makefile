@@ -25,8 +25,8 @@ bench:
 	$(GO) test -bench BenchmarkGamma -benchtime 1x -run '^$$' .
 
 # Machine-readable throughput baseline (BENCH_8.json at the repo root):
-# engine MB/s and ns/value for Config1-4 on both compute paths, plus the
-# transport, parallel-scheduler and telemetry ablations.
+# engine MB/s and ns/value for Config1-4 on the block compute path, plus
+# the parallel-scheduler and telemetry ablations.
 bench-json:
 	sh scripts/bench_json.sh
 
@@ -46,7 +46,7 @@ bench-compare-smoke:
 bce-check:
 	sh scripts/bce_check.sh
 
-# One-iteration smoke run of the burst-transport, sharded-generation and
+# One-iteration smoke run of the burst-stream, sharded-generation and
 # compute-path benchmarks, so they can never silently rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls

@@ -372,8 +372,8 @@ func BenchmarkBufferCombining(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures the functional engine itself: gamma
-// values generated per second through streams, packing and bursts.
+// BenchmarkEngineThroughput measures the functional engine through
+// Generate: gamma values generated per second on the host path.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, cID := range []decwi.ConfigID{decwi.Config1, decwi.Config2, decwi.Config3, decwi.Config4} {
 		cID := cID
@@ -390,57 +390,36 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockCompute is this PR's before/after ablation: the gated
-// one-word compute path (every pipeline iteration a CycleStep with
-// per-word Peek/Advance bookkeeping) versus the default block path
-// (bulk Mersenne-Twister fills + batched normal/gamma kernels). Both
-// produce bitwise-identical output; bytes/sec is the comparison axis.
+// BenchmarkBlockCompute measures the block compute path (bulk
+// Mersenne-Twister fills + batched normal/gamma kernels) through
+// Generate, per Table I config; bytes/sec is the comparison axis.
 func BenchmarkBlockCompute(b *testing.B) {
 	for _, cID := range []decwi.ConfigID{decwi.Config1, decwi.Config2, decwi.Config3, decwi.Config4} {
 		cID := cID
-		for _, gated := range []bool{true, false} {
-			name := cID.String() + "/block"
-			if gated {
-				name = cID.String() + "/gated"
-			}
-			gated := gated
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := decwi.Generate(cID, decwi.GenerateOptions{
-						Scenarios: 65536, Sectors: 1, Seed: uint64(i + 1),
-						GatedCompute: gated,
-					}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(cID.String()+"/block", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := decwi.Generate(cID, decwi.GenerateOptions{
+					Scenarios: 65536, Sectors: 1, Seed: uint64(i + 1),
+				}); err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(65536 * 4)
-			})
-		}
+			}
+			b.SetBytes(65536 * 4)
+		})
 	}
 }
 
-// BenchmarkGenerateParallel is the transport-and-sharding ablation: the
-// per-value seed transport versus the batched WordRNs transport through
-// Generate, versus the work-item-sharded GenerateParallel scheduler
-// (fused chunk execution, zero-copy assembly, output bitwise-identical
-// to Generate). The 1core variant pins GOMAXPROCS=1 so the scheduler's
-// overhead against the single sequential engine is measured without
-// parallel speedup. All variants move the same number of values;
-// bytes/sec is the comparison axis.
+// BenchmarkGenerateParallel is the sharding ablation: Generate (the
+// scheduler at one worker over one chunk) versus the work-item-sharded
+// GenerateParallel scheduler (fused chunk execution, zero-copy assembly,
+// output bitwise-identical to Generate). The 1core variant pins
+// GOMAXPROCS=1 so the scheduler's overhead against a single sequential
+// chunk is measured without parallel speedup. All variants move the same
+// number of values; bytes/sec is the comparison axis.
 func BenchmarkGenerateParallel(b *testing.B) {
 	const scenarios, sectors = 65536, 1
 	opts := decwi.GenerateOptions{Scenarios: scenarios, Sectors: sectors, WorkItems: 4}
-	b.Run("per-value", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Seed, o.PerValueTransport = uint64(i+1), true
-			if _, err := decwi.Generate(decwi.Config2, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(scenarios * sectors * 4)
-	})
-	b.Run("batched", func(b *testing.B) {
+	b.Run("generate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := opts
 			o.Seed = uint64(i + 1)
@@ -532,7 +511,8 @@ func BenchmarkAblationStreamDepth(b *testing.B) {
 }
 
 // BenchmarkGamma measures the telemetry overhead on the paper's hot
-// path: the full decoupled work-item engine generating gamma variates.
+// path: the decoupled work-item engine's host path (RunChunk over every
+// work-item) generating gamma variates.
 // The "off" variant (nil recorder — the no-op implementation) is the
 // tier-1 overhead gate: it must stay within noise of the pre-telemetry
 // engine, because disabled instrumentation is a nil-receiver check per
@@ -551,7 +531,7 @@ func BenchmarkGamma(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Run(); err != nil {
+			if err := eng.RunChunk(nil, make([]float32, 65536), 0, 8, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

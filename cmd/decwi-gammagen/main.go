@@ -29,9 +29,7 @@ func main() {
 	variance := flag.Float64("v", 1.39, "sector variance (alpha=1/v, beta=v)")
 	workItems := flag.Int("workitems", 0, "decoupled work-items (0 = P&R default)")
 	seed := flag.Uint64("seed", 1, "master seed")
-	offset := flag.Uint64("offset", 0, "fast-forward every work-item's streams by this many state words (checkpoint/resume; 0 = the seed state)")
-	jump := flag.Bool("jump", true, "apply -offset with the O(log n) jump-ahead; -jump=false steps word by word (same bytes, equivalence checks)")
-	gated := flag.Bool("gated", false, "force the cycle-exact gated compute path (default: block path, same output)")
+	offset := flag.Uint64("offset", 0, "fast-forward every work-item's streams by this many state words with the O(log n) jump-ahead (checkpoint/resume; 0 = the seed state)")
 	parallel := flag.Bool("parallel", false, "generate with the work-stealing parallel engine (same output bytes)")
 	shards := flag.Int("shards", 0, "parallel: target work-item chunk count (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "parallel: concurrent scheduler workers (0 = GOMAXPROCS)")
@@ -54,7 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "decwi-gammagen: %v\n", err)
 		os.Exit(1)
 	}
-	runErr := run(*cfgNum, *n, *variance, *workItems, *seed, *offset, *jump, *gated,
+	runErr := run(*cfgNum, *n, *variance, *workItems, *seed, *offset,
 		*parallel, *shards, *workers, *out, *text, *validate, rec)
 	if err := stopMetrics(); err != nil && runErr == nil {
 		runErr = err
@@ -68,7 +66,7 @@ func main() {
 	}
 }
 
-func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint64, jump, gated bool,
+func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint64,
 	parallel bool, shards, workers int, out string, text, validate bool, rec *telemetry.Recorder) error {
 	if cfgNum < 1 || cfgNum > 4 {
 		return fmt.Errorf("config %d outside 1-4", cfgNum)
@@ -79,8 +77,7 @@ func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint
 	cfg := decwi.ConfigID(cfgNum)
 	gopt := decwi.GenerateOptions{
 		Scenarios: n, Sectors: 1, Variance: variance,
-		WorkItems: workItems, Seed: seed, GatedCompute: gated,
-		StreamOffset: offset, SequentialSeek: !jump,
+		WorkItems: workItems, Seed: seed, StreamOffset: offset,
 		Telemetry: rec,
 	}
 	// Both paths produce the same bytes for the same options; -parallel

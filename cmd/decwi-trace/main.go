@@ -185,10 +185,6 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	kr, err := sess.EnqueueGamma(cfg, decwi.GenerateOptions{
 		Scenarios: scenarios, Sectors: sectors,
 		WorkItems: workItems, Seed: seed,
-		// The stall trace is about the stream-side observables —
-		// backpressure spans, burst counters, FIFO occupancy — which
-		// only the hardware-shaped dataflow execution produces.
-		StreamedTransport: true,
 	}, false)
 	if err != nil {
 		sess.Close()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/decwi/decwi/internal/core"
 	"github.com/decwi/decwi/internal/fpga"
 	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/rng/gamma"
@@ -134,32 +133,6 @@ type GenerateOptions struct {
 	// processes). The (Seed, StreamOffset) pair fully determines the
 	// stream positions.
 	StreamOffset uint64
-	// SequentialSeek applies StreamOffset by stepping the streams word
-	// by word instead of jumping. Output is bitwise-identical either
-	// way; like PerValueTransport, the knob exists for equivalence tests
-	// and benchmarks.
-	SequentialSeek bool
-	// PerValueTransport selects the engine's pre-burst transport (one
-	// stream operation per float32) instead of the default WordRNs-sized
-	// batches. Output is bitwise-identical either way; the knob exists
-	// for the equivalence tests and the before/after benchmarks.
-	PerValueTransport bool
-	// GatedCompute forces the cycle-exact one-word compute path (gated
-	// Mersenne-Twister consumption every pipeline iteration) instead of
-	// the default bulk block-generation path. Output is bitwise-identical
-	// either way; force it when cycle-level interleaving must be
-	// observable (stall tracing, co-simulation cross-checks).
-	GatedCompute bool
-	// StreamedTransport forces the hardware-shaped dataflow execution:
-	// one GammaRNG and one Transfer goroutine per work-item joined by a
-	// blocking hls::stream, with 512-bit packing and burst copies — the
-	// Listing 1 formulation. The default (false) is the fused pipe:
-	// generated candidate blocks land directly in the result buffer at
-	// their device-layout offsets, with no stream hand-off. Output is
-	// bitwise-identical either way; force it when the stream-side
-	// observables (backpressure spans, burst counters, FIFO occupancy)
-	// are the point, as decwi-trace does. PerValueTransport implies it.
-	StreamedTransport bool
 	// BreakID is Listing 2's counter delay index for the delayed exit
 	// ("here it suffices to use zero"). The exit reads the output counter
 	// through BreakID+1 register stages, so every work-item runs
@@ -168,8 +141,9 @@ type GenerateOptions struct {
 	// so the output layout is unchanged but the twister streams advance.
 	BreakID int
 	// Telemetry, when non-nil, records engine instrumentation for the
-	// run (stream backpressure, per-work-item divergence, retry and
-	// scheduler attribution). Tracing never perturbs the generated data.
+	// run (per-work-item divergence, retry and scheduler attribution;
+	// stream backpressure on Session's Listing 1 dataflow). Tracing never
+	// perturbs the generated data.
 	Telemetry *telemetry.Recorder
 }
 
@@ -188,43 +162,30 @@ type GenerateResult struct {
 	// TransferBound reports whether the memory path dominated.
 	TransferBound bool
 
-	run *core.RunResult
+	par *ParallelResult
 }
 
 // Sector returns every value of one sector across work-items.
-func (r *GenerateResult) Sector(k int) []float32 { return r.run.SectorValues(k) }
+func (r *GenerateResult) Sector(k int) []float32 { return r.par.Sector(k) }
 
 // Generate runs configuration c of the decoupled work-item engine and
 // returns validated gamma data plus modelled FPGA timing. This is the
-// quickstart entry point.
+// quickstart entry point: GenerateParallel's scheduler with one worker
+// over one chunk, so its bytes are GenerateParallel's for the same
+// options.
 func Generate(c ConfigID, opt GenerateOptions) (*GenerateResult, error) {
-	k, err := c.kernel()
+	par, err := GenerateParallel(c, ParallelOptions{GenerateOptions: opt, Shards: 1, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	opt, err = normalizeGenerate(k, opt)
-	if err != nil {
-		return nil, err
-	}
-	wi := opt.WorkItems
-	eng, err := core.NewEngine(engineConfig(k, opt))
-	if err != nil {
-		return nil, err
-	}
-	run, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-
 	res := &GenerateResult{
-		Values:        run.Data,
-		RejectionRate: run.CombinedRejectionRate(),
-		WorkItems:     wi,
-		run:           run,
+		Values:        par.Values,
+		RejectionRate: par.RejectionRate,
+		WorkItems:     par.WorkItems,
+		par:           par,
 	}
 	w := fpga.Workload{NumScenarios: opt.Scenarios, NumSectors: int64(opt.Sectors), BytesPerValue: 4}
-	burst := eng.Config().BurstRNs
-	t, err := fpga.DefaultDevice().KernelRuntime(w, wi, res.RejectionRate, burst)
+	t, err := fpga.DefaultDevice().KernelRuntime(w, par.WorkItems, res.RejectionRate, par.burstRNs)
 	if err != nil {
 		return nil, err
 	}

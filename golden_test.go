@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -92,38 +93,53 @@ func sha256Float64(v ...float64) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenDigests checks Generate output (GenerateParallel for the
-// substream case, which only it offers) against the committed table.
-// Cases without substreams also run through GenerateParallel, whose
-// bytes the parallel-equivalence suite ties to Generate, so both entry
-// points are pinned.
+// TestGoldenDigests checks every entry point against the committed
+// table. The substream case runs through GenerateParallel, which alone
+// offers it. Every other case must match its digest through Generate,
+// through GenerateParallel at Workers 1, 2 and 4, and through
+// Session.EnqueueGamma — Listing 1's streamed dataflow read back with
+// device-level combining. The 3001-scenario cases leave each work-item
+// a quota that is not a multiple of WordRNs, so the transport's partial
+// trailing word is pinned too.
 func TestGoldenDigests(t *testing.T) {
+	sess, err := decwi.NewSession("FPGA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			var values []float32
+			check := func(path string, values []float32) {
+				t.Helper()
+				if got := sha256Float32(values); got != tc.want {
+					t.Fatalf("%s: sha256 of %d values = %s, golden %s", path, len(values), got, tc.want)
+				}
+			}
 			if tc.opt.IntraItemSubstreams > 1 {
 				res, err := decwi.GenerateParallel(tc.config, tc.opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				values = res.Values
-			} else {
-				res, err := decwi.Generate(tc.config, tc.opt.GenerateOptions)
+				check("GenerateParallel", res.Values)
+				return
+			}
+			res, err := decwi.Generate(tc.config, tc.opt.GenerateOptions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Generate", res.Values)
+			for _, workers := range []int{1, 2, 4} {
+				par, err := decwi.GenerateParallel(tc.config, decwi.ParallelOptions{GenerateOptions: tc.opt.GenerateOptions, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				values = res.Values
-				par, err := decwi.GenerateParallel(tc.config, decwi.ParallelOptions{GenerateOptions: tc.opt.GenerateOptions, Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sha256Float32(par.Values); got != sha256Float32(values) {
-					t.Fatalf("GenerateParallel digest %s differs from Generate", got)
-				}
+				check(fmt.Sprintf("GenerateParallel Workers=%d", workers), par.Values)
 			}
-			if got := sha256Float32(values); got != tc.want {
-				t.Fatalf("sha256 of %d values = %s, golden %s", len(values), got, tc.want)
+			kr, err := sess.EnqueueGamma(tc.config, tc.opt.GenerateOptions, false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check("Session.EnqueueGamma", kr.Host)
 		})
 	}
 }

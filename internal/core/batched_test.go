@@ -19,50 +19,21 @@ var tableIConfigs = []struct {
 	{"Config4-ICDF-MT521", normal.ICDFCUDA, mt.MT521Params},
 }
 
-// TestBatchedTransportEquivalence is the tentpole guarantee: moving the
-// RNG→Transfer stream in WordRNs-sized bursts produces output that is
-// bitwise-identical to the per-value seed path, for every Table I
-// config at a fixed seed. The batched path may only change *how* values
-// cross the FIFO, never their order or contents.
+// TestBatchedTransportEquivalence: Run's stream carries WordRNs-sized
+// bursts through a FIFO shallower than a burst, and the buffer it fills
+// must hold exactly the per-value sequence of the gated scalar oracle,
+// for every Table I config at a fixed seed. Batching may only change
+// *how* values cross the FIFO, never their order or contents.
 func TestBatchedTransportEquivalence(t *testing.T) {
 	for _, tc := range tableIConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Transform: tc.transform, MTParams: tc.params,
 				WorkItems: 2, Scenarios: 100, Sectors: 3,
 				SectorVariance: 1.39, Seed: 0xFEEDFACE,
 				StreamDepth: 8, // small FIFO: bursts larger than depth
-				// This test compares the two flavors of the *streamed*
-				// transport; the fused default has no stream to batch.
-				StreamedTransport: true,
 			}
-			run := func(perValue bool) []float32 {
-				cfg := base
-				cfg.PerValueTransport = perValue
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Data
-			}
-			seed := run(true) // per-value path (pre-burst behaviour)
-			batch := run(false)
-			if len(seed) != len(batch) {
-				t.Fatalf("length mismatch: per-value %d, batched %d", len(seed), len(batch))
-			}
-			for i := range seed {
-				// Bitwise comparison: compare as float32 values but
-				// require exact equality (NaN never appears in gamma
-				// output, so == is bit-exact here).
-				if seed[i] != batch[i] {
-					t.Fatalf("Data[%d]: per-value %x, batched %x",
-						i, seed[i], batch[i])
-				}
-			}
+			sameRun(t, "batched Run vs gated oracle", gatedReference(t, cfg), runSmall(t, cfg))
 		})
 	}
 }
@@ -74,7 +45,6 @@ func TestBatchedTransportDeterminism(t *testing.T) {
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 4, Scenarios: 256, Sectors: 2,
 		SectorVariance: 1.39, Seed: 42,
-		StreamedTransport: true,
 	}
 	run := func() []float32 {
 		e, err := NewEngine(cfg)

@@ -1,19 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 )
 
-// TestBlockComputeEquivalence is this PR's tentpole invariant: the block
-// compute path (bulk Mersenne-Twister fills + batched normal/gamma
-// kernels) produces output bitwise-identical to the cycle-exact gated
-// one-word path, for every Table I config at a fixed seed — including
+// TestBlockComputeEquivalence is the block path's defining invariant:
+// bulk Mersenne-Twister fills plus batched normal/gamma kernels produce
+// output bitwise-identical to the cycle-exact gated one-word oracle
+// (gatedReference), for every Table I config at a fixed seed — including
 // a non-zero BreakID so the delayed-exit overshoot semantics are
 // exercised after the quota trip. Scenarios is sized so each work-item
 // runs several full blocks per sector plus shorter quota-bounded ones.
+// The pipeline telemetry must match too: same cycle counts, acceptances
+// and overshoot.
 func TestBlockComputeEquivalence(t *testing.T) {
 	cases := append(tableIConfigs[:len(tableIConfigs):len(tableIConfigs)], struct {
 		name      string
@@ -22,45 +25,14 @@ func TestBlockComputeEquivalence(t *testing.T) {
 	}{"Ziggurat-MT19937", normal.Ziggurat, mt.MT19937Params})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Transform: tc.transform, MTParams: tc.params,
 				WorkItems: 2, Scenarios: 2000, Sectors: 3,
 				SectorVariances: []float64{0.5, 1.39, 4.0},
 				Seed:            0xDECB10C5,
 				BreakID:         2,
 			}
-			run := func(gated bool) *RunResult {
-				cfg := base
-				cfg.GatedCompute = gated
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			gated := run(true)
-			block := run(false)
-			if len(gated.Data) != len(block.Data) {
-				t.Fatalf("length mismatch: gated %d, block %d", len(gated.Data), len(block.Data))
-			}
-			for i := range gated.Data {
-				if gated.Data[i] != block.Data[i] {
-					t.Fatalf("Data[%d]: gated %x, block %x", i, gated.Data[i], block.Data[i])
-				}
-			}
-			// The block path must also report the identical pipeline
-			// telemetry: same cycle counts, acceptances and overshoot.
-			for w := range gated.PerWI {
-				g, b := gated.PerWI[w], block.PerWI[w]
-				if g.Cycles != b.Cycles || g.Accepted != b.Accepted || g.Overshoot != b.Overshoot {
-					t.Fatalf("work-item %d stats: gated {cycles %d accepted %d overshoot %d}, block {%d %d %d}",
-						w, g.Cycles, g.Accepted, g.Overshoot, b.Cycles, b.Accepted, b.Overshoot)
-				}
-			}
+			sameRun(t, "block vs gated", gatedReference(t, cfg), runChunked(t, cfg))
 		})
 	}
 }
@@ -105,25 +77,7 @@ func TestBlockComputeTinyQuota(t *testing.T) {
 			WorkItems: 3, Scenarios: scenarios, Sectors: 2,
 			SectorVariance: 0.9, Seed: 31, BreakID: 1,
 		}
-		run := func(gated bool) []float32 {
-			c := cfg
-			c.GatedCompute = gated
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		g, b := run(true), run(false)
-		for i := range g {
-			if g[i] != b[i] {
-				t.Fatalf("scenarios=%d Data[%d]: gated %x, block %x", scenarios, i, g[i], b[i])
-			}
-		}
+		sameRun(t, fmt.Sprintf("scenarios=%d", scenarios), gatedReference(t, cfg), runSmall(t, cfg))
 	}
 }
 
@@ -163,34 +117,15 @@ func TestBlockComputeQuotaSweep(t *testing.T) {
 					Seed:            uint64(1000*i + 10*breakID + int(quota)),
 					BreakID:         breakID,
 				}
-				run := func(gated, streamed bool) *RunResult {
-					cfg := base
-					cfg.GatedCompute, cfg.StreamedTransport = gated, streamed
-					e, err := NewEngine(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := e.Run()
-					if err != nil {
-						t.Fatalf("%v BreakID=%d quota=%d: %v", tr, breakID, quota, err)
-					}
-					return res
-				}
-				gated := run(true, false)
+				gated := gatedReference(t, base)
 				for _, streamed := range []bool{false, true} {
-					block := run(false, streamed)
-					for j := range gated.Data {
-						if gated.Data[j] != block.Data[j] {
-							t.Fatalf("%v BreakID=%d quota=%d streamed=%v Data[%d]: gated %x, block %x",
-								tr, breakID, quota, streamed, j, gated.Data[j], block.Data[j])
-						}
+					block := runChunked
+					if streamed {
+						block = runSmall
 					}
-					for w, g := range gated.PerWI {
-						b := block.PerWI[w]
-						if g.Cycles != b.Cycles || g.Accepted != b.Accepted || g.Overshoot != b.Overshoot {
-							t.Fatalf("%v BreakID=%d quota=%d streamed=%v work-item %d: gated {cycles %d accepted %d overshoot %d}, block {%d %d %d}",
-								tr, breakID, quota, streamed, w, g.Cycles, g.Accepted, g.Overshoot, b.Cycles, b.Accepted, b.Overshoot)
-						}
+					got := block(t, base)
+					sameRun(t, fmt.Sprintf("%v BreakID=%d quota=%d streamed=%v", tr, breakID, quota, streamed), gated, got)
+					for w, b := range got.PerWI {
 						want := int64(breakID+1) * int64(base.Sectors)
 						if b.Scenarios == 0 {
 							want = 0

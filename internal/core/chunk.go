@@ -22,10 +22,10 @@ import (
 //
 // Unlike Run, a chunk executes its work-items *fused*: generateWI emits
 // directly into the destination slice with no hls::stream, no 512-bit
-// packing and no Transfer goroutine. The hardware-shaped streamed path
-// stays what Run models; the fused path is the host-side throughput
-// path. Both consume the identical generator sequence, so the emitted
-// values — and the result bytes — cannot differ.
+// packing and no Transfer goroutine. This is the host's generation path
+// — every facade entry point runs it — while Run stays the hardware
+// model of Listing 1. Both consume the identical generator sequence, so
+// the emitted values — and the result bytes — cannot differ.
 
 // RunChunk executes work-items [lo, hi) of the engine's layout, writing
 // each one's output into dst at its final device-layout offset. dst must
@@ -91,20 +91,16 @@ func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, s
 	cDirect := cfg.Telemetry.Counter(fmt.Sprintf("engine.fused-direct[%d]", wid), "values",
 		"outputs written to the device buffer without per-value transport (fused pipe block phase)")
 	snk := sink{
-		value: func(v float32) {
-			dst[off] = v
-			off++
-		},
 		// A block of n attempts only runs while at least n outputs remain
 		// in the current sector's row, so dst[off:off+n] can never cross
 		// the work-item's block (blockPhase.sector's quota bound).
-		block: func(n int) []float32 {
+		dest: func(n int) []float32 {
 			return dst[off : off+int64(n)]
 		},
-		commit: func(produced int) {
-			off += int64(produced)
+		commit: func(out []float32) {
+			off += int64(len(out))
 			cBlocks.Add(1)
-			cDirect.Add(int64(produced))
+			cDirect.Add(int64(len(out)))
 		},
 	}
 	if err := e.generateWI(ctx, wid, e.per[wid], gen, snk, stp); err != nil {

@@ -11,38 +11,6 @@ import (
 	"github.com/decwi/decwi/internal/stats"
 )
 
-func TestPacker512(t *testing.T) {
-	var p Packer512
-	for i := 0; i < WordRNs-1; i++ {
-		if _, ok := p.Push(float32(i)); ok {
-			t.Fatalf("word completed early at %d", i)
-		}
-	}
-	if p.Pending() != WordRNs-1 {
-		t.Fatalf("pending %d", p.Pending())
-	}
-	w, ok := p.Push(15)
-	if !ok {
-		t.Fatal("word should complete on 16th value")
-	}
-	for i := 0; i < WordRNs; i++ {
-		if w[i] != float32(i) {
-			t.Fatalf("slot %d = %g", i, w[i])
-		}
-	}
-	if p.Pending() != 0 {
-		t.Fatal("packer should reset")
-	}
-	if _, ok := p.Flush(); ok {
-		t.Fatal("empty flush should report nothing")
-	}
-	p.Push(42)
-	fw, ok := p.Flush()
-	if !ok || fw[0] != 42 || fw[1] != 0 {
-		t.Fatalf("flush %v %v", fw, ok)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	good := Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
@@ -132,9 +100,6 @@ func TestEngineUnevenSplit(t *testing.T) {
 	res := runSmall(t, Config{
 		Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 		WorkItems: 3, Scenarios: 1000, Sectors: 2, SectorVariance: 0.7, Seed: 2,
-		// FlushedWords is a Transfer-engine observable; it only exists
-		// on the hardware-shaped streamed execution.
-		StreamedTransport: true,
 	})
 	wantPer := []int64{334, 333, 333}
 	for w, s := range res.PerWI {
@@ -253,8 +218,6 @@ func TestEngineRejectionTelemetry(t *testing.T) {
 	res := runSmall(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 2, Scenarios: 40000, Sectors: 2, SectorVariance: 1.39, Seed: 6,
-		// Burst accounting only exists on the streamed transport.
-		StreamedTransport: true,
 	})
 	if r := res.CombinedRejectionRate(); math.Abs(r-0.303) > 0.03 {
 		t.Fatalf("combined rejection rate %f, expected ≈0.303", r)
@@ -325,20 +288,16 @@ func TestPropertyEngineConservation(t *testing.T) {
 		scen := int64(scenRaw%2000) + 1
 		sectors := int(secRaw%4) + 1
 		wi := int(wiRaw%4) + 1
-		e, err := NewEngine(Config{
+		cfg := Config{
 			Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 			WorkItems: wi, Scenarios: scen, Sectors: sectors,
 			SectorVariance: 1.39, Seed: seed,
-			// Conservation must hold on both transports; alternate the
-			// fused pipe and the streamed dataflow across the sweep.
-			StreamedTransport: seed%2 == 0,
-		})
-		if err != nil {
-			return false
 		}
-		res, err := e.Run()
-		if err != nil {
-			return false
+		// Conservation must hold on both transports; alternate the
+		// fused pipe and the streamed dataflow across the sweep.
+		res := runChunked(t, cfg)
+		if seed%2 == 0 {
+			res = runSmall(t, cfg)
 		}
 		// Accepted counts pipeline acceptances; overshoot cycles may
 		// accept candidates that the counter<limitMain write guard

@@ -36,43 +36,9 @@ type Config struct {
 	// must be a multiple of WordRNs. Default 64.
 	BurstRNs int
 	// StreamDepth is the hls::stream FIFO depth between generation and
-	// transfer. Default 64; negative depths are rejected.
+	// transfer in Run's dataflow. Default 64; negative depths are
+	// rejected.
 	StreamDepth int
-	// PerValueTransport moves one float32 per stream operation between
-	// GammaRNG and Transfer (the original Listing 1 handshake) instead
-	// of the default WordRNs-sized bursts. The generated data is
-	// bitwise-identical either way (TestBatchedTransportEquivalence);
-	// the knob exists for the equivalence tests and the before/after
-	// benchmarks, not for production use.
-	PerValueTransport bool
-	// GatedCompute forces the cycle-exact one-word compute path: every
-	// pipeline iteration is a gamma.CycleStep with gated Mersenne-Twister
-	// consumption, exactly as the Listing 2/3 hardware formulation. The
-	// default (false) selects the block compute path, which bulk-fills
-	// Mersenne-Twister words and runs batched normal/gamma kernels over
-	// blocks of up to blockCycles attempts, bounded by each sector's
-	// remaining quota, with the delayed-exit overshoot run as a discarded
-	// block. Both paths produce bitwise-identical output
-	// (TestBlockComputeEquivalence); the gated path exists for FPGA
-	// co-simulation and cycle-level stall tracing, where per-cycle
-	// interleaving is observable.
-	GatedCompute bool
-	// StreamedTransport forces Listing 1's dataflow execution: one
-	// GammaRNG and one Transfer process per work-item, joined by a
-	// blocking hls::stream, with 512-bit packing and burst copies into
-	// the device buffer. The default (false) selects the fused pipe:
-	// Run executes the work-items sequentially through the RunChunk
-	// machinery, generated blocks landing directly in the result buffer
-	// at their device-layout offsets — no streams, no packing, no
-	// transfer goroutines. Both produce bitwise-identical bytes
-	// (TestFusedRunEquivalence); the streamed path exists for the
-	// hardware-shaped model, where stream backpressure, burst accounting
-	// and dataflow process spans are the observables. The stream-side
-	// stats (Bursts, FlushedWords, StreamHigh) and the membus/stream
-	// telemetry exist only there. PerValueTransport implies
-	// StreamedTransport: a per-value stream handshake is meaningless
-	// without the stream.
-	StreamedTransport bool
 	// StreamOffset fast-forwards every work-item's four Mersenne-Twister
 	// streams by this many state words before generation begins — an
 	// O(log n) seek through each stream (mt.Core.Jump). The default 0
@@ -81,11 +47,6 @@ type Config struct {
 	// selects a later window of the same per-seed streams, which is what
 	// checkpoint/resume and multi-process stream partitioning build on.
 	StreamOffset uint64
-	// SequentialSeek applies StreamOffset by stepping the streams one
-	// word at a time instead of jumping. The two are bitwise-equivalent
-	// (TestStreamOffsetSeekEquivalence); like PerValueTransport, the knob
-	// exists for equivalence tests and benchmarks, not production use.
-	SequentialSeek bool
 	// BreakID is the counter delay index of Listing 2 ("here it
 	// suffices to use zero").
 	BreakID int
@@ -150,9 +111,6 @@ func (c Config) setDefaults() (Config, error) {
 	if c.MTParams.N == 0 {
 		c.MTParams = mt.MT19937Params
 	}
-	if c.PerValueTransport {
-		c.StreamedTransport = true
-	}
 	return c, nil
 }
 
@@ -177,9 +135,11 @@ type WorkItemStats struct {
 	Accepted      uint64
 	RejectionRate float64 // Eq. (1) sense: extra trips per output
 	Overshoot     int64   // delayed-exit extra trips, summed over sectors
-	Bursts        int64   // memory bursts issued by the Transfer engine
-	FlushedWords  int64   // partial trailing words (0 on divisible setups)
-	StreamHigh    int     // high-water occupancy of the hls::stream
+	// Stream-side stats of Run's dataflow; zero after RunChunk, which
+	// has no stream.
+	Bursts       int64 // memory bursts issued by the Transfer engine
+	FlushedWords int64 // partial trailing words (0 on divisible setups)
+	StreamHigh   int   // high-water occupancy of the hls::stream
 }
 
 // RunResult carries the generated data and the run telemetry.
@@ -202,7 +162,7 @@ type RunResult struct {
 // per-work-item master seeds — is fixed at construction time and depends
 // only on the configuration, never on how a run is executed. This is
 // what makes a chunked run (RunChunk over a subset of work-items, in any
-// order, on any goroutine) bitwise-identical to the monolithic Run.
+// order, on any goroutine) bitwise-identical to Run's dataflow model.
 type Engine struct {
 	cfg     Config
 	per     []int64  // per-work-item output quota (Listing 2's limitMain)
@@ -261,44 +221,14 @@ func (e *Engine) splitScenarios() []int64 {
 	return out
 }
 
-// Run executes the engine. The default is the fused pipe: work-items
-// run sequentially through the RunChunk machinery, each generated block
-// written directly into the result buffer at its device-layout offset.
-// With Config.StreamedTransport it is instead Listing 1's
-// DecoupledWorkItems — one gammaRNG process and one Transfer process
-// per work-item, joined by a blocking stream, all scheduled
-// concurrently. The bytes are identical either way
+// Run executes the engine as Listing 1's DecoupledWorkItems: one
+// gammaRNG process and one Transfer process per work-item, joined by a
+// blocking hls::stream, all scheduled concurrently as a DATAFLOW region.
+// It is the hardware model — stream backpressure, burst accounting and
+// dataflow process spans are its observables — not the host's fast
+// path, which is RunChunk. Both write the same bytes
 // (TestFusedRunEquivalence).
 func (e *Engine) Run() (*RunResult, error) {
-	if e.cfg.StreamedTransport {
-		return e.runStreamed()
-	}
-	return e.runFused()
-}
-
-// runFused is the default execution: the streamless single-goroutine
-// path, sharing every line of per-work-item execution with RunChunk so
-// the monolithic and chunked runs cannot drift apart.
-func (e *Engine) runFused() (*RunResult, error) {
-	cfg := e.cfg
-	res := &RunResult{
-		Data:         make([]float32, cfg.Scenarios*int64(cfg.Sectors)),
-		BlockOffsets: append([]int64(nil), e.offsets...),
-		PerWI:        make([]WorkItemStats, cfg.WorkItems),
-		cfg:          cfg,
-	}
-	kernelTr := cfg.Telemetry.Track("engine", telemetry.Wall)
-	kStart := kernelTr.Now()
-	if err := e.RunChunk(nil, res.Data, 0, cfg.WorkItems, res.PerWI); err != nil {
-		return nil, err
-	}
-	kernelTr.Span(telemetry.EvKernel, kStart, kernelTr.Now(), cfg.Scenarios*int64(cfg.Sectors))
-	return res, nil
-}
-
-// runStreamed is the hardware-shaped execution behind
-// Config.StreamedTransport.
-func (e *Engine) runStreamed() (*RunResult, error) {
 	cfg := e.cfg
 	per := e.per
 
@@ -405,28 +335,21 @@ var blockBuffersPool = sync.Pool{New: func() any {
 // gammaRNG is Listing 2: SECLOOP over sectors, each running the delayed-
 // exit MAINLOOP until limitMain validated outputs are written to the
 // stream. Validated outputs are staged in a WordRNs-sized batch and
-// moved with one WriteBurst per 512-bit word (unless PerValueTransport
-// re-selects the per-value handshake); the value sequence on the stream
-// is identical either way, and identical on both compute paths (see
-// generateWI).
+// moved with one WriteBurst per 512-bit word; the value sequence on the
+// stream is the one RunChunk writes in place (see generateWI).
 func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *hls.Stream[float32], stats *WorkItemStats) error {
 	defer out.Close()
-	var batch []float32
-	if !e.cfg.PerValueTransport {
-		batch = make([]float32, 0, WordRNs)
-	}
-	emit := func(v float32) {
-		if batch == nil {
-			out.Write(v)
-			return
-		}
-		batch = append(batch, v)
-		if len(batch) == WordRNs {
-			out.WriteBurst(batch)
-			batch = batch[:0]
+	batch := make([]float32, 0, WordRNs)
+	emit := func(vals []float32) {
+		for _, v := range vals {
+			batch = append(batch, v)
+			if len(batch) == WordRNs {
+				out.WriteBurst(batch)
+				batch = batch[:0]
+			}
 		}
 	}
-	if err := e.generateWI(nil, wid, limitMain, gen, sink{value: emit}, stats); err != nil {
+	if err := e.generateWI(nil, wid, limitMain, gen, sink{commit: emit}, stats); err != nil {
 		return err
 	}
 	// Flush the partial trailing batch (runs before the deferred Close,
@@ -437,17 +360,15 @@ func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *h
 	return nil
 }
 
-// sink is generateWI's output hand-off. value delivers one validated
-// output: every output of the gated compute path, and on the block path
-// each block's outputs replayed from scratch when block is nil, which
-// is what the streamed transport needs. block, when non-nil, returns a
+// sink is generateWI's output hand-off. dest, when non-nil, returns a
 // destination slice for up to n outputs so every block generates
-// straight into final storage — the fused pipe — with commit(produced)
-// advancing past the outputs actually produced.
+// straight into final storage — RunChunk's fused pipe; when nil, blocks
+// generate into the work-item's scratch row, which is what the streamed
+// transport needs. commit receives each block's produced outputs, in
+// order, wherever they were generated.
 type sink struct {
-	value  func(float32)
-	block  func(n int) []float32
-	commit func(produced int)
+	dest   func(n int) []float32
+	commit func(out []float32)
 }
 
 // generateWI is the transport-agnostic body of gammaRNG: the SECLOOP
@@ -459,10 +380,10 @@ type sink struct {
 // non-nil, is polled at sector boundaries so a cancelled chunked run
 // aborts promptly without perturbing any completed sector.
 //
-// Each sector runs on the block compute path (blockPhase.sector) unless
-// Config.GatedCompute demands the cycle-exact one-word loop
-// (gatedSector). Both spend the same trips on the same Mersenne-Twister
-// words and hand the sink the same values (TestBlockComputeEquivalence).
+// Each sector runs on the block compute path (blockPhase.sector), which
+// spends the same trips on the same Mersenne-Twister words and writes
+// the same values as Listing 2's one-word gated MAINLOOP — the scalar
+// oracle the equivalence tests keep (TestBlockComputeEquivalence).
 func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *gamma.Generator, snk sink, stats *WorkItemStats) error {
 	cfg := e.cfg
 	limitMax := cfg.LimitMaxFactor*limitMain + 1024
@@ -472,19 +393,16 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	// itself carries no instrumentation.
 	tr := cfg.Telemetry.Track(fmt.Sprintf("GammaRNG[%d]", wid), telemetry.Cycles)
 
-	var blk blockPhase
-	if !cfg.GatedCompute {
-		bufs := blockBuffersPool.Get().(*blockBuffers)
-		defer blockBuffersPool.Put(bufs)
-		blk = blockPhase{
-			gen: gen, bufs: bufs, snk: snk,
-			overshoot:  int64(cfg.BreakID) + 1,
-			perAttempt: int64(cfg.Transform.UniformsPerCandidate()),
-			cFills: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
-				"bulk block-generation batches (CycleBlock calls)"),
-			cWords: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
-				"Mersenne-Twister words consumed through bulk fills"),
-		}
+	bufs := blockBuffersPool.Get().(*blockBuffers)
+	defer blockBuffersPool.Put(bufs)
+	blk := blockPhase{
+		gen: gen, bufs: bufs, snk: snk,
+		overshoot:  int64(cfg.BreakID) + 1,
+		perAttempt: int64(cfg.Transform.UniformsPerCandidate()),
+		cFills: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
+			"bulk block-generation batches (CycleBlock calls)"),
+		cWords: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
+			"Mersenne-Twister words consumed through bulk fills"),
 	}
 
 	for sector := 0; sector < cfg.Sectors; sector++ {
@@ -496,12 +414,7 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 		gen.SetParams(gamma.MustFromVariance(cfg.variance(sector)))
 		sectorStart := int64(gen.Cycles())
 
-		var counter, trips, quotaAt int64
-		if blk.bufs != nil {
-			counter, trips, quotaAt = blk.sector(limitMain, limitMax)
-		} else {
-			counter, trips, quotaAt = e.gatedSector(gen, limitMain, limitMax, snk)
-		}
+		counter, trips, quotaAt := blk.sector(limitMain, limitMax)
 		if counter < limitMain {
 			return fmt.Errorf("core: work-item %d starved in sector %d: %d/%d outputs within limitMax=%d",
 				wid, sector, counter, limitMain, limitMax)
@@ -517,27 +430,6 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	return nil
 }
 
-// gatedSector is one sector of Listing 2's MAINLOOP verbatim: one
-// CycleStep per trip, the counter<limitMain write guard, and the delayed
-// exit read through BreakID+1 register stages. It returns the outputs
-// written, the trips spent and the trip index at which the quota was
-// reached (-1 if never).
-func (e *Engine) gatedSector(gen *gamma.Generator, limitMain, limitMax int64, snk sink) (counter, trips, quotaAt int64) {
-	quotaAt = -1
-	reg := hls.NewRegDelay(e.cfg.BreakID)
-	for ; trips < limitMax && int64(reg.Delayed()) < limitMain; trips++ {
-		reg.Update(uint32(counter))
-		if r := gen.CycleStep(); r.Valid && counter < limitMain {
-			snk.value(r.Gamma)
-			counter++
-			if counter == limitMain {
-				quotaAt = trips
-			}
-		}
-	}
-	return counter, trips, quotaAt
-}
-
 // blockPhase is one work-item's block compute path: every trip of every
 // sector runs through gamma.CycleBlock.
 type blockPhase struct {
@@ -550,8 +442,8 @@ type blockPhase struct {
 }
 
 // sector runs one sector as quota-bounded blocks and returns what
-// gatedSector would: outputs, trips and the quota trip index. It is
-// exact for three reasons:
+// Listing 2's gated one-word MAINLOOP would: outputs, trips and the
+// quota trip index (-1 if never reached). It is exact for three reasons:
 //
 //   - Each block runs min(blockCycles, limitMain−counter, limitMax−trips)
 //     attempts. A block of k attempts yields at most k outputs, so the
@@ -589,18 +481,12 @@ func (b *blockPhase) sector(limitMain, limitMax int64) (counter, trips, quotaAt 
 func (b *blockPhase) block(n int64, keep bool) int64 {
 	nvBefore := b.gen.NormalValid()
 	out := b.bufs.out[:n]
-	if keep && b.snk.block != nil {
-		out = b.snk.block(int(n))
+	if keep && b.snk.dest != nil {
+		out = b.snk.dest(int(n))
 	}
 	produced := b.gen.CycleBlock(out, int(n), b.bufs.scratch)
-	switch {
-	case !keep:
-	case b.snk.block != nil:
-		b.snk.commit(produced)
-	default:
-		for _, v := range out[:produced] {
-			b.snk.value(v)
-		}
+	if keep {
+		b.snk.commit(out[:produced])
 	}
 	// One bulk increment per block: MT0 words (always enabled), the gated
 	// MT1 words (one per valid normal) and the gated MT2 words (one per
@@ -639,10 +525,9 @@ func (e *Engine) recordWICounters(wid int, gen *gamma.Generator) {
 
 // transfer is Listing 4: read the stream, pack into 512-bit words, fill
 // the burst buffer, and copy each completed burst into the single device
-// buffer at this work-item's running offset. The default path dequeues
-// one whole 512-bit word per ReadBurst; PerValueTransport re-selects the
-// seed behaviour of one Read per value through Packer512. Both paths
-// write the identical byte sequence into the device buffer.
+// buffer at this work-item's running offset. Each ReadBurst dequeues one
+// whole 512-bit word; a trailing partial word is written with its exact
+// length, so no padding lands in the result buffer.
 func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res *RunResult, stats *WorkItemStats) error {
 	cfg := e.cfg
 	burstWords := cfg.BurstRNs / WordRNs
@@ -672,57 +557,29 @@ func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res
 	}
 
 	total := limitMain * int64(cfg.Sectors)
-	if cfg.PerValueTransport {
-		var pk Packer512
-		for i := int64(0); i < total; i++ {
-			v, err := in.Read()
-			if err != nil {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w", wid, i, total, err)
-			}
-			if w, ok := pk.Push(v); ok {
-				burst = append(burst, w)
-				if len(burst) == burstWords {
-					flushBurst()
-				}
-			}
+	var w Word512
+	words := total / int64(WordRNs)
+	for i := int64(0); i < words; i++ {
+		n, err := in.ReadBurst(w[:])
+		if err != nil || n < WordRNs {
+			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
+				wid, i*int64(WordRNs)+int64(n), total, errTruncated(err))
 		}
-		// Tail handling for non-divisible workloads: emit the partial
-		// word with exact length so no padding lands in the result buffer.
-		if w, ok := pk.Flush(); ok {
-			flushBurst()
-			emit(w, int(total%int64(WordRNs)))
-			stats.FlushedWords++
-			stats.Bursts++
-		} else {
+		burst = append(burst, w)
+		if len(burst) == burstWords {
 			flushBurst()
 		}
-	} else {
-		var w Word512
-		words := total / int64(WordRNs)
-		for i := int64(0); i < words; i++ {
-			n, err := in.ReadBurst(w[:])
-			if err != nil || n < WordRNs {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-					wid, i*int64(WordRNs)+int64(n), total, errTruncated(err))
-			}
-			burst = append(burst, w)
-			if len(burst) == burstWords {
-				flushBurst()
-			}
+	}
+	flushBurst()
+	if rem := int(total % int64(WordRNs)); rem > 0 {
+		n, err := in.ReadBurst(w[:rem])
+		if err != nil || n < rem {
+			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
+				wid, words*int64(WordRNs)+int64(n), total, errTruncated(err))
 		}
-		if rem := int(total % int64(WordRNs)); rem > 0 {
-			n, err := in.ReadBurst(w[:rem])
-			if err != nil || n < rem {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-					wid, words*int64(WordRNs)+int64(n), total, errTruncated(err))
-			}
-			flushBurst()
-			emit(w, rem)
-			stats.FlushedWords++
-			stats.Bursts++
-		} else {
-			flushBurst()
-		}
+		emit(w, rem)
+		stats.FlushedWords++
+		stats.Bursts++
 	}
 	if offset != res.BlockOffsets[wid+1] {
 		return fmt.Errorf("core: transfer %d: wrote %d values, block expects %d",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,12 +11,11 @@ import (
 	"github.com/decwi/decwi/internal/telemetry"
 )
 
-// TestFusedRunEquivalence is this PR's tentpole invariant on the
-// transport axis: the fused pipe (Run dispatching straight into the
-// RunChunk machinery, candidate blocks landing in the device buffer at
-// their layout offsets) produces output bitwise-identical to Listing 1's
-// streamed dataflow — one GammaRNG and one Transfer process per
-// work-item joined by an hls::stream — for every Table I config at a
+// TestFusedRunEquivalence pins the transport axis: the fused pipe
+// (RunChunk, candidate blocks landing in the device buffer at their
+// layout offsets) produces output bitwise-identical to Listing 1's
+// streamed dataflow (Run: one GammaRNG and one Transfer process per
+// work-item joined by an hls::stream), for every Table I config at a
 // fixed seed. BreakID is non-zero so the delayed-exit overshoot
 // semantics cross the transport boundary too, the work-item split is
 // uneven, and the run is multi-sector with per-sector variances.
@@ -27,50 +27,25 @@ func TestFusedRunEquivalence(t *testing.T) {
 	}{"Ziggurat-MT19937", normal.Ziggurat, mt.MT19937Params})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Transform: tc.transform, MTParams: tc.params,
 				WorkItems: 3, Scenarios: 1501, Sectors: 3,
 				SectorVariances: []float64{0.5, 1.39, 4.0},
 				Seed:            0xF05EDB17,
 				BreakID:         2,
 			}
-			run := func(streamed bool) *RunResult {
-				cfg := base
-				cfg.StreamedTransport = streamed
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			streamed := run(true)
-			fused := run(false)
-			if len(streamed.Data) != len(fused.Data) {
-				t.Fatalf("length mismatch: streamed %d, fused %d", len(streamed.Data), len(fused.Data))
-			}
-			for i := range streamed.Data {
-				if streamed.Data[i] != fused.Data[i] {
-					t.Fatalf("Data[%d]: streamed %x, fused %x", i, streamed.Data[i], fused.Data[i])
-				}
-			}
+			streamed := runSmall(t, cfg)
+			fused := runChunked(t, cfg)
 			// The pipeline-side telemetry is transport-independent; only
 			// the stream-side stats (Bursts, FlushedWords, StreamHigh)
 			// exist solely on the streamed path.
+			sameRun(t, "fused vs streamed", streamed, fused)
 			for w := range streamed.PerWI {
-				s, f := streamed.PerWI[w], fused.PerWI[w]
-				if s.Cycles != f.Cycles || s.Accepted != f.Accepted || s.Overshoot != f.Overshoot || s.Scenarios != f.Scenarios {
-					t.Fatalf("work-item %d stats: streamed {cycles %d accepted %d overshoot %d}, fused {%d %d %d}",
-						w, s.Cycles, s.Accepted, s.Overshoot, f.Cycles, f.Accepted, f.Overshoot)
-				}
-				if s.Bursts == 0 {
+				if streamed.PerWI[w].Bursts == 0 {
 					t.Fatalf("work-item %d: streamed path formed no bursts", w)
 				}
-				if f.Bursts != 0 {
-					t.Fatalf("work-item %d: fused path reported %d bursts; it has no stream", w, f.Bursts)
+				if b := fused.PerWI[w].Bursts; b != 0 {
+					t.Fatalf("work-item %d: fused path reported %d bursts; it has no stream", w, b)
 				}
 			}
 		})
@@ -89,48 +64,28 @@ func TestFusedRunTinyQuota(t *testing.T) {
 			WorkItems: 3, Scenarios: scenarios, Sectors: 2,
 			SectorVariance: 0.9, Seed: 47, BreakID: 1,
 		}
-		run := func(streamed bool) []float32 {
-			c := cfg
-			c.StreamedTransport = streamed
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		s, f := run(true), run(false)
-		for i := range s {
-			if s[i] != f[i] {
-				t.Fatalf("scenarios=%d Data[%d]: streamed %x, fused %x", scenarios, i, s[i], f[i])
-			}
-		}
+		sameRun(t, fmt.Sprintf("scenarios=%d fused vs streamed", scenarios), runSmall(t, cfg), runChunked(t, cfg))
 	}
 }
 
-// TestFusedTelemetryCounters: the fused path accounts for its direct
+// TestFusedTelemetryCounters: the fused path (RunChunk) accounts for its direct
 // writes — every block landing in the device buffer bumps
 // engine.fused-blocks and every value engine.fused-direct. Every output
 // of the block path lands through a block, so the direct writes equal
-// the output total exactly. The streamed run must not create fused
-// counters at all.
+// the output total exactly. The streamed run (Run) must not create
+// fused counters at all.
 func TestFusedTelemetryCounters(t *testing.T) {
 	run := func(streamed bool) (int64, int64, []string) {
 		rec := telemetry.New(64)
-		e, err := NewEngine(Config{
+		cfg := Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 			WorkItems: 2, Scenarios: 2000, Sectors: 2,
-			SectorVariance: 1.39, Seed: 5,
-			StreamedTransport: streamed, Telemetry: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
+			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
 		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
+		if streamed {
+			runSmall(t, cfg)
+		} else {
+			runChunked(t, cfg)
 		}
 		var blocks, direct int64
 		var names []string
@@ -172,20 +127,7 @@ func TestPropertyFusedEquivalence(t *testing.T) {
 			SectorVariance: 1.39, Seed: seed,
 			BreakID: int(seed % 3),
 		}
-		run := func(streamed bool) []float32 {
-			c := cfg
-			c.StreamedTransport = streamed
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		s, f := run(true), run(false)
+		s, f := runSmall(t, cfg).Data, runChunked(t, cfg).Data
 		for i := range s {
 			if s[i] != f[i] {
 				return false

@@ -148,9 +148,6 @@ func TestNDRangeVsTaskCompute(t *testing.T) {
 		Transform: nd.Transform, MTParams: nd.MTParams,
 		WorkItems: 4, Scenarios: scen, Sectors: 1,
 		SectorVariance: 1.39, Seed: 4,
-		// Burst formation is the streamed transport's Transfer engine;
-		// the comparison here is against the hardware-shaped execution.
-		StreamedTransport: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,11 @@
 //     length bursts at the work-item's own offset (device-level buffer
 //     combining, Section III-E-2).
 //
+// Run executes that structure as the hardware model. The host's one
+// generation path is RunChunk (and RunItemPart for substream lanes): the
+// same gammaRNG body, writing each candidate block straight into the
+// device-layout buffer with no streams, bitwise-identical to Run.
+//
 // The engine is *functional*: it produces the actual gamma data the
 // validation layer (Fig. 6) and the CreditRisk+ application consume.
 // Timing is modelled separately by internal/fpga from the statistics this
@@ -28,42 +33,3 @@ const WordRNs = 16
 
 // Word512 is one 512-bit beat of packed gamma values.
 type Word512 [WordRNs]float32
-
-// Packer512 accumulates single values into 512-bit beats — the g512
-// helper of Listing 4. Push returns a completed word and tFlag=true every
-// WordRNs-th value.
-type Packer512 struct {
-	buf  Word512
-	fill int
-}
-
-// Push adds one value; when the word completes it is returned with
-// ok=true and the packer resets.
-func (p *Packer512) Push(v float32) (w Word512, ok bool) {
-	p.buf[p.fill] = v
-	p.fill++
-	if p.fill == WordRNs {
-		p.fill = 0
-		return p.buf, true
-	}
-	return Word512{}, false
-}
-
-// Pending returns how many values are buffered in the incomplete word.
-func (p *Packer512) Pending() int { return p.fill }
-
-// Flush returns the incomplete word (zero-padded) and resets; ok is false
-// when nothing was pending. Hardware designs size their loops so this
-// never fires; the engine uses it only to guard imperfectly divisible
-// workloads.
-func (p *Packer512) Flush() (w Word512, ok bool) {
-	if p.fill == 0 {
-		return Word512{}, false
-	}
-	w = p.buf
-	for i := p.fill; i < WordRNs; i++ {
-		w[i] = 0
-	}
-	p.fill = 0
-	return w, true
-}

@@ -27,16 +27,10 @@ import (
 
 // seekStreams positions a freshly (re)seeded generator at the
 // configured stream offset plus an execution-path extra (the substream
-// stride of a part), using the O(log n) jump unless the configuration
-// demands the sequential walk.
+// stride of a part) with the O(log n) jump. The word-by-word walk
+// (AdvanceStreams) stays as the test oracle it is checked against.
 func (e *Engine) seekStreams(gen *gamma.Generator, extra uint64) {
-	off := e.cfg.StreamOffset + extra
-	if off == 0 {
-		return
-	}
-	if e.cfg.SequentialSeek {
-		gen.AdvanceStreams(off)
-	} else {
+	if off := e.cfg.StreamOffset + extra; off != 0 {
 		gen.JumpStreams(off)
 	}
 }

@@ -25,57 +25,27 @@ func substreamConfig() Config {
 	}
 }
 
-func runFull(t *testing.T, cfg Config) []float32 {
-	t.Helper()
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float32, cfg.Scenarios*int64(cfg.Sectors))
-	if err := e.RunChunk(context.Background(), dst, 0, cfg.WorkItems, nil); err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
 func floatBytes(xs []float32) []byte {
 	var buf bytes.Buffer
 	_ = binary.Write(&buf, binary.LittleEndian, xs)
 	return buf.Bytes()
 }
 
-// TestStreamOffsetSeekEquivalence: the O(log n) jump seek and the O(n)
-// sequential seek must produce byte-identical runs, on both the fused
-// chunk path and the streamed Run path — and a nonzero offset must
-// actually move the stream.
+// TestStreamOffsetSeekEquivalence: the O(log n) jump seek must land
+// where the O(n) word-by-word walk does — the fused chunk path and the
+// streamed Run path at StreamOffset 4099 both reproduce the gated
+// oracle, which applies the offset with AdvanceStreams — and a nonzero
+// offset must actually move the stream.
 func TestStreamOffsetSeekEquivalence(t *testing.T) {
 	cfg := substreamConfig()
-	baseline := runFull(t, cfg)
+	baseline := runChunked(t, cfg).Data
 
 	cfg.StreamOffset = 4099
-	jumped := runFull(t, cfg)
-	cfg.SequentialSeek = true
-	stepped := runFull(t, cfg)
-
-	if !bytes.Equal(floatBytes(jumped), floatBytes(stepped)) {
-		t.Fatal("jump seek and sequential seek produce different bytes")
-	}
-	if bytes.Equal(floatBytes(jumped), floatBytes(baseline)) {
+	stepped := gatedReference(t, cfg)
+	sameRun(t, "jumped RunChunk vs stepped oracle", stepped, runChunked(t, cfg))
+	sameRun(t, "jumped Run vs stepped oracle", stepped, runSmall(t, cfg))
+	if bytes.Equal(floatBytes(stepped.Data), floatBytes(baseline)) {
 		t.Fatal("StreamOffset=4099 left the output unchanged")
-	}
-
-	// Streamed Run path must agree with the fused chunk path at the same
-	// offset (the tentpole RunChunk≡Run invariant extends to seeks).
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(floatBytes(res.Data), floatBytes(jumped)) {
-		t.Fatal("streamed Run at StreamOffset=4099 differs from fused chunk path")
 	}
 }
 
@@ -130,7 +100,7 @@ func TestRunItemPartDeterministicPartition(t *testing.T) {
 			t.Fatalf("output %d not a positive gamma variate: %g (grid did not tile the buffer)", i, v)
 		}
 	}
-	if bytes.Equal(floatBytes(a), floatBytes(runFull(t, cfg))) {
+	if bytes.Equal(floatBytes(a), floatBytes(runChunked(t, cfg).Data)) {
 		t.Fatal("parts=3 stream family coincides with the default family")
 	}
 }
@@ -144,7 +114,7 @@ func TestRunItemPartSinglePartMatchesFused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runFull(t, cfg)
+	want := runChunked(t, cfg).Data
 	dst := make([]float32, len(want))
 	for wid := 0; wid < cfg.WorkItems; wid++ {
 		var st WorkItemStats

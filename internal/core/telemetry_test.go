@@ -22,37 +22,20 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 		SectorVariance: 1.39, Seed: 99,
 	}
 
-	run := func(rec *telemetry.Recorder, gated bool) *RunResult {
-		cfg := base
-		cfg.Telemetry = rec
-		cfg.GatedCompute = gated
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
+	// Both transports must be telemetry-transparent: Run because its
+	// stream and burst hooks sit between the generator and the buffer,
+	// RunChunk because its per-block counter bookkeeping reads the
+	// generator's counters mid-sector. Either way a hook that drew a
+	// word would shift the stream.
+	for _, streamed := range []bool{true, false} {
+		run := runChunked
+		if streamed {
+			run = runSmall
 		}
-		r, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	// Both compute paths must be telemetry-transparent: the gated path
-	// because any hook drawing a word would shift the stream, the block
-	// path additionally because its per-chunk counter bookkeeping reads
-	// the generator's counters mid-sector.
-	for _, gated := range []bool{true, false} {
-		plain := run(nil, gated)
-		traced := run(telemetry.New(1<<12), gated)
-
-		if len(plain.Data) != len(traced.Data) {
-			t.Fatalf("gated=%v: data length changed under telemetry: %d vs %d", gated, len(plain.Data), len(traced.Data))
-		}
-		for i := range plain.Data {
-			if plain.Data[i] != traced.Data[i] {
-				t.Fatalf("gated=%v: value %d perturbed by telemetry: %v (off) vs %v (on)", gated, i, plain.Data[i], traced.Data[i])
-			}
-		}
+		plain := run(t, base)
+		traced := base
+		traced.Telemetry = telemetry.New(1 << 12)
+		sameRun(t, fmt.Sprintf("streamed=%v telemetry on vs off", streamed), plain, run(t, traced))
 	}
 }
 
@@ -66,9 +49,6 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 2, Scenarios: 1000, Sectors: 1,
 		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-		// membus.bursts is a Transfer-engine counter; run the
-		// hardware-shaped streamed execution to populate it.
-		StreamedTransport: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,17 +93,14 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 // total Mersenne-Twister words those batches consumed. Every trip of the
 // block path runs inside a CycleBlock, so the word count must equal the
 // work-item's whole consumption — the always-enabled MT0 draws of every
-// cycle, one MT1 word per valid normal and one MT2 word per acceptance —
-// and the counters must vanish when GatedCompute forces the one-word
-// path.
+// cycle, one MT1 word per valid normal and one MT2 word per acceptance.
 func TestTelemetryBlockCounters(t *testing.T) {
-	run := func(gated bool) map[string]*telemetry.Counter {
+	run := func() map[string]*telemetry.Counter {
 		rec := telemetry.New(1 << 12)
 		eng, err := NewEngine(Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 			WorkItems: 2, Scenarios: 4000, Sectors: 2,
 			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-			GatedCompute: gated,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +115,7 @@ func TestTelemetryBlockCounters(t *testing.T) {
 		return byName
 	}
 
-	block := run(false)
+	block := run()
 	for wid := 0; wid < 2; wid++ {
 		fills := block[fmt.Sprintf("rng.gamma[%d].block-fills", wid)]
 		words := block[fmt.Sprintf("rng.gamma[%d].block-words", wid)]
@@ -152,13 +129,6 @@ func TestTelemetryBlockCounters(t *testing.T) {
 		if want := cycles*perAttempt + nvalid + accepted; words.Value() != want {
 			t.Fatalf("work-item %d: block-words %d, want the run's whole consumption %d (%d cycles, %d valid normals, %d accepted)",
 				wid, words.Value(), want, cycles, nvalid, accepted)
-		}
-	}
-
-	gated := run(true)
-	for wid := 0; wid < 2; wid++ {
-		if c, ok := gated[fmt.Sprintf("rng.gamma[%d].block-fills", wid)]; ok && c.Value() != 0 {
-			t.Fatalf("work-item %d: gated run recorded %d block fills", wid, c.Value())
 		}
 	}
 }

@@ -58,15 +58,6 @@ type MCConfig struct {
 	MTParams  mt.Params
 	// Seed drives all randomness.
 	Seed uint64
-	// GatedSectors forces per-value gated generator consumption for the
-	// sector variables: every draw is a full gated pipeline walk, as the
-	// Listing 2/3 hardware formulation. The default (false) drinks the
-	// sector variables through gamma.Pipe — block-batched generation
-	// consumed straight from the candidate block, never materializing a
-	// per-sector scenario array. Both produce bitwise-identical losses
-	// and telemetry (TestSimulateMCPipeEquivalence); the gated knob
-	// mirrors core.Config.GatedCompute for cycle-level cross-checks.
-	GatedSectors bool
 	// Telemetry, when non-nil, receives live run metrics: a scenario
 	// progress counter, per-sector rejection-trip histograms from the
 	// gamma generators and a per-scenario default-count histogram. A nil
@@ -118,24 +109,15 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 		"obligor defaults per scenario")
 
 	// The gamma→loss pipe: each sector's generator feeds the loss
-	// accumulation in candidate-block batches instead of one gated
-	// pipeline walk per draw. The pipe's refill discipline keeps the
+	// accumulation in candidate-block batches, never materializing a
+	// per-sector scenario array. The pipe's refill discipline keeps the
 	// drawn values, the generator counters and the trip histograms
-	// bitwise-identical to gated consumption (see gamma.Pipe), so the
-	// knob only changes how fast the sector loop runs.
-	var pipes []*gamma.Pipe
-	if !cfg.GatedSectors {
-		pipes = make([]*gamma.Pipe, len(gens))
-		for k, g := range gens {
-			pipes[k] = gamma.NewPipe(g, int64(cfg.Scenarios), sectorPipeAttempts,
-				gamma.NewBlockScratch(sectorPipeAttempts))
-		}
-	}
-	drawSector := func(k int) float64 {
-		if pipes != nil {
-			return float64(pipes[k].Next())
-		}
-		return float64(gens[k].Next())
+	// bitwise-identical to gated per-draw consumption (gamma.Pipe,
+	// TestPipeMatchesGatedNext).
+	pipes := make([]*gamma.Pipe, len(gens))
+	for k, g := range gens {
+		pipes[k] = gamma.NewPipe(g, int64(cfg.Scenarios), sectorPipeAttempts,
+			gamma.NewBlockScratch(sectorPipeAttempts))
 	}
 
 	res := &MCResult{
@@ -145,7 +127,7 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 	sVals := make([]float64, len(p.Sectors))
 	for s := 0; s < cfg.Scenarios; s++ {
 		for k := range gens {
-			sVals[k] = drawSector(k)
+			sVals[k] = float64(pipes[k].Next())
 			res.SectorMean[k] += sVals[k]
 		}
 		var loss float64

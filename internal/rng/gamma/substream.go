@@ -21,7 +21,7 @@ func (g *Generator) JumpStreams(n uint64) {
 }
 
 // AdvanceStreams is the sequential O(n) equivalent of JumpStreams, kept
-// as a validation and benchmarking knob (Config.SequentialSeek).
+// as the reference the jump is checked against.
 func (g *Generator) AdvanceStreams(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		g.mt0a.Advance()

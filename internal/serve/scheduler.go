@@ -179,7 +179,8 @@ type execMeta struct {
 
 // Job is one submitted job record: spec, lifecycle state, and (once
 // done) the result payload. All mutable state is guarded by mu; done is
-// closed exactly once, on the transition to a terminal state.
+// closed exactly once, by onTerminal, after the terminal transition's
+// bookkeeping.
 //
 // Execution belongs to the job's flight, not the job: every admitted
 // job is attached to exactly one flight (cache-hit jobs, born
@@ -250,8 +251,9 @@ func (j *Job) attachTrace(tr *ftrace.Trace, root ftrace.SpanID, lane string) {
 	}
 }
 
-// Done is closed when the job reaches a terminal state (the long-poll
-// and drain paths select on it).
+// Done is closed once the job has reached a terminal state and the
+// scheduler has settled it: the retention cap is applied and the trace
+// sealed (the long-poll and drain paths select on it).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Status snapshots the externally visible job record.
@@ -360,7 +362,6 @@ func (j *Job) Cancel() bool {
 	} else {
 		j.errMsg = "cancelled"
 	}
-	close(j.done)
 	j.mu.Unlock()
 	j.s.onTerminal(j, StateCancelled)
 	return true
@@ -635,7 +636,6 @@ func (s *Scheduler) SubmitTraced(spec JobSpec, traceparent string) (*Job, error)
 			job.res = res
 			job.meta = meta
 			job.attachTrace(tr, root, "cache-hit")
-			close(job.done)
 			s.jobs[job.ID] = job
 			s.mu.Unlock()
 			s.cHits.Add(1)
@@ -969,7 +969,6 @@ func (s *Scheduler) completeJob(j *Job, f *flight, runStart, finished time.Time,
 		j.errMsg = err.Error()
 	}
 	state := j.state
-	close(j.done)
 	j.mu.Unlock()
 	if j.coalesced {
 		// A waiter's timeline shows the shared run with the leader's
@@ -1004,10 +1003,11 @@ func (s *Scheduler) cachePut(key, tenant string, res *result, meta *execMeta) {
 }
 
 // onTerminal records the lifecycle counter, settles the job's SLO
-// accounting and trace, emits the structured terminal log line, and
-// applies the retention cap to the registry. It runs exactly once per
-// job: every terminal transition (cache hit, cancel, flight fan-out)
-// funnels through it.
+// accounting and trace, emits the structured terminal log line, applies
+// the retention cap to the registry, and only then closes the job's
+// Done channel, so a Done waiter sees the registry and the sealed trace
+// already settled. It runs exactly once per job: every terminal
+// transition (cache hit, cancel, flight fan-out) funnels through it.
 func (s *Scheduler) onTerminal(job *Job, state JobState) {
 	switch state {
 	case StateDone:
@@ -1074,6 +1074,7 @@ func (s *Scheduler) onTerminal(job *Job, state JobState) {
 		s.terminal = s.terminal[1:]
 	}
 	s.mu.Unlock()
+	close(job.done)
 }
 
 // finishTrace seals a trace and settles the serve.trace.* instruments.

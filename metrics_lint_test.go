@@ -39,9 +39,9 @@ func TestMetricNamingLint(t *testing.T) {
 	}
 	sess.SetTelemetry(rec)
 	if _, err := sess.EnqueueGamma(decwi.Config2, decwi.GenerateOptions{
+		// Session runs Listing 1's dataflow, so the stream.*/membus.*
+		// names stay under the lint.
 		Scenarios: 4096, Sectors: 2, Seed: 3,
-		// Streamed so the stream.*/membus.* names stay under the lint.
-		StreamedTransport: true,
 	}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMetricNamingLint(t *testing.T) {
 		t.Fatalf("workload registered only %d instruments; the lint is not seeing the stack", len(all))
 	}
 
-	series := map[string]string{} // family+instance → raw name
+	series := map[string]string{}  // family+instance → raw name
 	famType := map[string]string{} // family → instrument type
 	for _, in := range all {
 		stripped := bracketRE.ReplaceAllString(in.name, "")

@@ -6,7 +6,6 @@ import (
 
 	"github.com/decwi/decwi/internal/core"
 	"github.com/decwi/decwi/internal/perf"
-	"github.com/decwi/decwi/internal/rng"
 )
 
 // maxIntraItemSubstreams bounds the substream fan-out per work-item:
@@ -15,10 +14,10 @@ import (
 const maxIntraItemSubstreams = 1024
 
 // This file is the single place the facade's option defaulting lives.
-// Generate, GenerateParallel and Session.EnqueueGamma all normalize
-// through the same helpers, so the entry points cannot drift apart —
-// the determinism contract (identical bytes from identical options)
-// only holds if they agree on every clamp and default.
+// GenerateParallel (and Generate through it) and Session.EnqueueGamma
+// normalize through the same helpers, so the entry points cannot drift
+// apart — the determinism contract (identical bytes from identical
+// options) only holds if they agree on every clamp and default.
 
 // normalizeGenerate validates opt against kernel k and fills the
 // documented defaults: Variance 1.39 when neither variance field is
@@ -47,22 +46,18 @@ func normalizeGenerate(k perf.KernelConfig, opt GenerateOptions) (GenerateOption
 // nowhere else.
 func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 	return core.Config{
-		Transform:         k.Transform,
-		MTParams:          k.MTParams,
-		WorkItems:         opt.WorkItems,
-		Scenarios:         opt.Scenarios,
-		Sectors:           opt.Sectors,
-		SectorVariance:    opt.Variance,
-		SectorVariances:   opt.Variances,
-		BurstRNs:          opt.BurstRNs,
-		Seed:              opt.Seed,
-		StreamOffset:      opt.StreamOffset,
-		SequentialSeek:    opt.SequentialSeek,
-		PerValueTransport: opt.PerValueTransport,
-		GatedCompute:      opt.GatedCompute,
-		StreamedTransport: opt.StreamedTransport,
-		BreakID:           opt.BreakID,
-		Telemetry:         opt.Telemetry,
+		Transform:       k.Transform,
+		MTParams:        k.MTParams,
+		WorkItems:       opt.WorkItems,
+		Scenarios:       opt.Scenarios,
+		Sectors:         opt.Sectors,
+		SectorVariance:  opt.Variance,
+		SectorVariances: opt.Variances,
+		BurstRNs:        opt.BurstRNs,
+		Seed:            opt.Seed,
+		StreamOffset:    opt.StreamOffset,
+		BreakID:         opt.BreakID,
+		Telemetry:       opt.Telemetry,
 	}
 }
 
@@ -108,10 +103,6 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 			return opt, 0, fmt.Errorf("decwi: substreams %d exceeds the cap %d", opt.IntraItemSubstreams, maxIntraItemSubstreams)
 		case opt.BreakID != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with BreakID %d (delayed-exit overshoot is a whole-work-item contract)", opt.BreakID)
-		case opt.GatedCompute:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with GatedCompute (lanes run the block compute path; per-work-item cycle traces would be meaningless)")
-		case opt.SequentialSeek:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with SequentialSeek (lane offsets are %d words apart; stepping there sequentially is the O(n) cost this mode removes)", rng.SubstreamStride)
 		case opt.Shards != 0 || opt.ChunkWorkItems != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); Shards/ChunkWorkItems must stay 0")
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/decwi/decwi/internal/perf"
+	"github.com/decwi/decwi/internal/telemetry"
 )
 
 // TestNormalizeGenerate pins the shared defaulting table every facade
@@ -174,7 +175,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	opt := GenerateOptions{
 		Scenarios: 7, Sectors: 3, Variance: 2.2, Variances: []float64{1, 2, 3},
 		WorkItems: 5, BurstRNs: 128, Seed: 77,
-		PerValueTransport: true, GatedCompute: true, BreakID: 4,
+		StreamOffset: 4099, BreakID: 4, Telemetry: telemetry.New(8),
 	}
 	cfg := engineConfig(k, opt)
 	if cfg.Transform != k.Transform || cfg.MTParams != k.MTParams {
@@ -183,7 +184,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	if cfg.WorkItems != 5 || cfg.Scenarios != 7 || cfg.Sectors != 3 ||
 		cfg.SectorVariance != 2.2 || len(cfg.SectorVariances) != 3 ||
 		cfg.BurstRNs != 128 || cfg.Seed != 77 ||
-		!cfg.PerValueTransport || !cfg.GatedCompute || cfg.BreakID != 4 {
+		cfg.StreamOffset != 4099 || cfg.BreakID != 4 || cfg.Telemetry != opt.Telemetry {
 		t.Fatalf("engine config dropped a knob: %+v", cfg)
 	}
 }

@@ -15,14 +15,10 @@ import (
 
 // ParallelOptions parameterizes GenerateParallel: the GenerateOptions
 // workload plus scheduling knobs. The knobs are pure execution policy —
-// every (Shards, Workers, ChunkWorkItems) choice yields output bitwise-
-// identical to Generate with the same GenerateOptions.
-//
-// Chunk execution is always the fused pipe (candidate blocks written
-// directly at their device-layout offsets); the embedded
-// StreamedTransport/PerValueTransport knobs select a transport only for
-// the monolithic Generate path and are ignored here, exactly as before
-// the fused default — the bytes do not depend on either.
+// every (Shards, Workers, ChunkWorkItems) choice yields bitwise-identical
+// output for the same GenerateOptions, which is what lets Generate be
+// this scheduler at one worker. Chunks always run the fused pipe:
+// candidate blocks written directly at their device-layout offsets.
 type ParallelOptions struct {
 	GenerateOptions
 	// Shards is the target chunk count the work-item axis is split
@@ -47,8 +43,8 @@ type ParallelOptions struct {
 	// scheduling-independent but belongs to a different stream family
 	// than Generate: unlike the other knobs, this one changes the bytes.
 	// 0 and 1 disable the mode and stay byte-identical to Generate.
-	// Incompatible with BreakID > 0, GatedCompute, SequentialSeek and
-	// explicit Shards/ChunkWorkItems (normalizeParallel rejects those).
+	// Incompatible with BreakID > 0 and explicit Shards/ChunkWorkItems
+	// (normalizeParallel rejects those).
 	IntraItemSubstreams int
 	// Trace, when non-nil, receives one externally-timed "chunk[w]" span
 	// (w = executing worker) per completed chunk, parented under
@@ -88,7 +84,8 @@ type ParallelResult struct {
 	// identical to the sequential run's.
 	RejectionRate float64
 
-	sectors int
+	sectors  int
+	burstRNs int // the engine's normalized burst length, for Generate's timing model
 }
 
 // Sector returns every value of one sector across work-items — the
@@ -115,10 +112,11 @@ var parallelChunkFault func(chunk int) error
 // work-items can execute on any worker in any order and land directly
 // at their final device-layout offsets (zero-copy assembly).
 //
-// Output is bitwise-identical to Generate with the same
-// GenerateOptions for every (Shards, Workers, ChunkWorkItems) choice
-// and any goroutine schedule. The scheduling knobs only decide how the
-// work-item axis is partitioned and claimed.
+// Output is bitwise-identical for every (Shards, Workers,
+// ChunkWorkItems) choice and any goroutine schedule — Generate is the
+// one-worker case — and to Session.EnqueueGamma's Listing 1 dataflow.
+// The scheduling knobs only decide how the work-item axis is
+// partitioned and claimed.
 //
 // Scheduling is work stealing over an atomic chunk cursor: rejection
 // sampling makes per-work-item runtime data-dependent (the paper's own
@@ -321,6 +319,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		ChunkImbalance: imbalance,
 		RejectionRate:  core.CombineStats(rateStats),
 		sectors:        opt.Sectors,
+		burstRNs:       eng.Config().BurstRNs,
 	}, nil
 }
 

@@ -114,6 +114,11 @@ func TestGenerateParallelChunkSizes(t *testing.T) {
 // configuration, workload and scheduling choices always reproduce the
 // sequential bytes.
 func TestGenerateParallelProperty(t *testing.T) {
+	sess, err := NewSession("FPGA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 	prop := func(cfgSel, seed uint64, scen uint16, sectors, shards, workers, chunk uint8) bool {
 		c := AllConfigs[cfgSel%uint64(len(AllConfigs))]
 		opt := GenerateOptions{
@@ -121,16 +126,27 @@ func TestGenerateParallelProperty(t *testing.T) {
 			Sectors:   int(sectors%3) + 1,
 			Seed:      seed,
 			BreakID:   int(seed % 3),
-			// Alternate the sequential reference between the fused pipe
-			// and the streamed dataflow: the parallel path always runs
-			// fused chunks, so half the sweep also cross-checks the two
-			// transports against each other.
-			StreamedTransport: seed%2 == 1,
 		}
 		seq, err := Generate(c, opt)
 		if err != nil {
 			t.Logf("Generate: %v", err)
 			return false
+		}
+		if seed%2 == 1 {
+			// Half the sweep also checks Session's Listing 1 dataflow:
+			// the parallel path always runs fused chunks, so this
+			// cross-checks the two transports.
+			kr, err := sess.EnqueueGamma(c, opt, false)
+			if err != nil {
+				t.Logf("EnqueueGamma: %v", err)
+				return false
+			}
+			for i := range seq.Values {
+				if kr.Host[i] != seq.Values[i] {
+					t.Logf("value %d: Session %x Generate %x", i, kr.Host[i], seq.Values[i])
+					return false
+				}
+			}
 		}
 		res, err := GenerateParallel(c, ParallelOptions{
 			GenerateOptions: opt,

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Machine-readable benchmark baseline: runs the engine-throughput and
 # compute-path benchmarks and writes BENCH_8.json at the repository root
-# (MB/s and ns per generated float32 value for Config1-4 on both compute
-# paths, plus the telemetry-overhead and transport/sharding ablations —
+# (MB/s and ns per generated float32 value for Config1-4 on the block
+# compute path, plus the telemetry-overhead and sharding ablations —
 # including the work-item-sharded parallel scheduler variants).
 # Committed baselines let later PRs diff throughput without re-running
 # the old tree; diff two baselines with scripts/bench_compare.sh.

@@ -21,10 +21,10 @@ go test -race ./...
 echo "== bounds-check elimination in marked kernel regions"
 sh scripts/bce_check.sh
 
-# Block/gated compute equivalence under the race detector: the block
-# path shares sync.Pool scratch across work-item goroutines, so its
-# bitwise-equivalence proof must also hold with full synchronization
-# checking (already part of the tree-wide -race run above, but named
+# Block compute equivalence under the race detector: the block path
+# shares sync.Pool scratch across work-item goroutines, so its
+# bitwise-equivalence proof against the gated scalar oracle must also
+# hold with full synchronization checking (already part of the tree-wide -race run above, but named
 # here so a narrowed test filter can never drop it).
 echo "== block-compute equivalence under -race"
 go test -race -run 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
@@ -33,9 +33,9 @@ go test -race -run 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|T
 # Fused-pipe equivalence under the race detector: the fused transport
 # writes candidate blocks straight into the shared device buffer, and
 # the gamma→loss pipe batches the creditrisk sector draws, so their
-# bitwise-equivalence proofs (streamed vs fused Run, gated vs piped
-# SimulateMC, lane block phase vs gated walk) must also hold with full
-# synchronization checking.
+# bitwise-equivalence proofs (streamed Run vs fused RunChunk, the
+# SimulateMC pipe against its golden digests, lane block phase vs gated
+# walk) must also hold with full synchronization checking.
 echo "== fused-pipe & gamma→loss pipe equivalence under -race"
 go test -race -count=1 \
     -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestRunItemPartQuotaSweep|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
@@ -94,24 +94,31 @@ GOMAXPROCS=1 go test -race -count=1 \
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestGenerateParallel|TestRunChunk|TestNormalize|TestGolden' . ./internal/core
 
-# Jump-vs-sequential seek smoke through the CLI: the same (seed, offset)
-# window generated with the O(log n) jump and with the O(n) word-by-word
-# walk must be byte-identical, on a single-core and a multicore
-# scheduler. This is the end-to-end form of the Jump ≡ n×Advance proof.
-echo "== gammagen jump-vs-sequential seek equivalence (offset 4099, GOMAXPROCS 1 and 4)"
+# Pinned seek window through the CLI: the same (seed, offset) window
+# generated on a single-core and a multicore scheduler, with and without
+# -parallel, must be byte-identical, and must equal the SHA-256 recorded
+# when the O(n) word-by-word seek still existed beside the O(log n) jump
+# and both produced these bytes. This is the end-to-end form of the
+# Jump ≡ n×Advance proof, pinned against history.
+echo "== gammagen pinned seek window (offset 4099, GOMAXPROCS 1 and 4, with and without -parallel)"
+seekwant=d3d09875e67783f74dce0de5e0705ba34ee50cf1ce000fd32c83fff41995fbb5
 seekdir="$(mktemp -d)"
 trap 'rm -rf "$seekdir"' EXIT
 go build -o "$seekdir/gammagen" ./cmd/decwi-gammagen
 for procs in 1 4; do
-    GOMAXPROCS=$procs "$seekdir/gammagen" -config 2 -n 200000 -seed 7 -offset 4099 \
-        -validate=false -out "$seekdir/jump.$procs.bin"
-    GOMAXPROCS=$procs "$seekdir/gammagen" -config 2 -n 200000 -seed 7 -offset 4099 -jump=false \
-        -validate=false -out "$seekdir/seq.$procs.bin"
-    cmp "$seekdir/jump.$procs.bin" "$seekdir/seq.$procs.bin"
+    for par in false true; do
+        GOMAXPROCS=$procs "$seekdir/gammagen" -config 2 -n 200000 -seed 7 -offset 4099 -parallel=$par \
+            -validate=false -out "$seekdir/window.$procs.$par.bin"
+        cmp "$seekdir/window.1.false.bin" "$seekdir/window.$procs.$par.bin"
+    done
 done
-cmp "$seekdir/jump.1.bin" "$seekdir/jump.4.bin"
+seekgot="$(sha256sum "$seekdir/window.1.false.bin" | cut -d' ' -f1)"
+if [ "$seekgot" != "$seekwant" ]; then
+    echo "gammagen offset-4099 window sha256 $seekgot, pinned $seekwant" >&2
+    exit 1
+fi
 
-# Benchmark smoke run: one iteration each, so the burst-transport,
+# Benchmark smoke run: one iteration each, so the burst-stream,
 # sharded-generation and compute-path benchmarks can never silently rot.
 echo "== bench smoke (BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkHistogramRecord)"
 go test -run '^$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls

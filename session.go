@@ -73,6 +73,13 @@ type KernelRun struct {
 // the results back using device-level buffer combining (the strategy the
 // paper selects in Section III-E-2). Set hostCombine to use strategy 1
 // (N sub-buffer reads) instead.
+//
+// The kernel body is the engine's hardware model, core.Engine.Run:
+// Listing 1's dataflow of one GammaRNG and one Transfer process per
+// work-item joined by an hls::stream, with 512-bit packing and burst
+// copies. It is the only facade route to that model, and so the one
+// that records stream backpressure, burst and FIFO-occupancy telemetry.
+// The bytes read back equal Generate's for the same options.
 func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool) (*KernelRun, error) {
 	k, err := c.kernel()
 	if err != nil {
