@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
+.PHONY: check fmt-check vet build test race bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
 
-check: vet build race bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
+check: fmt-check vet build race bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -46,12 +51,15 @@ bench-compare-smoke:
 bce-check:
 	sh scripts/bce_check.sh
 
-# One-iteration smoke run of the burst-stream, sharded-generation and
-# compute-path benchmarks, so they can never silently rot.
+# One-iteration smoke run of the burst-stream, sharded-generation,
+# compute-path and leaf-kernel benchmarks, so they can never silently
+# rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 	$(GO) test -run '^$$' -bench BenchmarkGenerateParallel -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkBlockCompute -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkFillUint32 -benchtime 1x ./internal/rng/mt
+	$(GO) test -run '^$$' -bench BenchmarkCycleBlock -benchtime 1x ./internal/rng/gamma
 	$(GO) test -run '^$$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
 # Live metrics smoke: scrape a running decwi-gammagen -http server and

@@ -58,7 +58,7 @@ func main() {
 	run := func(name string, f func() error) {
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "decwi-repro: %s: %v\n", name, err)
-			stopMetrics() // os.Exit skips defers; shut the server and flush
+			stopMetrics()  // os.Exit skips defers; shut the server and flush
 			stopProfiles() // the profiles first
 			os.Exit(1)
 		}

@@ -1,7 +1,6 @@
 package gamma
 
 import (
-	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/normal"
 	"github.com/decwi/decwi/internal/telemetry"
 )
@@ -21,6 +20,7 @@ type BlockScratch struct {
 	nok      []bool    // normal validity
 	dv       []float64 // unscaled Marsaglia-Tsang candidates
 	acc      []bool    // acceptance flags
+	pw       []float64 // correction powers of the accepted candidates
 	out      []float32 // accepted-output staging for ConsumeBlock/Pipe
 }
 
@@ -36,6 +36,7 @@ func NewBlockScratch(n int) *BlockScratch {
 		nok:      make([]bool, n),
 		dv:       make([]float64, n),
 		acc:      make([]bool, n),
+		pw:       make([]float64, n),
 		out:      make([]float32, n),
 	}
 }
@@ -94,12 +95,16 @@ func (g *Generator) CycleBlock(dst []float32, attempts int, s *BlockScratch) (pr
 
 	u2 := s.w2[:accepted]
 	g.mt2.FillUint32(u2)
-	for i := 0; i < attempts; i++ {
-		if acc[i] {
-			dst[produced] = g.p.Finish(dv[i], rng.U32ToFloatOpen(u2[produced]))
+	// Compact the accepted candidates to the front of dv (branch-free:
+	// every slot is copied, the cursor advances on accepted ones), then
+	// finish them as one block.
+	for i, a := range acc {
+		dv[produced] = dv[i]
+		if a {
 			produced++
 		}
 	}
+	g.p.FinishBlock(dst[:produced], dv[:produced], u2, s.pw)
 
 	g.cycles += uint64(attempts)
 	g.normalValid += uint64(nvalid)

@@ -26,6 +26,7 @@ import (
 	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
+	"github.com/decwi/decwi/internal/rng/xmath"
 	"github.com/decwi/decwi/internal/telemetry"
 )
 
@@ -132,10 +133,86 @@ func (p Params) Finish(dv float64, u2 float32) float32 {
 // float64 relative error stays within a few ulps, far below the final
 // float32 rounding step in Finish, so accepted outputs are unchanged at
 // float32 for all practical (u, e); see DESIGN.md for the error budget.
-// Both the gated CycleStep and the block path funnel through Finish, so
-// cross-path bitwise equivalence is preserved by construction.
+// The bytes follow the host's math package: the golden digests pin
+// amd64 math.Exp's AVX+FMA sequence, and a non-FMA amd64 or an arm64
+// host writes different bytes. The block form (powCorrectBlock) takes
+// its logarithms from xmath's bit-exact four-lane port, which follows
+// whatever math.Log does on the host, and its exponentials from
+// math.Exp, so it adds no host dependence. The scalar form stays on the
+// math package: it is the independent oracle the block form is tested
+// against.
 func powCorrect(u, e float64) float64 {
 	return math.Exp(e * math.Log(u))
+}
+
+// powCorrectBlock sets pw[i] = powCorrect(U32ToFloatOpen(u[i]), e) for
+// the first len(u) entries of pw, running the logarithms through the
+// four-lane block kernel and then the exponentials through math.Exp.
+func powCorrectBlock(pw []float64, u []uint32, e float64) {
+	pw = pw[:len(u)]
+	// bce:begin powCorrectBlock passes
+	for i, w := range u {
+		pw[i] = float64(rng.U32ToFloatOpen(w))
+	}
+	xmath.LogBlock(pw)
+	for i, l := range pw {
+		pw[i] = math.Exp(e * l)
+	}
+	// bce:end
+}
+
+// FinishBlock is Finish over a compacted block of accepted candidates:
+// dst[i] = Finish(dv[i], U32ToFloatOpen(u2[i])) for every i < len(dv),
+// with the correction's pow batched through powCorrectBlock into the
+// scratch pw. dst, u2 and pw must hold at least len(dv) entries.
+// CycleBlock finishes through it; splitting the logarithms and the
+// exponentials into separate passes lets their dependency chains
+// overlap, which is what makes it cheaper per value than Finish.
+func (p Params) FinishBlock(dst []float32, dv []float64, u2 []uint32, pw []float64) {
+	n := len(dv)
+	dst, u2, pw = dst[:n], u2[:n], pw[:n]
+	if !p.AlphaFlag {
+		// bce:begin FinishBlock scale pass
+		for i, d := range dv {
+			dst[i] = float32(d * p.Scale)
+		}
+		// bce:end
+		return
+	}
+	powCorrectBlock(pw, u2, p.invAlpha)
+	// bce:begin FinishBlock corrected pass
+	for i, d := range dv {
+		dst[i] = float32(d * pw[i] * p.Scale)
+	}
+	// bce:end
+}
+
+// logChunk is how many squeeze failures CandidateBlock gathers before
+// evaluating their logarithms as one block.
+const logChunk = 64
+
+// logTest runs the two-logarithm Marsaglia-Tsang test on gathered
+// squeeze failures: slot at[j] holds normal n0[at[j]] with uniform lu[j]
+// and cube lv[j] > 0. It sets acc for the slots that pass and returns
+// how many did; lu and lv are overwritten with their logarithms. The
+// cube is recomputed from n0 with the identical float operations, so
+// every decision matches Candidate's.
+func (p Params) logTest(acc []bool, n0 []float32, at []int32, lu, lv []float64) (accepted int) {
+	xmath.LogBlock(lu)
+	xmath.LogBlock(lv)
+	lu, lv = lu[:len(at)], lv[:len(at)]
+	for j, i := range at {
+		x := float64(n0[i])
+		cx := 1 + p.c*x
+		v := cx * cx * cx
+		x2 := x * x
+		pass := lu[j] < 0.5*x2+p.d-p.d*v+p.d*lv[j]
+		acc[i] = pass
+		if pass {
+			accepted++
+		}
+	}
+	return accepted
 }
 
 // CandidateBlock evaluates the Marsaglia-Tsang test over a whole block of
@@ -163,7 +240,9 @@ func (p Params) CandidateBlock(dv []float64, acc []bool, n0 []float32, nok []boo
 		// full-length u1 means every slot is valid: take the dense kernel.
 		return p.candidateBlockDense(dv, acc, n0, u1)
 	}
-	j := 0
+	var lu, lv [logChunk]float64
+	var at [logChunk]int32
+	n, j := 0, 0
 	for i := range n0 {
 		if !nok[i] {
 			// The gated pipeline still computes a candidate here from the
@@ -178,22 +257,21 @@ func (p Params) CandidateBlock(dv []float64, acc []bool, n0 []float32, nok []boo
 		v := cx * cx * cx
 		u := float64(rng.U32ToFloatOpen(u1[j]))
 		j++
-		ok := false
-		if v > 0 {
-			x2 := x * x
-			if u < 1-0.0331*x2*x2 {
-				ok = true
-			} else if math.Log(u) < 0.5*x2+p.d-p.d*v+p.d*math.Log(v) {
-				ok = true
+		x2 := x * x
+		dv[i] = p.d * v
+		acc[i] = v > 0 && u < 1-0.0331*x2*x2
+		if acc[i] {
+			accepted++
+		} else if v > 0 {
+			// Squeeze failure: gather for the block logarithms.
+			lu[n], lv[n], at[n] = u, v, int32(i)
+			if n++; n == logChunk {
+				accepted += p.logTest(acc, n0, at[:], lu[:], lv[:])
+				n = 0
 			}
 		}
-		dv[i] = p.d * v
-		acc[i] = ok
-		if ok {
-			accepted++
-		}
 	}
-	return accepted
+	return accepted + p.logTest(acc, n0, at[:n], lu[:n], lv[:n])
 }
 
 // candidateBlockDense is the all-normals-valid CandidateBlock kernel:
@@ -258,7 +336,11 @@ func (p Params) candidateBlockDense(dv []float64, acc []bool, n0 []float32, u1 [
 	}
 	// bce:end
 	// Pass 2: squeeze failures with a valid cube take the full
-	// two-logarithm Marsaglia-Tsang test (~a third of slots at v=1.39).
+	// two-logarithm Marsaglia-Tsang test (~a third of slots at v=1.39),
+	// gathered into chunks whose logarithms run as one block.
+	var lu, lv [logChunk]float64
+	var at [logChunk]int32
+	n := 0
 	for i, a := range acc {
 		if a {
 			accepted++
@@ -270,14 +352,13 @@ func (p Params) candidateBlockDense(dv []float64, acc []bool, n0 []float32, u1 [
 		if !(v > 0) {
 			continue
 		}
-		u := float64(rng.U32ToFloatOpen(u1[i]))
-		x2 := x * x
-		if math.Log(u) < 0.5*x2+d-d*v+d*math.Log(v) {
-			acc[i] = true
-			accepted++
+		lu[n], lv[n], at[n] = float64(rng.U32ToFloatOpen(u1[i])), v, int32(i)
+		if n++; n == logChunk {
+			accepted += p.logTest(acc, n0, at[:], lu[:], lv[:])
+			n = 0
 		}
 	}
-	return accepted
+	return accepted + p.logTest(acc, n0, at[:n], lu[:n], lv[:n])
 }
 
 // CycleResult is the full outcome of one pipelined iteration of the

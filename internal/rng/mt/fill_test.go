@@ -5,11 +5,18 @@ import (
 	"testing/quick"
 )
 
-// fillParams are the two Table I parameter sets every fill test covers.
+// fillParams are the two Table I parameter sets every fill test covers,
+// plus a non-Table-I set that takes FillUint32's one-word fallback.
 var fillParams = []struct {
 	name string
 	p    Params
-}{{"MT19937", MT19937Params}, {"MT521", MT521Params}}
+}{{"MT19937", MT19937Params}, {"MT521", MT521Params}, {"MT19937-TemperU12", mt19937TemperU12()}}
+
+func mt19937TemperU12() Params {
+	p := MT19937Params
+	p.TemperU = 12
+	return p
+}
 
 // TestFillUint32MatchesScalar cross-checks the block fill against the
 // one-word path over several state wrap-arounds and at chunk sizes that

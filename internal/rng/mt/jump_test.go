@@ -72,9 +72,9 @@ func TestJumpAdditive(t *testing.T) {
 				two := one.Clone()
 				one.Jump(a + b)
 				two.Jump(a)
-				two.Peek()            // populate the cache mid-seek
-				_ = two.Next(false)   // gated re-read must not consume
-				two.Jump(b)           // jump must discard the cache like Advance
+				two.Peek()          // populate the cache mid-seek
+				_ = two.Next(false) // gated re-read must not consume
+				two.Jump(b)         // jump must discard the cache like Advance
 				return statesEqual(one, two) && one.Uint32() == two.Uint32()
 			}
 			cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(7))}

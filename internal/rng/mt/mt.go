@@ -216,10 +216,20 @@ func (c *Core) Next(enable bool) uint32 {
 	return v
 }
 
+// mt19937 and mt521 are the Table I parameter sets whose constants
+// fillSeg and fill521 are compiled with; package-private copies, so the
+// dispatch in FillUint32 cannot be redirected by writes to the exported
+// variables.
+var mt19937, mt521 = MT19937Params, MT521Params
+
 // FillUint32 writes len(dst) tempered words into dst — the block-MT
 // formulation: contiguous runs of the state array are regenerated in
 // place and tempered out in tight loops, with the twist's two wrapping
 // taps handled by segment bounds instead of per-word modulo arithmetic.
+// The kernels are compiled with the Table I constants: MT19937 runs
+// fillSeg over any stretch, MT521 runs fill521 over whole state blocks
+// and twist521 over the words either side of them, and every other
+// Params takes the one-word Uint32 path.
 //
 // The output is bitwise-identical to len(dst) successive Uint32 calls
 // (the incremental recurrence commits exactly the same mixed old/new
@@ -229,96 +239,114 @@ func (c *Core) Next(enable bool) uint32 {
 // exactly as it would have on the one-word path. FillUint32 never
 // allocates.
 func (c *Core) FillUint32(dst []uint32) {
-	if len(dst) == 0 {
-		return
-	}
-	off0 := c.offset
 	k := 0
-	if c.haveCached {
-		dst[0] = c.cached // already scrambled by Peek when a key is set
-		c.Advance()
+	if len(dst) > 0 && c.haveCached {
+		dst[0] = c.Uint32() // the cached word, already scrambled by Peek
 		k = 1
 	}
-	scrambleFrom := k
-	n, m := c.p.N, c.p.M
-	st := c.state
-	up, lo, a := c.upperMask, c.lowerMask, c.p.A
-	tu, ts, tb := c.p.TemperU, c.p.TemperS, c.p.TemperB
-	tt, tc, tl := c.p.TemperT, c.p.TemperC, c.p.TemperL
+	switch c.p {
+	case mt19937:
+		c.fillMT19937(dst[k:])
+		k = len(dst)
+	case mt521:
+		c.fillMT521(dst[k:])
+		k = len(dst)
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = c.Uint32()
+	}
+}
+
+// scrambleRun applies the Decorrelate scrambler to words a block kernel
+// wrote for stream positions off, off+1, ….
+func (c *Core) scrambleRun(w []uint32, off uint64) {
+	if c.scramble != 0 {
+		for j := range w {
+			w[j] ^= scramble32(c.scramble, off+uint64(j))
+		}
+	}
+}
+
+// fillMT19937 is FillUint32 for an MT19937 core with no pending Peek
+// cache: it walks the state array in segments bounded by the twist's
+// wrapping taps.
+func (c *Core) fillMT19937(dst []uint32) {
+	const n, m = 624, 397
+	st := c.state[:n]
 	i := c.idx
-	for k < len(dst) {
-		// Whole-block fast path for the small twister: at a block
-		// boundary with a full block of demand left, regenerate and
-		// temper all 17 words through the fully unrolled kernel.
-		if i == 0 && n == 17 && m == 8 && len(dst)-k >= 17 {
-			fill521(dst[k:], st, up, lo, a, tu, ts, tb, tt, tc, tl)
-			k += 17
-			continue
-		}
-		end := i + (len(dst) - k)
-		if end > n {
-			end = n
-		}
+	for k := 0; k < len(dst); {
+		end := min(i+len(dst)-k, n)
 		// Segment 1: neither tap wraps (i+1 < n and i+m < n).
-		s1 := n - m
-		if s1 > end {
-			s1 = end
-		}
-		if i < s1 {
-			cnt := s1 - i
-			fillSeg(dst[k:k+cnt], st[i:s1], st[i+1:s1+1], st[i+m:s1+m], up, lo, a, tu, ts, tb, tt, tc, tl)
-			k += cnt
+		if s1 := min(n-m, end); i < s1 {
+			fillSeg(dst[k:k+s1-i], st[i:s1], st[i+1:s1+1], st[i+m:s1+m])
+			k += s1 - i
 			i = s1
 		}
 		// Segment 2: the middle tap wraps into this block's fresh words.
-		s2 := n - 1
-		if s2 > end {
-			s2 = end
-		}
-		if i < s2 {
-			cnt := s2 - i
-			fillSeg(dst[k:k+cnt], st[i:s2], st[i+1:s2+1], st[i+m-n:s2+m-n], up, lo, a, tu, ts, tb, tt, tc, tl)
-			k += cnt
+		if s2 := min(n-1, end); i < s2 {
+			fillSeg(dst[k:k+s2-i], st[i:s2], st[i+1:s2+1], st[i+m-n:s2+m-n])
+			k += s2 - i
 			i = s2
 		}
 		// Segment 3: the final word of the block, both taps wrapped.
 		if i == n-1 && i < end {
-			y := (st[n-1] & up) | (st[0] & lo)
-			x := st[m-1] ^ (y >> 1)
-			if y&1 != 0 {
-				x ^= a
-			}
-			st[n-1] = x
-			x ^= x >> tu
-			x ^= (x << ts) & tb
-			x ^= (x << tt) & tc
-			x ^= x >> tl
-			dst[k] = x
+			fillSeg(dst[k:k+1], st[n-1:], st[:1], st[m-1:m])
 			k++
 			i = 0
 		}
 	}
 	c.idx = i
-	c.offset = off0 + uint64(len(dst))
-	if c.scramble != 0 {
-		for j := scrambleFrom; j < len(dst); j++ {
-			dst[j] ^= scramble32(c.scramble, off0+uint64(j))
-		}
-	}
+	c.scrambleRun(dst, c.offset)
+	c.offset += uint64(len(dst))
 }
 
-// fillSeg regenerates and tempers one contiguous twist segment: for each
-// j it combines cur[j]'s upper bits with nxt[j]'s lower bits, twists
-// against tap[j], writes the new state word back to cur[j] and emits the
-// tempered word into o[j]. nxt is cur shifted by one, and in segment 2
-// tap aliases state words freshly written earlier in the same pass; the
-// strictly increasing write order keeps both reads correct, exactly as in
-// the scalar formulation. The twist conditional is branch-free (the A row
-// is masked in with -(y&1), a full-width 0/1 mask — the twist bit is an
-// unpredictable random bit, so a branch here mispredicts half the time),
-// and the loop runs as 8-wide unrolled lanes over len-pinned subslices so
-// the compiler eliminates every bounds check (scripts/bce_check.sh).
-func fillSeg(o, cur, nxt, tap []uint32, up, lo, a uint32, tu, ts uint, tb uint32, tt uint, tc uint32, tl uint) {
+// fillMT521 is FillUint32 for an MT521 core with no pending Peek cache:
+// whole state blocks run through the unrolled block kernel, the words
+// before the first block boundary and after the last one word by word.
+func (c *Core) fillMT521(dst []uint32) {
+	const n, m = 17, 8
+	st := c.state[:n]
+	i := c.idx
+	for k := 0; k < len(dst); {
+		if i == 0 && len(dst)-k >= n {
+			fill521(dst[k:k+n], st)
+			k += n
+			continue
+		}
+		st[i], dst[k] = twist521(st[i], st[(i+1)%n], st[(i+m)%n])
+		i = (i + 1) % n
+		k++
+	}
+	c.idx = i
+	c.scrambleRun(dst, c.offset)
+	c.offset += uint64(len(dst))
+}
+
+// twist19937 regenerates one MT19937 state word from the word being
+// replaced (cur), its successor (nxt) and the middle tap, and returns
+// the new word with its tempered output. The twist conditional is
+// branch-free (the A row is masked in with -(y&1), a full-width 0/1
+// mask — the twist bit is an unpredictable random bit, so a branch here
+// mispredicts half the time).
+func twist19937(cur, nxt, tap uint32) (x, out uint32) {
+	y := (cur & 0x80000000) | (nxt & 0x7FFFFFFF)
+	x = tap ^ (y >> 1) ^ (0x9908B0DF & -(y & 1))
+	out = x ^ (x >> 11)
+	out ^= (out << 7) & 0x9D2C5680
+	out ^= (out << 15) & 0xEFC60000
+	return x, out ^ (out >> 18)
+}
+
+// fillSeg regenerates and tempers one contiguous MT19937 twist segment:
+// for each j it twists cur[j] with nxt[j] against tap[j], writes the new
+// state word back to cur[j] and emits the tempered word into o[j]. nxt
+// is cur shifted by one, and in segment 2 tap aliases state words
+// freshly written earlier in the same pass; the strictly increasing
+// write order keeps both reads correct, exactly as in the scalar
+// formulation. The loop runs as 8-wide unrolled lanes over len-pinned
+// subslices so the compiler eliminates every bounds check
+// (scripts/bce_check.sh).
+func fillSeg(o, cur, nxt, tap []uint32) {
 	// bce:begin fillSeg twist+temper lanes
 	// The redundant slice-length terms in the loop condition and the tail
 	// guard are what let the prove pass drop every bounds check: each
@@ -330,70 +358,14 @@ func fillSeg(o, cur, nxt, tap []uint32, up, lo, a uint32, tu, ts uint, tb uint32
 		c8 := cur[:8:8]
 		n8 := nxt[:8:8]
 		t8 := tap[:8:8]
-		y0 := (c8[0] & up) | (n8[0] & lo)
-		x0 := t8[0] ^ (y0 >> 1) ^ (a & -(y0 & 1))
-		c8[0] = x0
-		x0 ^= x0 >> tu
-		x0 ^= (x0 << ts) & tb
-		x0 ^= (x0 << tt) & tc
-		x0 ^= x0 >> tl
-		o8[0] = x0
-		y1 := (c8[1] & up) | (n8[1] & lo)
-		x1 := t8[1] ^ (y1 >> 1) ^ (a & -(y1 & 1))
-		c8[1] = x1
-		x1 ^= x1 >> tu
-		x1 ^= (x1 << ts) & tb
-		x1 ^= (x1 << tt) & tc
-		x1 ^= x1 >> tl
-		o8[1] = x1
-		y2 := (c8[2] & up) | (n8[2] & lo)
-		x2 := t8[2] ^ (y2 >> 1) ^ (a & -(y2 & 1))
-		c8[2] = x2
-		x2 ^= x2 >> tu
-		x2 ^= (x2 << ts) & tb
-		x2 ^= (x2 << tt) & tc
-		x2 ^= x2 >> tl
-		o8[2] = x2
-		y3 := (c8[3] & up) | (n8[3] & lo)
-		x3 := t8[3] ^ (y3 >> 1) ^ (a & -(y3 & 1))
-		c8[3] = x3
-		x3 ^= x3 >> tu
-		x3 ^= (x3 << ts) & tb
-		x3 ^= (x3 << tt) & tc
-		x3 ^= x3 >> tl
-		o8[3] = x3
-		y4 := (c8[4] & up) | (n8[4] & lo)
-		x4 := t8[4] ^ (y4 >> 1) ^ (a & -(y4 & 1))
-		c8[4] = x4
-		x4 ^= x4 >> tu
-		x4 ^= (x4 << ts) & tb
-		x4 ^= (x4 << tt) & tc
-		x4 ^= x4 >> tl
-		o8[4] = x4
-		y5 := (c8[5] & up) | (n8[5] & lo)
-		x5 := t8[5] ^ (y5 >> 1) ^ (a & -(y5 & 1))
-		c8[5] = x5
-		x5 ^= x5 >> tu
-		x5 ^= (x5 << ts) & tb
-		x5 ^= (x5 << tt) & tc
-		x5 ^= x5 >> tl
-		o8[5] = x5
-		y6 := (c8[6] & up) | (n8[6] & lo)
-		x6 := t8[6] ^ (y6 >> 1) ^ (a & -(y6 & 1))
-		c8[6] = x6
-		x6 ^= x6 >> tu
-		x6 ^= (x6 << ts) & tb
-		x6 ^= (x6 << tt) & tc
-		x6 ^= x6 >> tl
-		o8[6] = x6
-		y7 := (c8[7] & up) | (n8[7] & lo)
-		x7 := t8[7] ^ (y7 >> 1) ^ (a & -(y7 & 1))
-		c8[7] = x7
-		x7 ^= x7 >> tu
-		x7 ^= (x7 << ts) & tb
-		x7 ^= (x7 << tt) & tc
-		x7 ^= x7 >> tl
-		o8[7] = x7
+		c8[0], o8[0] = twist19937(c8[0], n8[0], t8[0])
+		c8[1], o8[1] = twist19937(c8[1], n8[1], t8[1])
+		c8[2], o8[2] = twist19937(c8[2], n8[2], t8[2])
+		c8[3], o8[3] = twist19937(c8[3], n8[3], t8[3])
+		c8[4], o8[4] = twist19937(c8[4], n8[4], t8[4])
+		c8[5], o8[5] = twist19937(c8[5], n8[5], t8[5])
+		c8[6], o8[6] = twist19937(c8[6], n8[6], t8[6])
+		c8[7], o8[7] = twist19937(c8[7], n8[7], t8[7])
 		o, cur, nxt, tap = o[8:], cur[8:], nxt[8:], tap[8:]
 	}
 	m := len(o)
@@ -404,14 +376,7 @@ func fillSeg(o, cur, nxt, tap []uint32, up, lo, a uint32, tu, ts uint, tb uint32
 	nxt = nxt[:m]
 	tap = tap[:m]
 	for j := range o {
-		y := (cur[j] & up) | (nxt[j] & lo)
-		x := tap[j] ^ (y >> 1) ^ (a & -(y & 1))
-		cur[j] = x
-		x ^= x >> tu
-		x ^= (x << ts) & tb
-		x ^= (x << tt) & tc
-		x ^= x >> tl
-		o[j] = x
+		cur[j], o[j] = twist19937(cur[j], nxt[j], tap[j])
 	}
 	// bce:end
 }
@@ -433,157 +398,45 @@ func (c *Core) Clone() *Core {
 	return n
 }
 
+// twist521 is twist19937 for the MT521 constants.
+func twist521(cur, nxt, tap uint32) (x, out uint32) {
+	y := (cur & 0xFF800000) | (nxt & 0x007FFFFF)
+	x = tap ^ (y >> 1) ^ (0xE4BD75F5 & -(y & 1))
+	out = x ^ (x >> 12)
+	out ^= (out << 7) & 0x655E5280
+	out ^= (out << 15) & 0xFFD58000
+	return x, out ^ (out >> 18)
+}
+
 // fill521 regenerates and tempers exactly one full MT521 state block:
 // N=17 words with M=8, every index a constant so the whole
 // twist+temper datapath is branch-free straight-line code with zero
 // bounds checks (scripts/bce_check.sh) — the small-state analogue of
-// fillSeg, whose 8-wide lanes degenerate to the scalar tail on MT521's
-// 9- and 7-word segments. Write order is strictly increasing, so the
-// seg2/seg3 taps read the fresh words exactly as the recurrence
-// demands.
-func fill521(o, st []uint32, up, lo, a uint32, tu, ts uint, tb uint32, tt uint, tc uint32, tl uint) {
+// fillSeg. Write order is strictly increasing, so the wrapped taps read
+// the fresh words exactly as the recurrence demands.
+func fill521(o, st []uint32) {
 	if len(o) < 17 || len(st) < 17 {
 		return
 	}
 	o = o[:17:17]
 	st = st[:17:17]
-	var y, x uint32
 	// bce:begin fill521 twist+temper block
-	y = (st[0] & up) | (st[1] & lo)
-	x = st[8] ^ (y >> 1) ^ (a & -(y & 1))
-	st[0] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[0] = x
-	y = (st[1] & up) | (st[2] & lo)
-	x = st[9] ^ (y >> 1) ^ (a & -(y & 1))
-	st[1] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[1] = x
-	y = (st[2] & up) | (st[3] & lo)
-	x = st[10] ^ (y >> 1) ^ (a & -(y & 1))
-	st[2] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[2] = x
-	y = (st[3] & up) | (st[4] & lo)
-	x = st[11] ^ (y >> 1) ^ (a & -(y & 1))
-	st[3] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[3] = x
-	y = (st[4] & up) | (st[5] & lo)
-	x = st[12] ^ (y >> 1) ^ (a & -(y & 1))
-	st[4] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[4] = x
-	y = (st[5] & up) | (st[6] & lo)
-	x = st[13] ^ (y >> 1) ^ (a & -(y & 1))
-	st[5] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[5] = x
-	y = (st[6] & up) | (st[7] & lo)
-	x = st[14] ^ (y >> 1) ^ (a & -(y & 1))
-	st[6] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[6] = x
-	y = (st[7] & up) | (st[8] & lo)
-	x = st[15] ^ (y >> 1) ^ (a & -(y & 1))
-	st[7] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[7] = x
-	y = (st[8] & up) | (st[9] & lo)
-	x = st[16] ^ (y >> 1) ^ (a & -(y & 1))
-	st[8] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[8] = x
-	y = (st[9] & up) | (st[10] & lo)
-	x = st[0] ^ (y >> 1) ^ (a & -(y & 1))
-	st[9] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[9] = x
-	y = (st[10] & up) | (st[11] & lo)
-	x = st[1] ^ (y >> 1) ^ (a & -(y & 1))
-	st[10] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[10] = x
-	y = (st[11] & up) | (st[12] & lo)
-	x = st[2] ^ (y >> 1) ^ (a & -(y & 1))
-	st[11] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[11] = x
-	y = (st[12] & up) | (st[13] & lo)
-	x = st[3] ^ (y >> 1) ^ (a & -(y & 1))
-	st[12] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[12] = x
-	y = (st[13] & up) | (st[14] & lo)
-	x = st[4] ^ (y >> 1) ^ (a & -(y & 1))
-	st[13] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[13] = x
-	y = (st[14] & up) | (st[15] & lo)
-	x = st[5] ^ (y >> 1) ^ (a & -(y & 1))
-	st[14] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[14] = x
-	y = (st[15] & up) | (st[16] & lo)
-	x = st[6] ^ (y >> 1) ^ (a & -(y & 1))
-	st[15] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[15] = x
-	y = (st[16] & up) | (st[0] & lo)
-	x = st[7] ^ (y >> 1) ^ (a & -(y & 1))
-	st[16] = x
-	x ^= x >> tu
-	x ^= (x << ts) & tb
-	x ^= (x << tt) & tc
-	x ^= x >> tl
-	o[16] = x
+	st[0], o[0] = twist521(st[0], st[1], st[8])
+	st[1], o[1] = twist521(st[1], st[2], st[9])
+	st[2], o[2] = twist521(st[2], st[3], st[10])
+	st[3], o[3] = twist521(st[3], st[4], st[11])
+	st[4], o[4] = twist521(st[4], st[5], st[12])
+	st[5], o[5] = twist521(st[5], st[6], st[13])
+	st[6], o[6] = twist521(st[6], st[7], st[14])
+	st[7], o[7] = twist521(st[7], st[8], st[15])
+	st[8], o[8] = twist521(st[8], st[9], st[16])
+	st[9], o[9] = twist521(st[9], st[10], st[0])
+	st[10], o[10] = twist521(st[10], st[11], st[1])
+	st[11], o[11] = twist521(st[11], st[12], st[2])
+	st[12], o[12] = twist521(st[12], st[13], st[3])
+	st[13], o[13] = twist521(st[13], st[14], st[4])
+	st[14], o[14] = twist521(st[14], st[15], st[5])
+	st[15], o[15] = twist521(st[15], st[16], st[6])
+	st[16], o[16] = twist521(st[16], st[0], st[7])
 	// bce:end
 }

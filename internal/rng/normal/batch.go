@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"github.com/decwi/decwi/internal/rng"
+	"github.com/decwi/decwi/internal/rng/xmath"
 )
 
 // This file holds the batch ("fill") kernels of the block compute path:
@@ -18,31 +19,55 @@ import (
 
 // PolarFill runs one Marsaglia-Bray polar attempt per word pair,
 // writing candidates to dst and validity to ok, and returns the number
-// of valid candidates. Unlike the scalar PolarStep — which evaluates the
-// sqrt/log datapath unconditionally, as the pipelined hardware does —
-// the batch kernel skips the transcendental math for the ~21.5 % of
+// of valid candidates. It works through fixed stack chunks in two
+// passes: the first forms s = v1² + v2² and the validity of every slot
+// and gathers the valid ones without a data-dependent branch; the
+// second takes their logarithms as one xmath block and scatters their
+// candidates into a zeroed chunk. Unlike the scalar PolarStep — which
+// evaluates the sqrt/log datapath unconditionally, as the pipelined
+// hardware does — the transcendental math is skipped for the ~21.5 % of
 // attempts the validity predicate rejects.
 func PolarFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 	cnt := len(dst)
 	if cnt > len(ok) || cnt > len(w1) || cnt > len(w2) {
 		panic("normal: PolarFill slice lengths")
 	}
-	ok = ok[:cnt:cnt]
-	w1 = w1[:cnt:cnt]
-	w2 = w2[:cnt:cnt]
-	for i := range dst {
-		v1 := rng.U32ToSigned(w1[i])
-		v2 := rng.U32ToSigned(w2[i])
-		s := v1*v1 + v2*v2
-		if s > 0 && s < 1 {
-			f := float32(math.Sqrt(-2 * math.Log(float64(s)) / float64(s)))
-			dst[i] = v1 * f
-			ok[i] = true
-			valid++
-		} else {
-			dst[i] = 0
-			ok[i] = false
+	const chunk = 64
+	var ls, ss [chunk]float64
+	var vs, zs [chunk]float32
+	var at [chunk]uint8
+	for len(dst) > 0 {
+		m := min(len(dst), chunk)
+		o, a, b := ok[:m:m], w1[:m:m], w2[:m:m]
+		n := 0
+		// The masks on the fixed-array indices are no-ops (every index is
+		// below chunk) that let the prove pass drop the bounds checks.
+		// bce:begin PolarFill gather pass
+		for i := range o {
+			v1 := rng.U32ToSigned(a[i])
+			v2 := rng.U32ToSigned(b[i])
+			s := v1*v1 + v2*v2
+			in := s > 0 && s < 1
+			o[i] = in
+			j := n & (chunk - 1)
+			ls[j], ss[j], vs[j], at[j] = float64(s), float64(s), v1, uint8(i)
+			if in {
+				n++
+			}
 		}
+		// bce:end
+		l := ls[:n]
+		xmath.LogBlock(l)
+		zs = [chunk]float32{}
+		// bce:begin PolarFill candidate pass
+		for j, lj := range l {
+			j &= chunk - 1
+			zs[at[j]&(chunk-1)] = vs[j] * float32(math.Sqrt(-2*lj/ss[j]))
+		}
+		// bce:end
+		copy(dst, zs[:m])
+		valid += n
+		dst, ok, w1, w2 = dst[m:], ok[m:], w1[m:], w2[m:]
 	}
 	return valid
 }

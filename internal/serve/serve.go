@@ -292,10 +292,10 @@ func (spec *JobSpec) Validate(l Limits) error {
 func (spec *JobSpec) generateOptions() decwi.ParallelOptions {
 	return decwi.ParallelOptions{
 		GenerateOptions: decwi.GenerateOptions{
-			Scenarios: spec.Scenarios,
-			Sectors:   spec.Sectors,
-			Variance:  spec.Variance,
-			Variances: spec.Variances,
+			Scenarios:    spec.Scenarios,
+			Sectors:      spec.Sectors,
+			Variance:     spec.Variance,
+			Variances:    spec.Variances,
 			WorkItems:    spec.WorkItems,
 			Seed:         spec.Seed,
 			StreamOffset: spec.StreamOffset,

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Bounds-check-elimination gate for the hot kernels.
 #
-# The unrolled lane kernels (mt fillSeg / fill521, normal ICDFFPGAFill,
-# gamma candidateBlockDense) are written in the len-pinned subslice
-# idiom precisely so the compiler's prove pass can discharge every
+# The unrolled lane kernels (mt fillSeg / fill521, normal PolarFill /
+# ICDFFPGAFill, gamma candidateBlockDense / powCorrectBlock /
+# FinishBlock, xmath LogBlock) are written in the len-pinned
+# subslice idiom precisely so the compiler's prove pass can discharge every
 # bounds check; a refactor that silently reintroduces one costs real
 # single-core throughput. This script compiles the RNG packages with
 # -gcflags=-d=ssa/check_bce — which prints one diagnostic per surviving
@@ -18,8 +19,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-files="internal/rng/mt/mt.go internal/rng/normal/batch.go internal/rng/gamma/gamma.go"
-pkgs="./internal/rng/mt ./internal/rng/normal ./internal/rng/gamma"
+files="internal/rng/mt/mt.go internal/rng/normal/batch.go internal/rng/gamma/gamma.go internal/rng/xmath/xmath.go"
+pkgs="./internal/rng/mt ./internal/rng/normal ./internal/rng/gamma ./internal/rng/xmath"
 
 cache="$(mktemp -d)"
 diag="$(mktemp)"
@@ -58,9 +59,11 @@ for f in $files; do
 done >"$regions"
 
 nregions="$(wc -l <"$regions" | tr -d ' ')"
-if [ "$nregions" -lt 4 ]; then
-    echo "bce_check: found only $nregions marked regions, expected at least 4" >&2
-    echo "  (fillSeg + fill521 in mt.go, ICDFFPGAFill in batch.go, candidateBlockDense in gamma.go)" >&2
+if [ "$nregions" -lt 10 ]; then
+    echo "bce_check: found only $nregions marked regions, expected at least 10" >&2
+    echo "  (fillSeg + fill521 in mt.go, PolarFill x2 + ICDFFPGAFill in batch.go," >&2
+    echo "   powCorrectBlock + FinishBlock x2 + candidateBlockDense in gamma.go," >&2
+    echo "   LogBlock in xmath.go)" >&2
     cat "$regions" >&2
     exit 1
 fi

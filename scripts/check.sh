@@ -5,6 +5,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Formatting gate: every tracked Go file must be gofmt-clean.
+echo "== gofmt -l"
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -15,7 +24,8 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # Bounds-check-elimination gate: the marked lane kernels (mt fillSeg /
-# fill521, normal ICDFFPGAFill, gamma candidateBlockDense) must compile
+# fill521, normal PolarFill / ICDFFPGAFill, gamma candidateBlockDense /
+# powCorrectBlock / FinishBlock, xmath LogBlock) must compile
 # with zero surviving IsInBounds/IsSliceInBounds checks — the fused
 # pipe's single-core throughput depends on it.
 echo "== bounds-check elimination in marked kernel regions"
@@ -119,11 +129,14 @@ if [ "$seekgot" != "$seekwant" ]; then
 fi
 
 # Benchmark smoke run: one iteration each, so the burst-stream,
-# sharded-generation and compute-path benchmarks can never silently rot.
-echo "== bench smoke (BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkHistogramRecord)"
+# sharded-generation, compute-path and leaf-kernel benchmarks can never
+# silently rot.
+echo "== bench smoke (BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkFillUint32, BenchmarkCycleBlock, BenchmarkHistogramRecord)"
 go test -run '^$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 go test -run '^$' -bench BenchmarkGenerateParallel -benchtime 1x .
 go test -run '^$' -bench BenchmarkBlockCompute -benchtime 1x .
+go test -run '^$' -bench BenchmarkFillUint32 -benchtime 1x ./internal/rng/mt
+go test -run '^$' -bench BenchmarkCycleBlock -benchtime 1x ./internal/rng/gamma
 go test -run '^$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
 # Live metrics smoke: scrape a running decwi-gammagen -http server and
