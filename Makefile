@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
+.PHONY: check fmt-check vet build test race fuzz bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
 
-check: fmt-check vet build race bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
+check: fmt-check vet build race fuzz bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
 
 # Formatting gate: every tracked Go file must be gofmt-clean.
 fmt-check:
@@ -23,6 +23,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Native Go fuzzing, 5 s per target (seed corpora in testdata/fuzz/).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceIDFrom$$' -fuzztime 5s ./internal/telemetry/flight
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckTraceJSON$$' -fuzztime 5s ./internal/telemetry/flight
 
 # Telemetry overhead gate: telemetry-off must stay within noise of the
 # pre-telemetry engine (nil-receiver hooks only).

@@ -155,6 +155,67 @@ func TestFillUint32ZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSeedDiscardMatchesAdvance pins Seed's bulk warm-up discard to
+// the one-word formulation: the Knuth initializer followed by N
+// Advance calls. Reseeding a core that is mid-stream, mid-Peek and
+// scrambled must land in the same state as a fresh New.
+func TestSeedDiscardMatchesAdvance(t *testing.T) {
+	for _, tc := range fillParams {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range []uint64{0, 1, 0x601DE7, 1<<40 + 3} {
+				ref := New(tc.p, 0)
+				s := uint32(seed) ^ uint32(seed>>32)*2654435761
+				if s == 0 {
+					s = 19650218
+				}
+				ref.SeedRef(s)
+				for i := 0; i < tc.p.N; i++ {
+					ref.Advance()
+				}
+				ref.offset = 0
+
+				reused := New(tc.p, 99)
+				reused.Decorrelate(5)
+				reused.Uint32()
+				reused.Peek()
+				reused.Seed(seed)
+				for name, c := range map[string]*Core{"New": New(tc.p, seed), "reseeded": reused} {
+					if c.idx != ref.idx || c.offset != 0 || c.scramble != 0 || c.haveCached {
+						t.Fatalf("seed %#x, %s: idx %d offset %d scramble %d cached %v", seed, name, c.idx, c.offset, c.scramble, c.haveCached)
+					}
+					for i := range ref.state {
+						if c.state[i] != ref.state[i] {
+							t.Fatalf("seed %#x, %s: state word %d = %#x, want %#x", seed, name, i, c.state[i], ref.state[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSeedZeroAlloc: the warm-up discard runs through a stack buffer.
+func TestSeedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	c := NewMT19937(3)
+	if avg := testing.AllocsPerRun(50, func() { c.Seed(7) }); avg != 0 {
+		t.Fatalf("Seed allocates %v times per call, want 0", avg)
+	}
+}
+
+func BenchmarkSeed(b *testing.B) {
+	for _, tc := range fillParams {
+		b.Run(tc.name, func(b *testing.B) {
+			c := New(tc.p, 1)
+			for i := 0; i < b.N; i++ {
+				c.Seed(uint64(i))
+			}
+		})
+	}
+}
+
 func BenchmarkFillUint32(b *testing.B) {
 	for _, tc := range fillParams {
 		b.Run(tc.name, func(b *testing.B) {

@@ -89,6 +89,8 @@ type Core struct {
 	lowerMask  uint32
 	haveCached bool
 	cached     uint32 // tempered output for the current index (Peek cache)
+	// kernel is the FillUint32 kernel chosen for p, fixed by New.
+	kernel fillKernel
 	// offset counts state words consumed since the last (re)seed; it is
 	// what Jump fast-forwards and what checkpoint/resume round-trips
 	// (see jump.go).
@@ -103,6 +105,12 @@ func New(p Params, seed uint64) *Core {
 	c := &Core{p: p, state: make([]uint32, p.N)}
 	c.lowerMask = (uint32(1) << p.R) - 1
 	c.upperMask = ^c.lowerMask
+	switch p {
+	case mt19937:
+		c.kernel = kernelMT19937
+	case mt521:
+		c.kernel = kernelMT521
+	}
 	c.Seed(seed)
 	return c
 }
@@ -126,16 +134,19 @@ func (c *Core) Seed(seed uint64) {
 	}
 	c.idx = 0
 	c.haveCached = false
+	c.scramble = 0 // before the discard, so the fill does not scramble words it throws away
 	// Discard one full state block so that closely related seeds
-	// decorrelate before the first word is consumed.
-	for i := 0; i < c.p.N; i++ {
-		c.Advance()
+	// decorrelate before the first word is consumed. The words go
+	// through the bulk fill into a stack buffer: the state it leaves is
+	// the one N Advance calls would.
+	var discard [64]uint32
+	for left := c.p.N; left > 0; left -= len(discard) {
+		c.FillUint32(discard[:min(left, len(discard))])
 	}
 	// A reseeded core starts a canonical stream: position zero, no
 	// scrambler. This keeps pooled generators (core.getGenerator) clean —
 	// Jump/Decorrelate on one run can never leak into the next.
 	c.offset = 0
-	c.scramble = 0
 }
 
 // SeedRef initializes the state exactly like init_genrand of the 2002
@@ -218,9 +229,18 @@ func (c *Core) Next(enable bool) uint32 {
 
 // mt19937 and mt521 are the Table I parameter sets whose constants
 // fillSeg and fill521 are compiled with; package-private copies, so the
-// dispatch in FillUint32 cannot be redirected by writes to the exported
+// kernel New selects cannot be redirected by writes to the exported
 // variables.
 var mt19937, mt521 = MT19937Params, MT521Params
+
+// fillKernel names the FillUint32 kernel for a parameter set.
+type fillKernel uint8
+
+const (
+	kernelOneWord fillKernel = iota // any Params: the one-word Uint32 path
+	kernelMT19937
+	kernelMT521
+)
 
 // FillUint32 writes len(dst) tempered words into dst — the block-MT
 // formulation: contiguous runs of the state array are regenerated in
@@ -229,7 +249,7 @@ var mt19937, mt521 = MT19937Params, MT521Params
 // The kernels are compiled with the Table I constants: MT19937 runs
 // fillSeg over any stretch, MT521 runs fill521 over whole state blocks
 // and twist521 over the words either side of them, and every other
-// Params takes the one-word Uint32 path.
+// Params takes the one-word Uint32 path. New picks the kernel once.
 //
 // The output is bitwise-identical to len(dst) successive Uint32 calls
 // (the incremental recurrence commits exactly the same mixed old/new
@@ -244,11 +264,11 @@ func (c *Core) FillUint32(dst []uint32) {
 		dst[0] = c.Uint32() // the cached word, already scrambled by Peek
 		k = 1
 	}
-	switch c.p {
-	case mt19937:
+	switch c.kernel {
+	case kernelMT19937:
 		c.fillMT19937(dst[k:])
 		k = len(dst)
-	case mt521:
+	case kernelMT521:
 		c.fillMT521(dst[k:])
 		k = len(dst)
 	}
@@ -393,7 +413,8 @@ func (c *Core) Params() Params { return c.p }
 // lockstep simulator to replay identical streams across execution models.
 func (c *Core) Clone() *Core {
 	n := &Core{p: c.p, idx: c.idx, upperMask: c.upperMask, lowerMask: c.lowerMask,
-		haveCached: c.haveCached, cached: c.cached, offset: c.offset, scramble: c.scramble}
+		haveCached: c.haveCached, cached: c.cached, kernel: c.kernel,
+		offset: c.offset, scramble: c.scramble}
 	n.state = append([]uint32(nil), c.state...)
 	return n
 }

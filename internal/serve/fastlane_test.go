@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,35 +375,67 @@ func TestSchedulerFastPath(t *testing.T) {
 	}
 }
 
-// TestResultDigestFixedAtCompletion: the wire digest is computed once
-// when the result is built and never re-derived — repeated encodes
-// produce identical bytes matching that one digest.
+// TestResultDigestFixedAtCompletion: a generate result is encoded to
+// its wire bytes and digested once, when it is built. The bytes are the
+// little-endian float32 encoding of the device-layout buffer, the
+// digest is theirs, and the result keeps no reference to the floats —
+// writing to the engine's buffer afterwards changes neither.
 func TestResultDigestFixedAtCompletion(t *testing.T) {
-	vals := make([]float32, 20000) // > one 64 KiB chunk, exercises the chunk loop
+	vals := make([]float32, 20000)
 	for i := range vals {
 		vals[i] = float32(i) * 0.25
 	}
 	r := newValuesResult(vals)
-	sha := r.sha
-	if sha == "" {
+	if r.sha == "" {
 		t.Fatal("digest not fixed at completion")
 	}
-	b1 := r.bytes()
-	b2 := r.bytes()
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("repeated encodes diverged")
+	if r.size() != 4*len(vals) || len(r.raw) != 4*len(vals) {
+		t.Fatalf("size %d, raw %d bytes, want %d", r.size(), len(r.raw), 4*len(vals))
 	}
-	if got := digest(b1); got != sha {
-		t.Fatalf("wire digest %s != completion digest %s", got, sha)
+	for i, v := range vals {
+		if got := binary.LittleEndian.Uint32(r.raw[4*i:]); got != math.Float32bits(v) {
+			t.Fatalf("wire word %d = %#x, want %#x", i, got, math.Float32bits(v))
+		}
 	}
-	if r.sha != sha {
-		t.Fatal("digest changed across downloads")
+	if got := digest(r.raw); got != r.sha {
+		t.Fatalf("wire digest %s != completion digest %s", got, r.sha)
 	}
-	if want := encodeFloat32LE(vals); !bytes.Equal(b1, want) {
-		t.Fatal("chunked encode diverges from reference encoding")
+	want := bytes.Clone(r.raw)
+	sha := r.sha
+	for i := range vals {
+		vals[i] = -1
 	}
-	if r.size() != len(b1) {
-		t.Fatalf("size %d != wire length %d", r.size(), len(b1))
+	if !bytes.Equal(r.raw, want) || r.sha != sha {
+		t.Fatal("result changed when the engine buffer was overwritten after completion")
+	}
+}
+
+// TestPayloadSharesStoredBytes: Payload hands out the one stored wire
+// slice, not a copy — repeated calls, and a cache hit of the same
+// tuple, return the same backing array.
+func TestPayloadSharesStoredBytes(t *testing.T) {
+	s := New(Config{Executors: 1,
+		runHook: func(context.Context, *JobSpec) ([]byte, *execMeta, error) {
+			return []byte("deterministic-bytes"), &execMeta{}, nil
+		}})
+	defer s.Drain(context.Background())
+	j1, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j1)
+	j2, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j2.Status().Cached {
+		t.Fatal("second submission of the tuple was not a cache hit")
+	}
+	p1 := mustPayload(t, j1)
+	for name, p := range map[string][]byte{"repeat": mustPayload(t, j1), "cache hit": mustPayload(t, j2)} {
+		if len(p) == 0 || &p[0] != &p1[0] || len(p) != len(p1) {
+			t.Fatalf("%s payload is not the stored slice", name)
+		}
 	}
 }
 

@@ -305,13 +305,16 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Payload materializes the result bytes and the state they were
-// observed under; the bytes are non-nil only in StateDone. The HTTP
-// download path streams through Result instead — it never builds the
-// whole wire form.
+// Payload returns the result's wire bytes and the state they were
+// observed under; the bytes are non-nil only in StateDone. The slice is
+// the one stored result, shared with the cache, every coalesced job and
+// every download — no copy is made, and callers must not modify it.
 func (j *Job) Payload() ([]byte, JobState) {
 	res, state := j.Result()
-	return res.bytes(), state
+	if res == nil {
+		return nil, state
+	}
+	return res.raw, state
 }
 
 // Result returns the job's result (nil until StateDone) and state.
@@ -1161,9 +1164,8 @@ func (s *Scheduler) executeRecovering(ctx context.Context, spec *JobSpec, tr *ft
 // execute runs the job's workload under ctx. The result is a pure
 // function of the spec's replay tuple: the engine guarantees the
 // generate bytes, and the risk report is a deterministic function of a
-// seeded Monte-Carlo run. The generate lane keeps the device-layout
-// []float32 as-is — the wire form is produced chunk-at-a-time at
-// download (or digest) time, never materialized whole.
+// seeded Monte-Carlo run. The generate lane encodes the device-layout
+// []float32 into its wire bytes once, here, and keeps only those.
 func (s *Scheduler) execute(ctx context.Context, spec *JobSpec, tr *ftrace.Trace, runSpan ftrace.SpanID) (*result, *execMeta, error) {
 	if d := s.cfg.ExecDelay; d > 0 {
 		// Fault injection: a deliberately slow executor, for driving the

@@ -26,9 +26,9 @@
 // that tuple and served from a byte-budgeted LRU without touching the
 // scheduler, concurrent identical submissions coalesce onto one shared
 // engine run, and small jobs skip the queue hand-off entirely when an
-// executor is idle. Downloads stream straight from the device-layout
-// float32 buffer through pooled chunked writers, with the payload
-// digest computed once at job completion.
+// executor is idle. A result is encoded to its wire bytes and digested
+// once, at job completion; every download is one write of those stored
+// bytes.
 //
 // Telemetry rides on the same live metrics plane as the engine: queue
 // and service histograms, depth/in-flight gauges, cache/dedup/fast-path
@@ -37,7 +37,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -45,7 +44,6 @@ import (
 	"io"
 	"math"
 	"regexp"
-	"sync"
 	"time"
 
 	decwi "github.com/decwi/decwi"
@@ -369,54 +367,29 @@ func digest(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// result is a completed job's payload held in its cheapest-to-serve
-// form. Generate results keep the engine's device-layout []float32
-// buffer as-is (the wire encoding is produced chunk-at-a-time through
-// pooled writers at download, never materialized whole); risk results
-// keep their report JSON. The wire digest is computed exactly once, at
-// completion, and reused by every download and status response. A
-// result is immutable after newValuesResult/newRawResult returns, so
-// the cache and any number of coalesced jobs may share one instance.
+// result is a completed job's payload held in its wire form: the
+// little-endian float32 bytes of a generate run's device-layout buffer
+// (encoded once, at completion, after which the []float32 is dropped)
+// or a risk run's report JSON. The SHA-256 of those bytes is fixed at
+// the same moment. A result is immutable after newValuesResult or
+// newRawResult returns, so the cache, every coalesced job and every
+// Payload caller share the one raw slice, and a download is one Write
+// of it.
 type result struct {
-	raw    []byte    // risk report JSON; nil for generate results
-	values []float32 // generate device-layout buffer; nil for risk results
-	sha    string    // hex SHA-256 of the wire bytes, fixed at completion
+	raw []byte // wire bytes, never modified after construction
+	sha string // hex SHA-256 of raw
 }
 
-// resultChunkBytes sizes the pooled download/digest chunks: large
-// enough to amortize Write syscalls over the loopback/TCP path, small
-// enough that a pool of them stays resident across bursts.
-const resultChunkBytes = 64 << 10
-
-// chunkPool recycles encode buffers across downloads and completion
-// digests (pointer-to-slice, so Put never allocates a box).
-var chunkPool = sync.Pool{New: func() any {
-	b := make([]byte, resultChunkBytes)
-	return &b
-}}
-
-// newValuesResult wraps a generate run's device-layout buffer and
-// fixes its wire digest.
+// newValuesResult encodes a generate run's device-layout buffer into
+// its wire bytes and fixes their digest.
 func newValuesResult(values []float32) *result {
-	r := &result{values: values}
-	r.finish()
-	return r
+	return newRawResult(encodeFloat32LE(values))
 }
 
 // newRawResult wraps an already-encoded payload (risk JSON, test
 // hooks) and fixes its wire digest.
 func newRawResult(raw []byte) *result {
-	r := &result{raw: raw}
-	r.finish()
-	return r
-}
-
-// finish computes the wire digest through the same chunked path a
-// download takes, so header and body can never disagree.
-func (r *result) finish() {
-	h := sha256.New()
-	_ = r.writeTo(h) // a hash.Hash never errors
-	r.sha = hex.EncodeToString(h.Sum(nil))
+	return &result{raw: raw, sha: digest(raw)}
 }
 
 // size is the wire length in bytes (the Content-Length of a download).
@@ -424,51 +397,7 @@ func (r *result) size() int {
 	if r == nil {
 		return 0
 	}
-	if r.values != nil {
-		return 4 * len(r.values)
-	}
 	return len(r.raw)
-}
-
-// writeTo streams the wire bytes into w. Generate payloads are encoded
-// straight out of the device-layout buffer through a pooled chunk —
-// the full payload is never duplicated in memory; risk payloads are a
-// single write of the stored JSON.
-func (r *result) writeTo(w io.Writer) error {
-	if r.values == nil {
-		_, err := w.Write(r.raw)
-		return err
-	}
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
-	vals := r.values
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > resultChunkBytes/4 {
-			n = resultChunkBytes / 4
-		}
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf[:4*n]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// bytes materializes the wire form (tests and the Payload accessor;
-// the serving path never calls this).
-func (r *result) bytes() []byte {
-	if r == nil {
-		return nil
-	}
-	var b bytes.Buffer
-	b.Grow(r.size())
-	_ = r.writeTo(&b) // a bytes.Buffer never errors
-	return b.Bytes()
 }
 
 // cacheKey is the canonical content address of the spec's replay

@@ -150,6 +150,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.Status())
 }
 
+// handleResult serves a done job's payload: the wire bytes encoded and
+// digested once at completion, sent as one write with their digest in
+// X-Decwi-Sha256. A job not yet terminal gets 202 + Retry-After with its
+// status; a failed or cancelled one gets 409.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job := s.job(w, r)
 	if job == nil {
@@ -173,18 +177,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	}
-	// The digest was fixed once at job completion; downloads only echo
-	// it. The body streams straight off the device-layout buffer through
-	// pooled chunk writers — the full wire form is never materialized.
 	w.Header().Set("X-Decwi-Sha256", res.sha)
-	w.Header().Set("Content-Length", strconv.Itoa(res.size()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.raw)))
 	start := s.sched.now()
-	_ = res.writeTo(w)
+	_, _ = w.Write(res.raw) // a failed write means the client is gone; nothing is left to tell it
 	// Stream-out lands on the (already sealed) trace as an
 	// externally-timed span: the download happens after the job went
 	// terminal, so it sits at the root level rather than under the
 	// closed "job" span.
-	job.trace.Add("stream-out", 0, start, s.sched.now(), "", int64(res.size()))
+	job.trace.Add("stream-out", 0, start, s.sched.now(), "", int64(len(res.raw)))
 }
 
 // handleDebugJobs serves the flight recorder's retained-trace listing.

@@ -54,13 +54,14 @@ go test -race -count=1 \
 # Serve fast-lane correctness under the race detector: cache semantics
 # (eviction, per-tenant accounting, hit-after-evict), singleflight
 # lifecycle (coalesce, waiter-cancel survival, last-waiter abort),
-# fast-path admission, digest-at-completion stability, and the
-# cached-vs-fresh byte equality of the HTTP replay tests. Named so a
+# fast-path admission, digest-at-completion stability, the shared
+# stored payload, and the cached-vs-fresh byte equality of the HTTP
+# replay and golden-digest tests. Named so a
 # narrowed filter can never drop the determinism-safety proof the
 # cache's correctness rests on.
 echo "== serve fast lane (cache, singleflight, fast path) under -race"
 go test -race -count=1 \
-    -run 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestSchedulerFastPath|TestResultDigest|TestServerReplayDeterminism|TestServerResultDigestStability' \
+    -run 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestSchedulerFastPath|TestResultDigest|TestPayloadSharesStoredBytes|TestServerReplayDeterminism|TestServerResultDigestStability|TestServerGoldenDigests' \
     ./internal/serve
 
 # Observability correctness under the race detector: flight-recorder
@@ -91,6 +92,17 @@ echo "== zero-allocation gates (steady-state block loops, histogram Record)"
 go test -run 'TestSteadyStateBlockZeroAllocs|TestFillUint32ZeroAlloc|TestFillNormalZeroAlloc' \
     ./internal/rng/gamma ./internal/rng/mt ./internal/rng/normal
 go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
+
+# Native Go fuzzing, 5 s per target: strict JobSpec decode + Validate
+# (no panic; an accepted spec keeps a stable cache key that scheduling
+# and accounting fields cannot move), traceparent parsing (the id is ""
+# or 32 lowercase hex) and the /debug/jobs/{id} validator (no panic).
+# The committed seed corpora under testdata/fuzz/ also run as plain
+# tests in every go test.
+echo "== fuzz (FuzzJobSpec, FuzzTraceIDFrom, FuzzCheckTraceJSON; 5s each)"
+go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
+go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/flight
+go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
 
 # Parallel-equivalence suite under both a single-core and a multicore
 # scheduler: GOMAXPROCS=1 exercises the sequential claim order,
