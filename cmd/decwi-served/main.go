@@ -17,9 +17,8 @@
 // That determinism powers the serve fast lane: completed results are
 // cached by the canonical digest of their replay tuple (-cache-bytes,
 // -cache-tenant-bytes) and repeat submissions are answered without an
-// engine run; concurrent identical submissions coalesce onto one shared
-// execution (-dedup); and small jobs (-fastpath-values) run inline when
-// an executor is idle, skipping the queue hand-off.
+// engine run, and concurrent identical submissions coalesce onto one
+// shared execution. Every other job takes the queue.
 //
 // SIGTERM/SIGINT starts a graceful drain: new submissions get 503,
 // queued and running jobs finish (bounded by -drain-timeout), then the
@@ -62,8 +61,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before in-flight jobs are aborted")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "deterministic result cache budget in bytes (0 disables caching)")
 	cacheTenantBytes := flag.Int64("cache-tenant-bytes", 0, "per-tenant result cache byte cap (0 selects cache-bytes/4)")
-	fastPathValues := flag.Int64("fastpath-values", 65536, "scenarios·sectors at or under which an idle executor runs the job inline, skipping the queue hand-off (0 disables)")
-	dedup := flag.Bool("dedup", true, "coalesce concurrent identical submissions onto one engine run")
 	flightN := flag.Int("flight", 256, "flight-recorder ring: per-job traces retained for /debug/jobs (0 disables tracing)")
 	flightPinned := flag.Int("flight-pinned", 64, "slow/failed traces pinned past ring eviction")
 	flightSlow := flag.Duration("flight-slow", 250*time.Millisecond, "jobs at or over this duration are pinned in the flight recorder")
@@ -91,8 +88,6 @@ func main() {
 		RetainJobs:       *retainJobs,
 		CacheBytes:       *cacheBytes,
 		CacheTenantBytes: *cacheTenantBytes,
-		FastPathValues:   *fastPathValues,
-		SingleflightOff:  !*dedup,
 		Logger:           logger,
 		SLOLatency:       *sloLatency,
 		SLOTarget:        *sloTarget,

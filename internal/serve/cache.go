@@ -2,36 +2,52 @@ package serve
 
 import (
 	"container/list"
-	"sync"
+	"context"
+	"time"
+
+	ftrace "github.com/decwi/decwi/internal/telemetry/flight"
 )
 
-// This file is the deterministic result cache: a content-addressed,
-// byte-budgeted LRU over completed job payloads. The key is the
-// canonical digest of the replay tuple (JobSpec.cacheKey), and the
-// determinism guarantee the whole repo is built on — every payload is
-// a pure function of that tuple — is what makes serving from it safe:
-// a hit returns exactly the bytes a fresh engine run would produce, so
-// the cache is a latency optimization, never a staleness risk.
+// This file is the replay-tuple index: one map, keyed by the canonical
+// digest of the replay tuple (JobSpec.cacheKey), that answers the
+// scheduler's one admission question — is this tuple cached, in flight,
+// or new? An entry holds either the tuple's live flight or its cached
+// result. The determinism guarantee the whole repo is built on — every
+// payload is a pure function of that tuple — is what makes both uses
+// safe: a cached result is exactly the bytes a fresh engine run would
+// produce, and N concurrent submissions of one tuple would produce N
+// bitwise-identical payloads, so one shared run fanned out to all N is
+// indistinguishable and N−1 runs cheaper.
 //
-// Accounting is per tenant as well as global: each entry is attributed
-// to the tenant whose job produced it, one tenant's entries may not
-// exceed tenantCap bytes (its own oldest entries are evicted first),
-// and the whole cache may not exceed budget bytes (globally oldest
-// evicted first). Hits are deliberately cross-tenant — the bytes are a
-// pure function of the tuple, so any tenant could compute them — only
-// the storage attribution is scoped.
+// Result entries form a content-addressed, byte-budgeted LRU. Flight
+// entries are not on the LRU and are charged no bytes. Accounting is
+// per tenant as well as global: each result is attributed to the tenant
+// whose job produced it, one tenant's results may not exceed tenantCap
+// bytes (its own oldest entries are evicted first), and the whole cache
+// may not exceed budget bytes (globally oldest evicted first). Hits are
+// deliberately cross-tenant — the bytes are a pure function of the
+// tuple, so any tenant could compute them — only the storage
+// attribution is scoped.
+//
+// The index has no lock of its own: every method runs under
+// Scheduler.mu, and so does every read or write of a flight's mutable
+// fields. Completion swaps a flight for its result (or deletes it) and
+// seals the flight's waiter set in one critical section, so a racing
+// submission either attaches before the seal or finds the result.
 
-// cacheEviction reports one evicted entry so the scheduler can settle
-// the byte gauges outside the cache lock.
+// cacheEviction reports one evicted result entry so the scheduler can
+// settle the eviction counter.
 type cacheEviction struct {
 	tenant string
 	size   int64
 }
 
-// cacheEntry is one cached result plus the execution metadata its
-// status responses echo.
+// cacheEntry is one replay tuple's slot: its live flight (fl non-nil,
+// elem nil, size 0) or its cached result plus the execution metadata
+// its status responses echo.
 type cacheEntry struct {
 	key    string
+	fl     *flight
 	tenant string
 	res    *result
 	meta   execMeta
@@ -39,20 +55,21 @@ type cacheEntry struct {
 	elem   *list.Element
 }
 
-// resultCache is the LRU. All methods are safe for concurrent use; the
-// internal lock is leaf-level (no other scheduler lock is ever taken
-// under it), so callers may hold Scheduler.mu across a call.
+// resultCache is the index. A budget of 0 disables result caching; the
+// flight entries work the same either way.
 type resultCache struct {
-	mu        sync.Mutex
 	budget    int64 // global byte ceiling
 	tenantCap int64 // per-tenant byte ceiling
 	bytes     int64
-	lru       *list.List // front = most recently used; element values are *cacheEntry
+	lru       *list.List // result entries only; front = most recently used
 	entries   map[string]*cacheEntry
 	perTenant map[string]int64
 }
 
 func newResultCache(budget, tenantCap int64) *resultCache {
+	if budget < 0 {
+		budget = 0
+	}
 	if tenantCap <= 0 || tenantCap > budget {
 		tenantCap = budget
 	}
@@ -65,16 +82,33 @@ func newResultCache(budget, tenantCap int64) *resultCache {
 	}
 }
 
-// get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key string) (*result, execMeta, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, execMeta{}, false
+// enabled reports whether results are cached at all.
+func (c *resultCache) enabled() bool { return c.budget > 0 }
+
+// lookup returns key's entry — a live flight or a cached result — or
+// nil. A result entry's recency is refreshed.
+func (c *resultCache) lookup(key string) *cacheEntry {
+	e := c.entries[key]
+	if e != nil && e.elem != nil {
+		c.lru.MoveToFront(e.elem)
 	}
-	c.lru.MoveToFront(e.elem)
-	return e.res, e.meta, true
+	return e
+}
+
+// lead indexes f as its tuple's live flight. The caller has checked
+// that the key has no entry.
+func (c *resultCache) lead(f *flight) {
+	c.entries[f.key] = &cacheEntry{key: f.key, fl: f}
+}
+
+// release deletes f's flight entry and reports whether f still held it
+// (a flight whose last waiter detached has already left the index).
+func (c *resultCache) release(f *flight) bool {
+	if e := c.entries[f.key]; e != nil && e.fl == f {
+		delete(c.entries, f.key)
+		return true
+	}
+	return false
 }
 
 // put inserts a completed result under key, attributed to tenant. It
@@ -82,16 +116,11 @@ func (c *resultCache) get(key string) (*result, execMeta, bool) {
 // to make room. Oversized results (bigger than the per-tenant cap) are
 // not cached at all — one huge job must not flush everyone else.
 // Re-inserting an existing key only refreshes recency: determinism
-// guarantees the stored bytes already equal the new ones.
+// guarantees the stored bytes already equal the new ones. A completing
+// flight releases its own entry first.
 func (c *resultCache) put(key, tenant string, res *result, meta execMeta) (inserted bool, evicted []cacheEviction) {
 	size := int64(res.size())
-	if size == 0 || size > c.tenantCap || size > c.budget {
-		return false, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
+	if size == 0 || size > c.tenantCap || size > c.budget || c.lookup(key) != nil {
 		return false, nil
 	}
 	// First make the owning tenant fit under its own cap, evicting its
@@ -118,8 +147,8 @@ func (c *resultCache) put(key, tenant string, res *result, meta execMeta) (inser
 	return true, evicted
 }
 
-// evictOldest removes the least-recently-used entry matching the
-// predicate. Called with mu held; returns nil when nothing matches.
+// evictOldest removes the least-recently-used result entry matching the
+// predicate; returns nil when nothing matches.
 func (c *resultCache) evictOldest(match func(*cacheEntry) bool) *cacheEviction {
 	for elem := c.lru.Back(); elem != nil; elem = elem.Prev() {
 		e := elem.Value.(*cacheEntry)
@@ -138,22 +167,101 @@ func (c *resultCache) evictOldest(match func(*cacheEntry) bool) *cacheEviction {
 }
 
 // totalBytes is the current global occupancy.
-func (c *resultCache) totalBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *resultCache) totalBytes() int64 { return c.bytes }
 
 // tenantBytes is one tenant's attributed occupancy.
-func (c *resultCache) tenantBytes(tenant string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perTenant[tenant]
+func (c *resultCache) tenantBytes(tenant string) int64 { return c.perTenant[tenant] }
+
+// len is the number of cached results (flight entries not counted).
+func (c *resultCache) len() int { return c.lru.Len() }
+
+// flight is one shared engine execution of a replay tuple, fanned out
+// to every job that named it. The first submission of a tuple leads the
+// flight and takes the queue; later submissions attach as waiters while
+// the flight's entry is in the index. Execution belongs to the flight,
+// not to any one job: cancelling a waiter — the leader included — only
+// detaches that job's record, and the shared run is aborted only when
+// the LAST waiter detaches (or skipped outright if that happens before
+// an executor claims it). Either way the emptied flight leaves the
+// index, so a later identical submission leads a fresh one.
+//
+// jobs, cancel and running are guarded by Scheduler.mu.
+type flight struct {
+	key  string
+	spec JobSpec // the leader's validated spec — the tuple actually executed
+
+	// The leader's identity and trace, captured at creation: the shared
+	// engine-run span lives on the leader's timeline, and coalesced
+	// waiters' traces cross-link it by leaderID. Immutable after
+	// newFlight (the leader detaching does not reassign them — the
+	// span's home does not move mid-run).
+	leaderID    string
+	leaderTrace *ftrace.Trace
+	leaderRoot  ftrace.SpanID
+
+	jobs    []*Job             // attached waiters (leader first); nil once sealed
+	cancel  context.CancelFunc // the shared run's abort handle while it executes
+	running bool
 }
 
-// len is the number of cached entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+func newFlight(key string, spec JobSpec, leader *Job) *flight {
+	return &flight{
+		key: key, spec: spec, jobs: []*Job{leader},
+		leaderID: leader.ID, leaderTrace: leader.trace, leaderRoot: leader.root,
+	}
+}
+
+// attach adds job as a waiter on the shared run.
+func (f *flight) attach(job *Job, now time.Time) {
+	f.jobs = append(f.jobs, job)
+	if f.running {
+		job.markRunning(now)
+	}
+}
+
+// begin marks the shared run started: every attached waiter goes
+// running, and cancel becomes the run's abort handle. It returns the
+// waiters present at start (nil when every waiter detached before an
+// executor claimed the flight — the caller skips execution entirely).
+func (f *flight) begin(cancel context.CancelFunc, now time.Time) []*Job {
+	if len(f.jobs) == 0 {
+		return nil
+	}
+	f.running = true
+	f.cancel = cancel
+	for _, j := range f.jobs {
+		j.markRunning(now)
+	}
+	return append([]*Job(nil), f.jobs...)
+}
+
+// seal returns the waiters still attached — the fan-out set — and
+// empties the flight, so a later detach finds nothing to remove.
+func (f *flight) seal() []*Job {
+	jobs := f.jobs
+	f.jobs = nil
+	return jobs
+}
+
+// detach removes job from the flight (a per-waiter cancellation). It
+// reports whether the job was attached and whether it was the last
+// waiter. Detaching the last waiter of a running flight returns the
+// run's abort handle (nobody is left to want the result); detaching any
+// earlier waiter leaves the shared run untouched. After seal the job is
+// no longer attached: the result is landing.
+func (f *flight) detach(job *Job) (detached, emptied bool, abort context.CancelFunc) {
+	for i, j := range f.jobs {
+		if j != job {
+			continue
+		}
+		f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
+		if len(f.jobs) > 0 {
+			return true, false, nil
+		}
+		if f.running {
+			abort = f.cancel
+		}
+		return true, true, abort
+	}
+	return false, false, nil
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,13 @@ func rawRes(n int) *result {
 	return newRawResult(bytes.Repeat([]byte{0xA5}, n))
 }
 
+// cached reports whether key holds a cached result, refreshing its
+// recency as a hit does.
+func cached(c *resultCache, key string) bool {
+	e := c.lookup(key)
+	return e != nil && e.fl == nil
+}
+
 // TestResultCacheEvictionByteBudget: inserts beyond the byte budget
 // evict the globally least-recently-used entry, and an evicted key is a
 // miss afterwards (hit-after-evict).
@@ -30,18 +39,18 @@ func TestResultCacheEvictionByteBudget(t *testing.T) {
 		}
 	}
 	// Refresh "a" so "b" is the LRU victim when "c" arrives.
-	if _, _, ok := c.get("a"); !ok {
+	if !cached(c, "a") {
 		t.Fatal("get a before eviction: miss")
 	}
 	ok, ev := c.put("c", "t1", rawRes(40), execMeta{})
 	if !ok || len(ev) != 1 || ev[0].size != 40 {
 		t.Fatalf("put c over budget: inserted=%v evicted=%+v", ok, ev)
 	}
-	if _, _, ok := c.get("b"); ok {
+	if cached(c, "b") {
 		t.Fatal("evicted key b still hits")
 	}
 	for _, key := range []string{"a", "c"} {
-		if _, _, ok := c.get(key); !ok {
+		if !cached(c, key) {
 			t.Fatalf("surviving key %s misses", key)
 		}
 	}
@@ -72,10 +81,10 @@ func TestResultCachePerTenantAccounting(t *testing.T) {
 			}
 		}
 	}
-	if _, _, ok := c.get("k0"); ok {
+	if cached(c, "k0") {
 		t.Fatal("t1's oldest entry survived its tenant cap")
 	}
-	if _, _, ok := c.get("other"); !ok {
+	if !cached(c, "other") {
 		t.Fatal("t2's entry evicted by t1's cap")
 	}
 	if got := c.tenantBytes("t1"); got != 80 {
@@ -339,40 +348,276 @@ func TestSchedulerSingleflightLastWaiterCancelAborts(t *testing.T) {
 	}
 }
 
-// TestSchedulerFastPath: with FastPathValues enabled, a small job on an
-// idle scheduler runs inline — Submit returns a terminal job and the
-// fast-path counter ticks; an over-threshold job takes the queue.
-func TestSchedulerFastPath(t *testing.T) {
-	rec := telemetry.New(0)
-	s := New(Config{Executors: 2, FastPathValues: 2000, Telemetry: rec,
-		runHook: func(_ context.Context, spec *JobSpec) ([]byte, *execMeta, error) {
-			return []byte("fast"), &execMeta{}, nil
-		}})
-	defer s.Drain(context.Background())
+// checkIndex asserts the replay-tuple index's two invariants once the
+// scheduler is idle: no flight entry is left behind, and the byte count
+// equals the sum of the result sizes on the LRU.
+func checkIndex(t *testing.T, s *Scheduler) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.cache
+	for key, e := range c.entries {
+		if e.fl != nil {
+			t.Errorf("flight entry left in the index for %s", key)
+		}
+	}
+	var sum int64
+	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
+		sum += elem.Value.(*cacheEntry).size
+	}
+	if sum != c.bytes {
+		t.Errorf("index charges %d bytes, LRU sizes sum to %d", c.bytes, sum)
+	}
+}
 
-	j, err := s.Submit(seeded(1)) // 1000 scenarios · 1 sector ≤ 2000
+// countingHook parks every run until release and counts runs per seed.
+type countingHook struct {
+	mu   sync.Mutex
+	runs map[uint64]int
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newCountingHook() *countingHook {
+	return &countingHook{runs: map[uint64]int{}, ch: make(chan struct{})}
+}
+
+func (h *countingHook) run(ctx context.Context, spec *JobSpec) ([]byte, *execMeta, error) {
+	h.mu.Lock()
+	h.runs[spec.Seed]++
+	h.mu.Unlock()
+	select {
+	case <-h.ch:
+		return []byte(fmt.Sprintf("seed-%d", spec.Seed)), &execMeta{}, nil
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+}
+
+func (h *countingHook) release() { h.once.Do(func() { close(h.ch) }) }
+
+func (h *countingHook) count(seed uint64) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.runs[seed]
+}
+
+// waitRunning polls until the job's flight has started.
+func waitRunning(t *testing.T, j *Job) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for j.Status().State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", j.ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIndexAbandonedFlight: a queued flight whose only waiter cancels
+// leaves the index; an identical submission then leads a fresh flight,
+// and the abandoned one is skipped when an executor claims it — the
+// engine runs the tuple once.
+func TestIndexAbandonedFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := newCountingHook()
+	s := New(Config{Executors: 1, QueueDepth: 4, runHook: h.run})
+
+	busy, err := s.Submit(seeded(1)) // holds the one executor
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := j.Status(); st.State != StateDone {
-		t.Fatalf("fast-path job not terminal at Submit return: %s", st.State)
-	}
-	if got := s.cFastRuns.Value(); got != 1 {
-		t.Fatalf("serve.fastpath.runs = %d, want 1", got)
-	}
-
-	big := seeded(2)
-	big.Scenarios = 5000 // over the threshold: must take the queue
-	j2, err := s.Submit(big)
+	waitRunning(t, busy)
+	abandoned, err := s.Submit(seeded(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitTerminal(t, j2); st.State != StateDone {
-		t.Fatalf("queued job ended %s (%s)", st.State, st.Error)
+	if !abandoned.Cancel() {
+		t.Fatal("cancel of the queued leader reported not-cancellable")
 	}
-	if got := s.cFastRuns.Value(); got != 1 {
-		t.Fatalf("serve.fastpath.runs = %d after over-threshold job, want still 1", got)
+	fresh, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st := fresh.Status(); st.Coalesced {
+		t.Fatal("submission coalesced onto an abandoned flight")
+	}
+	h.release()
+	if st := waitTerminal(t, fresh); st.State != StateDone {
+		t.Fatalf("fresh leader ended %s (%s), want done", st.State, st.Error)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.count(7); got != 1 {
+		t.Fatalf("engine ran the tuple %d times, want 1", got)
+	}
+	if st := abandoned.Status(); st.State != StateCancelled {
+		t.Fatalf("abandoned leader ended %s, want cancelled", st.State)
+	}
+	checkIndex(t, s)
+	checkNoLeak(t, before)
+}
+
+// TestIndexCoalescedPanic: a panic in a coalesced flight fails every
+// waiter with "panicked" and caches nothing; the next identical
+// submission runs fresh and succeeds.
+func TestIndexCoalescedPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := newCountingHook()
+	var panicked atomic.Bool
+	s := New(Config{Executors: 1, runHook: func(ctx context.Context, spec *JobSpec) ([]byte, *execMeta, error) {
+		out, meta, err := h.run(ctx, spec)
+		if panicked.CompareAndSwap(false, true) {
+			panic("synthetic panic in a shared run")
+		}
+		return out, meta, err
+	}})
+
+	leader, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, leader)
+	waiters := []*Job{leader}
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(seeded(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Status().Coalesced {
+			t.Fatalf("follower %d not coalesced", i)
+		}
+		waiters = append(waiters, j)
+	}
+	h.release()
+	for i, j := range waiters {
+		st := waitTerminal(t, j)
+		if st.State != StateFailed || !strings.Contains(st.Error, "panicked") {
+			t.Fatalf("waiter %d ended %s (%q), want failed/panicked", i, st.State, st.Error)
+		}
+	}
+	s.mu.Lock()
+	left := s.cache.lookup(leader.Spec.cacheKey())
+	s.mu.Unlock()
+	if left != nil {
+		t.Fatalf("panicked flight left an index entry: %+v", left)
+	}
+	retry, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, retry)
+	if st.State != StateDone || st.Cached || st.Coalesced {
+		t.Fatalf("retry ended %s cached=%v coalesced=%v, want a fresh done run", st.State, st.Cached, st.Coalesced)
+	}
+	if got := h.count(7); got != 2 {
+		t.Fatalf("engine ran the tuple %d times, want 2 (panic, retry)", got)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, s)
+	checkNoLeak(t, before)
+}
+
+// TestIndexCompletionRace: concurrent identical submissions race a
+// completing run. Every one of them coalesces or hits the cache, so the
+// engine runs once and every job ends done with the same digest.
+func TestIndexCompletionRace(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var runs atomic.Int64
+	s := New(Config{Executors: 2, runHook: func(context.Context, *JobSpec) ([]byte, *execMeta, error) {
+		runs.Add(1)
+		time.Sleep(2 * time.Millisecond)
+		return []byte("raced"), &execMeta{}, nil
+	}})
+
+	const submitters, perSubmitter = 8, 25
+	jobs := make(chan *Job, submitters*perSubmitter)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perSubmitter; i++ {
+				j, err := s.Submit(seeded(7))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				jobs <- j
+				time.Sleep(time.Duration(i%4) * 200 * time.Microsecond)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(jobs)
+	sha := ""
+	for j := range jobs {
+		st := waitTerminal(t, j)
+		if st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s), want done", j.ID, st.State, st.Error)
+		}
+		if sha == "" {
+			sha = st.SHA256
+		}
+		if st.SHA256 != sha {
+			t.Fatalf("job %s digest %s, want %s", j.ID, st.SHA256, sha)
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("engine ran %d times for one tuple, want 1", got)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, s)
+	checkNoLeak(t, before)
+}
+
+// TestIndexDrainCoalescedFlight: a drain that starts while a coalesced
+// flight is running waits for it, and every waiter ends done.
+func TestIndexDrainCoalescedFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := newCountingHook()
+	s := New(Config{Executors: 1, runHook: h.run})
+
+	leader, err := s.Submit(seeded(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, leader)
+	waiters := []*Job{leader}
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(seeded(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waiters = append(waiters, j)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	h.release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for i, j := range waiters {
+		if st := waitTerminal(t, j); st.State != StateDone {
+			t.Fatalf("waiter %d ended %s (%s), want done", i, st.State, st.Error)
+		}
+	}
+	if got := h.count(7); got != 1 {
+		t.Fatalf("engine ran the tuple %d times, want 1", got)
+	}
+	checkIndex(t, s)
+	checkNoLeak(t, before)
 }
 
 // TestResultDigestFixedAtCompletion: a generate result is encoded to

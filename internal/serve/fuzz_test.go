@@ -2,7 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 )
 
@@ -51,6 +55,36 @@ func FuzzJobSpec(f *testing.F) {
 		scheduled.TimeoutMS++
 		if got := scheduled.cacheKey(); got != key {
 			t.Fatalf("scheduling/accounting fields moved the cache key: %s -> %s", key, got)
+		}
+	})
+}
+
+// FuzzWaitParam drives arbitrary ?wait= values at GET /v1/jobs/{id} for
+// a terminal job. The handler must never panic, and must answer 200
+// (the wait is absent, or parses and the job is already done) or 400
+// (it does not parse, or is negative), always with a JSON body. The
+// seed corpus is testdata/fuzz/FuzzWaitParam.
+func FuzzWaitParam(f *testing.F) {
+	s := New(Config{Executors: 1,
+		runHook: func(context.Context, *JobSpec) ([]byte, *execMeta, error) {
+			return []byte("x"), &execMeta{}, nil
+		}})
+	f.Cleanup(func() { s.Drain(context.Background()) })
+	j, err := s.Submit(seeded(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	<-j.Done()
+	h := NewServer(s).Handler()
+	f.Fuzz(func(t *testing.T, wait string) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"?wait="+url.QueryEscape(wait), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("wait=%q: status %d, want 200 or 400", wait, rec.Code)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("wait=%q: status %d with a non-JSON body %q", wait, rec.Code, rec.Body.Bytes())
 		}
 	})
 }

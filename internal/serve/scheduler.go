@@ -65,22 +65,17 @@ type Config struct {
 	// CacheBytes budgets the deterministic result cache (default
 	// 64 MiB; negative disables caching). Hits are served without
 	// touching quota, queue or executors — the determinism guarantee
-	// makes the cached bytes identical to a fresh run's.
+	// makes the cached bytes identical to a fresh run's. Concurrent
+	// identical submissions coalesce onto one engine run either way.
 	CacheBytes int64
 	// CacheTenantBytes caps one tenant's attributed share of the cache
 	// (default CacheBytes/4). A tenant over its share evicts its own
 	// oldest entries first, so one tenant cannot flush the others.
 	CacheTenantBytes int64
-	// SingleflightOff disables coalescing of concurrent identical
-	// submissions onto one shared engine run (on by default).
-	SingleflightOff bool
-	// FastPathValues, when > 0, lets a submission whose
-	// Scenarios·Sectors is at or under it run inline on the submitting
-	// goroutine when the queue is empty and an executor slot is idle —
-	// skipping the queue hand-off and executor wakeup that dominate
-	// small-job latency. Submit then blocks for the job's (short)
-	// duration and returns a terminal job. 0 disables (the default for
-	// library users; decwi-served enables it).
+	// FastPathValues once let small jobs run inline on the submitting
+	// goroutine; every leader now takes the queue.
+	//
+	// Deprecated: has no effect.
 	FastPathValues int64
 	// Limits are the per-job admission bounds specs are validated
 	// against.
@@ -186,7 +181,8 @@ type execMeta struct {
 // job is attached to exactly one flight (cache-hit jobs, born
 // terminal, have none), and coalesced jobs share a flight with the
 // submission that created it. Cancel detaches from the flight; the
-// shared run is aborted only when the last waiter leaves.
+// shared run is aborted only when the last waiter leaves. Lock order:
+// Scheduler.mu → Job.mu.
 type Job struct {
 	ID   string
 	Spec JobSpec // validated, canonicalized replay tuple
@@ -201,7 +197,7 @@ type Job struct {
 	// off); root is its top-level span and waitSpan the open
 	// queue-wait/shared-run-wait span markRunning closes. lane names the
 	// admission lane that served the job ("cache-hit", "coalesced",
-	// "fast-path", "queued"). All four are written only during admission
+	// "queued"). All four are written only during admission
 	// while Scheduler.mu is held (readers reach the job through that
 	// mutex or through Submit's return) and are immutable afterwards.
 	trace    *ftrace.Trace
@@ -337,26 +333,31 @@ func (j *Job) Cancel() bool {
 		return false
 	}
 	j.userCancelled = true
-	f := j.flight
 	j.mu.Unlock()
+	f := j.flight
 	if f == nil {
 		// Cache-hit jobs are born terminal; a non-terminal job always
 		// carries a flight.
 		return false
 	}
-	detached, emptied := f.detach(j)
+	s := j.s
+	s.mu.Lock()
+	detached, emptied, abort := f.detach(j)
+	if emptied {
+		// Last waiter gone: the flight leaves the index so a later
+		// identical submission leads a fresh one, and a queued flight is
+		// skipped when an executor claims it.
+		s.cache.release(f)
+	}
+	s.mu.Unlock()
 	if !detached {
-		// Fan-out already began: the run's outcome resolves this job.
+		// The flight is sealed: the run's outcome resolves this job.
 		return false
 	}
-	if emptied {
-		// Last waiter gone — the shared run was aborted (if running) or
-		// the flight abandoned (if still queued); either way it must
-		// leave the dedup index so a later identical submission starts
-		// fresh.
-		j.s.dropFlight(f)
+	if abort != nil {
+		abort()
 	}
-	now := j.s.now()
+	now := s.now()
 	j.mu.Lock()
 	j.state = StateCancelled
 	j.finished = now
@@ -366,7 +367,7 @@ func (j *Job) Cancel() bool {
 		j.errMsg = "cancelled"
 	}
 	j.mu.Unlock()
-	j.s.onTerminal(j, StateCancelled)
+	s.onTerminal(j, StateCancelled)
 	return true
 }
 
@@ -375,24 +376,19 @@ type Scheduler struct {
 	cfg    Config
 	quotas *quotaSet
 	now    func() time.Time
-	cache  *resultCache // nil when caching is disabled
 
 	base  context.Context
 	abort context.CancelFunc
 
+	// mu guards the registry, the queue's sender side, and the
+	// replay-tuple index with every flight's waiter set.
 	mu       sync.Mutex
 	draining bool
 	queue    chan *flight
-	flights  map[string]*flight // live singleflight index, by cache key
+	cache    *resultCache // cached results and live flights, by cache key
 	jobs     map[string]*Job
 	terminal []string // eviction FIFO of terminal job IDs
 	seq      int64
-
-	// runSlots bounds concurrent engine executions at Executors across
-	// BOTH the pool and the inline fast path: an executor takes a slot
-	// before servicing a claimed flight, and a fast-path Submit only
-	// runs inline when it can take one without waiting.
-	runSlots chan struct{}
 
 	wg sync.WaitGroup
 
@@ -406,8 +402,6 @@ type Scheduler struct {
 	cMisses     *telemetry.Counter
 	cEvictions  *telemetry.Counter
 	cCoalesced  *telemetry.Counter
-	cFastRuns   *telemetry.Counter
-	cFastQueued *telemetry.Counter
 	gCacheBytes *telemetry.Gauge
 	gCacheEnts  *telemetry.Gauge
 	hHitUS      *telemetry.Histogram
@@ -459,14 +453,14 @@ func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	rec := cfg.Telemetry
 	s := &Scheduler{
-		cfg:     cfg,
-		quotas:  newQuotaSet(cfg.QuotaRate, cfg.QuotaBurst),
-		now:     cfg.now,
-		queue:   make(chan *flight, cfg.QueueDepth),
-		flights: map[string]*flight{},
-		jobs:    map[string]*Job{},
-		labels:  map[string]struct{}{},
-		rec:     rec,
+		cfg:    cfg,
+		quotas: newQuotaSet(cfg.QuotaRate, cfg.QuotaBurst),
+		now:    cfg.now,
+		queue:  make(chan *flight, cfg.QueueDepth),
+		cache:  newResultCache(cfg.CacheBytes, cfg.CacheTenantBytes),
+		jobs:   map[string]*Job{},
+		labels: map[string]struct{}{},
+		rec:    rec,
 		gDepth: rec.Gauge("serve.queue-depth", "events",
 			"jobs admitted but not yet claimed by an executor"),
 		gInflight: rec.Gauge("serve.jobs-inflight", "events",
@@ -483,10 +477,6 @@ func New(cfg Config) *Scheduler {
 			"cache entries evicted under the byte budget or a tenant cap"),
 		cCoalesced: rec.Counter("serve.dedup.coalesced", "events",
 			"submissions coalesced onto another submission's in-flight execution"),
-		cFastRuns: rec.Counter("serve.fastpath.runs", "events",
-			"small jobs run inline on the submitting goroutine, skipping the queue hand-off"),
-		cFastQueued: rec.Counter("serve.fastpath.queued", "events",
-			"fast-path-eligible jobs that took the queue because no executor slot was idle"),
 		gCacheBytes: rec.Gauge("serve.cache.bytes", "bytes",
 			"current result-cache occupancy"),
 		gCacheEnts: rec.Gauge("serve.cache.entries", "events",
@@ -525,14 +515,7 @@ func New(cfg Config) *Scheduler {
 			BurnThreshold: cfg.SLOBurnThreshold,
 		})
 	}
-	if cfg.CacheBytes > 0 {
-		s.cache = newResultCache(cfg.CacheBytes, cfg.CacheTenantBytes)
-	}
 	s.base, s.abort = context.WithCancel(context.Background())
-	s.runSlots = make(chan struct{}, cfg.Executors)
-	for i := 0; i < cfg.Executors; i++ {
-		s.runSlots <- struct{}{}
-	}
 	s.wg.Add(cfg.Executors)
 	for i := 0; i < cfg.Executors; i++ {
 		go s.executor()
@@ -573,25 +556,22 @@ const (
 )
 
 // Submit validates spec, applies admission control, and admits the job
-// through the cheapest lane that can serve it:
+// through the cheapest lane that can serve it. One lookup in the
+// replay-tuple index, under Scheduler.mu, picks the lane:
 //
 //  1. cache hit — the replay tuple's result is already cached; the job
 //     is returned terminal (StateDone) without touching quota, queue or
 //     executors;
-//  2. singleflight — an identical tuple is already queued or running;
-//     the job attaches as a waiter and shares that execution;
-//  3. fast path — a small job (Scenarios·Sectors ≤ FastPathValues)
-//     finds an empty queue and an idle executor slot, and runs inline
-//     on the submitting goroutine (Submit then blocks for its short
-//     duration and returns a terminal job);
-//  4. queue — the ordinary bounded hand-off to the executor pool.
+//  2. coalesce — an identical tuple is already queued or running; the
+//     job attaches as a waiter and shares that execution;
+//  3. queue — the job leads a fresh flight through the bounded
+//     hand-off to the executor pool.
 //
-// Lanes 2 and 3 still return immediately-pollable jobs; only the
-// outcome of the typed rejections changes nothing: a request that
-// cannot be admitted is still refused with ValidationError, ErrDraining,
-// ErrQueueFull or ErrQuota, never parked. Cache hits and coalesced
-// waiters deliberately skip the quota spend — they cost no engine time,
-// and the token bucket protects the engine.
+// Submit never blocks on execution: a request that cannot be admitted
+// is refused with ValidationError, ErrDraining, ErrQueueFull or
+// ErrQuota, never parked. Cache hits and coalesced waiters deliberately
+// skip the quota spend — they cost no engine time, and the token
+// bucket protects the engine.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	return s.SubmitTraced(spec, "")
 }
@@ -626,65 +606,53 @@ func (s *Scheduler) SubmitTraced(spec JobSpec, traceparent string) (*Job, error)
 		return nil, ErrDraining
 	}
 
-	// Lane 1: the deterministic result cache.
 	cspan := tr.Begin("cache-lookup", root)
-	if s.cache != nil {
-		if res, meta, ok := s.cache.get(key); ok {
-			tr.EndDetail(cspan, "hit", int64(res.size()))
-			job := s.newJobLocked(spec, now)
-			job.cached = true
-			job.state = StateDone
-			job.started = now
-			job.finished = now
-			job.res = res
-			job.meta = meta
-			job.attachTrace(tr, root, "cache-hit")
-			s.jobs[job.ID] = job
-			s.mu.Unlock()
-			s.cHits.Add(1)
-			s.hHitUS.Record(s.now().Sub(now).Microseconds())
-			s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
-			s.onTerminal(job, StateDone)
-			return job, nil
-		}
+	e := s.cache.lookup(key)
+	if e != nil && e.fl == nil {
+		// Lane 1: the deterministic result cache.
+		tr.EndDetail(cspan, "hit", int64(e.res.size()))
+		job := s.newJobLocked(spec, now)
+		job.cached = true
+		job.state = StateDone
+		job.started = now
+		job.finished = now
+		job.res = e.res
+		job.meta = e.meta
+		job.attachTrace(tr, root, "cache-hit")
+		s.jobs[job.ID] = job
+		s.mu.Unlock()
+		s.cHits.Add(1)
+		s.hHitUS.Record(s.now().Sub(now).Microseconds())
+		s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
+		s.onTerminal(job, StateDone)
+		return job, nil
+	}
+	if s.cache.enabled() {
 		tr.EndDetail(cspan, "miss", 0)
 		s.cMisses.Add(1)
 	} else {
 		tr.EndDetail(cspan, "disabled", 0)
 	}
 
-	// Lane 2: singleflight — attach to an identical in-flight tuple.
-	if !s.cfg.SingleflightOff {
-		if f := s.flights[key]; f != nil {
-			dspan := tr.Begin("dedup", root)
-			job := s.newJobLocked(spec, now)
-			job.flight = f
-			job.coalesced = true
-			job.attachTrace(tr, root, "coalesced")
-			job.waitSpan = tr.Begin("shared-run-wait", root)
-			if f.attach(job, now) {
-				tr.EndDetail(dspan, "coalesced onto "+f.leaderID, 0)
-				s.jobs[job.ID] = job
-				s.mu.Unlock()
-				s.cCoalesced.Add(1)
-				s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
-				return job, nil
-			}
-			// The flight completed or was abandoned between the index
-			// lookup and the attach; fall through and lead a fresh one
-			// with the job we already minted.
-			tr.EndDetail(dspan, "flight gone, leading fresh", 0)
-			tr.End(job.waitSpan)
-			job.waitSpan = 0
-			job.flight = nil
-			job.coalesced = false
-			if err := s.admitLeaderLocked(job, key, now); err != nil {
-				return nil, err
-			}
-			return job, nil
-		}
-		tr.Event("dedup", root, "leader")
+	if e != nil {
+		// Lane 2: coalesce onto the identical tuple's live flight. The
+		// entry is in the index, so the flight is not yet sealed.
+		f := e.fl
+		dspan := tr.Begin("dedup", root)
+		job := s.newJobLocked(spec, now)
+		job.flight = f
+		job.coalesced = true
+		job.attachTrace(tr, root, "coalesced")
+		job.waitSpan = tr.Begin("shared-run-wait", root)
+		f.attach(job, now)
+		tr.EndDetail(dspan, "coalesced onto "+f.leaderID, 0)
+		s.jobs[job.ID] = job
+		s.mu.Unlock()
+		s.cCoalesced.Add(1)
+		s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
+		return job, nil
 	}
+	tr.Event("dedup", root, "leader")
 
 	job := s.newJobLocked(spec, now)
 	job.attachTrace(tr, root, "")
@@ -709,10 +677,9 @@ func (s *Scheduler) newJobLocked(spec JobSpec, now time.Time) *Job {
 	}
 }
 
-// admitLeaderLocked runs the ordinary admission path for a job leading
-// a fresh flight: queue-capacity and quota checks, then either the
-// inline fast path (lane 3) or the bounded queue hand-off (lane 4).
-// Called with s.mu held; releases it on every path.
+// admitLeaderLocked runs the admission path for a job leading a fresh
+// flight (lane 3): queue-capacity and quota checks, then the bounded
+// queue hand-off. Called with s.mu held; releases it on every path.
 func (s *Scheduler) admitLeaderLocked(job *Job, key string, now time.Time) error {
 	spec := &job.Spec
 	tr, root := job.trace, job.root
@@ -733,75 +700,28 @@ func (s *Scheduler) admitLeaderLocked(job *Job, key string, now time.Time) error
 	tr.EndDetail(qspan, "allowed", 0)
 	f := newFlight(key, job.Spec, job)
 	job.flight = f
-	if !s.cfg.SingleflightOff {
-		s.flights[key] = f
-	}
+	s.cache.lead(f)
 	s.jobs[job.ID] = job
 
 	espan := tr.Begin("enqueue", root)
-	// Lane 3: inline fast path. Validate already bounded the product
-	// by MaxScenarios, so it cannot overflow here.
-	if s.cfg.FastPathValues > 0 &&
-		spec.Scenarios*int64(spec.Sectors) <= s.cfg.FastPathValues &&
-		len(s.queue) == 0 {
-		select {
-		case <-s.runSlots:
-			job.lane = "fast-path"
-			tr.SetLane("fast-path")
-			tr.EndDetail(espan, "fast-path inline", 0)
-			job.waitSpan = tr.Begin("queue-wait", root)
-			// Drain waits on wg, and draining was rechecked under the
-			// mutex we still hold, so this run is always joined.
-			s.wg.Add(1)
-			s.mu.Unlock()
-			s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
-			s.cFastRuns.Add(1)
-			s.runFlight(f)
-			s.runSlots <- struct{}{}
-			s.wg.Done()
-			return nil
-		default:
-			s.cFastQueued.Add(1)
-		}
-	}
-
 	job.lane = "queued"
 	tr.SetLane("queued")
 	tr.EndDetail(espan, "queued", int64(len(s.queue)))
 	job.waitSpan = tr.Begin("queue-wait", root)
-	// Lane 4: the bounded queue. Depth is incremented before the send
-	// so an executor claiming the flight immediately can never
-	// decrement first (the gauge would read a transient -1 otherwise).
+	// Depth is incremented before the send so an executor claiming the
+	// flight immediately can never decrement first (the gauge would
+	// read a transient -1 otherwise). Every sender checks capacity under
+	// mu and executors only drain the channel, so a full queue here is a
+	// bug, not a state to block on while holding mu.
 	s.gDepth.Add(1)
-	// The capacity check above ran under mu and executors only drain the
-	// channel, so this send cannot block; the default arm is pure belt
-	// and braces.
 	select {
 	case s.queue <- f:
 	default:
-		s.gDepth.Add(-1)
-		delete(s.jobs, job.ID)
-		if s.flights[key] == f {
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		s.tenantCounter("serve.jobs-rejected", spec.Tenant, rejectedDesc).Add(1)
-		s.rejectTrace(tr, spec.Tenant, "queue", ErrQueueFull)
-		return ErrQueueFull
+		panic("serve: admission queue full after its capacity check")
 	}
 	s.mu.Unlock()
 	s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
 	return nil
-}
-
-// dropFlight removes f from the dedup index if it is still the live
-// entry for its key (a successor flight must not be clobbered).
-func (s *Scheduler) dropFlight(f *flight) {
-	s.mu.Lock()
-	if s.flights[f.key] == f {
-		delete(s.flights, f.key)
-	}
-	s.mu.Unlock()
 }
 
 // Get returns the job record, or nil if unknown (never submitted, or
@@ -812,8 +732,11 @@ func (s *Scheduler) Get(id string) *Job {
 	return s.jobs[id]
 }
 
-// Remove evicts a terminal job record (freeing its payload). Returns
-// false while the job is queued or running — Cancel it first.
+// Remove evicts a settled job record (freeing its payload). Returns
+// false until the job's Done channel is closed — while it is queued or
+// running (Cancel it first), and in the moment between its terminal
+// transition and onTerminal's retention entry, which a Remove in that
+// window would otherwise leave behind as a stale FIFO entry.
 func (s *Scheduler) Remove(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -821,10 +744,9 @@ func (s *Scheduler) Remove(id string) bool {
 	if j == nil {
 		return false
 	}
-	j.mu.Lock()
-	terminal := j.state.Terminal()
-	j.mu.Unlock()
-	if !terminal {
+	select {
+	case <-j.done:
+	default:
 		return false
 	}
 	delete(s.jobs, id)
@@ -879,23 +801,21 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 }
 
 // executor is one pool worker: it claims queued flights until the queue
-// is closed and drained. The slot hand-off bounds total concurrent
-// engine runs (pool + inline fast path) at Executors.
+// is closed and drained.
 func (s *Scheduler) executor() {
 	defer s.wg.Done()
 	for f := range s.queue {
 		s.gDepth.Add(-1)
-		<-s.runSlots
 		s.runFlight(f)
-		s.runSlots <- struct{}{}
 	}
 }
 
 // runFlight executes one claimed flight end to end: one engine run,
-// fanned out to every job still attached at completion. On success the
-// result enters the deterministic cache before the flight leaves the
-// dedup index, so a submission racing the completion either coalesces
-// onto this flight or hits the cache — it never recomputes.
+// fanned out to every job still attached at completion. Completion
+// swaps the flight's index entry for its result (or deletes it) and
+// seals the waiter set in one critical section, so a submission racing
+// the completion either coalesces onto this flight or hits the cache —
+// it never recomputes.
 func (s *Scheduler) runFlight(f *flight) {
 	start := s.now()
 	timeout := time.Duration(f.spec.TimeoutMS) * time.Millisecond
@@ -905,11 +825,12 @@ func (s *Scheduler) runFlight(f *flight) {
 	ctx, cancel := context.WithTimeout(s.base, timeout)
 	defer cancel()
 
+	s.mu.Lock()
 	waiters := f.begin(cancel, start)
+	s.mu.Unlock()
 	if waiters == nil {
-		// Every waiter cancelled before the flight was claimed; drop the
-		// abandoned flight from the index (Cancel usually already has).
-		s.dropFlight(f)
+		// Every waiter cancelled before the flight was claimed; the last
+		// one's Cancel already took it out of the index.
 		return
 	}
 	for _, j := range waiters {
@@ -933,26 +854,33 @@ func (s *Scheduler) runFlight(f *flight) {
 		f.leaderTrace.EndDetail(runSpan, "", int64(res.size()))
 	}
 
-	if err == nil {
-		s.cachePut(f.key, f.spec.Tenant, res, meta)
+	s.mu.Lock()
+	if s.cache.release(f) && err == nil {
+		var m execMeta
+		if meta != nil {
+			m = *meta
+		}
+		inserted, evicted := s.cache.put(f.key, f.spec.Tenant, res, m)
+		if n := len(evicted); n > 0 {
+			s.cEvictions.Add(int64(n))
+		}
+		if inserted || len(evicted) > 0 {
+			s.gCacheBytes.Set(s.cache.totalBytes())
+			s.gCacheEnts.Set(int64(s.cache.len()))
+		}
 	}
-	// Retire from the dedup index BEFORE sealing the flight: once done
-	// is set, attach refuses — a concurrent Submit that already looked
-	// up this flight falls back to leading a fresh one, and the index
-	// must not still point here when it registers it.
-	s.dropFlight(f)
-	for _, j := range f.finish() {
+	waiters = f.seal()
+	s.mu.Unlock()
+	for _, j := range waiters {
 		s.completeJob(j, f, start, finished, timeout, res, meta, err)
 	}
 }
 
-// completeJob lands one flight outcome on one attached job record.
+// completeJob lands one flight outcome on one job of the sealed waiter
+// set. Such a job cannot be terminal yet: Cancel only finishes a job it
+// detached, and seal and detach run under the same lock.
 func (s *Scheduler) completeJob(j *Job, f *flight, runStart, finished time.Time, timeout time.Duration, res *result, meta *execMeta, err error) {
 	j.mu.Lock()
-	if j.state.Terminal() { // lost a race with Cancel's fan-out check
-		j.mu.Unlock()
-		return
-	}
 	j.finished = finished
 	switch {
 	case err == nil:
@@ -982,27 +910,6 @@ func (s *Scheduler) completeJob(j *Job, f *flight, runStart, finished time.Time,
 			"shared with "+f.leaderID, int64(res.size()))
 	}
 	s.onTerminal(j, state)
-}
-
-// cachePut publishes a completed result to the cache and settles the
-// occupancy gauges and eviction counter.
-func (s *Scheduler) cachePut(key, tenant string, res *result, meta *execMeta) {
-	if s.cache == nil || res == nil {
-		return
-	}
-	var m execMeta
-	if meta != nil {
-		m = *meta
-	}
-	inserted, evicted := s.cache.put(key, tenant, res, m)
-	if !inserted && len(evicted) == 0 {
-		return
-	}
-	if n := len(evicted); n > 0 {
-		s.cEvictions.Add(int64(n))
-	}
-	s.gCacheBytes.Set(s.cache.totalBytes())
-	s.gCacheEnts.Set(int64(s.cache.len()))
 }
 
 // onTerminal records the lifecycle counter, settles the job's SLO

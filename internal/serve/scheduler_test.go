@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
@@ -115,6 +116,13 @@ func TestSchedulerAdmissionAndDrain(t *testing.T) {
 		}
 	}
 
+	checkNoLeak(t, before)
+}
+
+// checkNoLeak waits up to a second for the goroutine count to fall back
+// to before, the count taken before the scheduler was built.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; ; i++ {
 		if runtime.NumGoroutine() <= before {
 			break
@@ -306,6 +314,73 @@ func TestSchedulerRemovePreservesRetention(t *testing.T) {
 		if s.Get(j.ID) == nil {
 			t.Fatalf("removed-job ghosts shrank the retention window: job %s evicted with only %d live records", j.ID, 3)
 		}
+	}
+}
+
+// blockingHandler is a slog.Handler that parks the first "job terminal"
+// record until release is closed, holding onTerminal between a job's
+// terminal transition and its retention entry.
+type blockingHandler struct {
+	entered chan struct{}
+	release chan struct{}
+	once    *sync.Once
+}
+
+func (h blockingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h blockingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h blockingHandler) WithGroup(string) slog.Handler            { return h }
+func (h blockingHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job terminal" {
+		h.once.Do(func() {
+			close(h.entered)
+			<-h.release
+		})
+	}
+	return nil
+}
+
+// TestSchedulerRemoveUnsettled: a job is removable only once it is
+// settled (Done closed). A Remove landing between the terminal
+// transition and onTerminal's retention entry used to succeed, after
+// which the entry was appended for a record already gone — a stale FIFO
+// entry counting against RetainJobs.
+func TestSchedulerRemoveUnsettled(t *testing.T) {
+	h := blockingHandler{entered: make(chan struct{}), release: make(chan struct{}), once: new(sync.Once)}
+	s := New(Config{Executors: 1, Logger: slog.New(h),
+		runHook: func(context.Context, *JobSpec) ([]byte, *execMeta, error) {
+			return []byte("x"), &execMeta{}, nil
+		}})
+	defer s.Drain(context.Background())
+
+	j, err := s.Submit(seeded(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.entered // j is terminal; onTerminal is parked in the logger
+	if st := j.Status(); !st.State.Terminal() {
+		t.Fatalf("job state %s while its terminal record is logged", st.State)
+	}
+	removed := s.Remove(j.ID)
+	close(h.release)
+	waitTerminal(t, j)
+	s.mu.Lock()
+	fifo := append([]string(nil), s.terminal...)
+	s.mu.Unlock()
+	if removed {
+		t.Fatalf("Remove=true before the job settled; fifo=%v", fifo)
+	}
+	for _, id := range fifo {
+		if s.Get(id) == nil {
+			t.Fatalf("stale retention entry %s: fifo=%v", id, fifo)
+		}
+	}
+	if !s.Remove(j.ID) {
+		t.Fatal("Remove of a settled job failed")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.terminal) != 0 {
+		t.Fatalf("fifo %v after Remove, want empty", s.terminal)
 	}
 }
 

@@ -20,18 +20,18 @@
 //     DELETE /v1/jobs/{id}, with 429 + Retry-After under admission
 //     pressure and 503 while draining.
 //
-// On top of the scheduler sits the serve fast lane (cache.go,
-// singleflight.go): because every payload is a pure function of its
-// replay tuple, results are content-addressed by a canonical digest of
-// that tuple and served from a byte-budgeted LRU without touching the
-// scheduler, concurrent identical submissions coalesce onto one shared
-// engine run, and small jobs skip the queue hand-off entirely when an
-// executor is idle. A result is encoded to its wire bytes and digested
-// once, at job completion; every download is one write of those stored
-// bytes.
+// On top of the scheduler sits the serve fast lane (cache.go): because
+// every payload is a pure function of its replay tuple, one index keyed
+// by a canonical digest of that tuple holds each tuple's cached result
+// or its live flight. A submission is answered from a byte-budgeted LRU
+// without touching the queue, coalesces onto an identical tuple's
+// shared engine run, or leads a fresh run through the queue — three
+// lanes, decided by one lookup under the scheduler's lock. A result is
+// encoded to its wire bytes and digested once, at job completion; every
+// download is one write of those stored bytes.
 //
 // Telemetry rides on the same live metrics plane as the engine: queue
-// and service histograms, depth/in-flight gauges, cache/dedup/fast-path
+// and service histograms, depth/in-flight gauges, cache/dedup
 // instruments, and per-tenant admitted/rejected/cancelled counters, all
 // scrapeable from one metricsrv instance.
 package serve
@@ -331,7 +331,7 @@ type JobStatus struct {
 	// TraceID is the job's flight-recorder trace id (adopted from the
 	// submission's traceparent header, or minted at admission; empty
 	// with tracing off). Lane names the admission lane that served the
-	// job: "cache-hit", "coalesced", "fast-path" or "queued".
+	// job: "cache-hit", "coalesced" or "queued".
 	TraceID string `json:"trace_id,omitempty"`
 	Lane    string `json:"lane,omitempty"`
 	// Per-phase wall-clock timestamps (Unix microseconds): admission,

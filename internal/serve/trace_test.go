@@ -192,35 +192,6 @@ func TestTraceCoalescedLane(t *testing.T) {
 	}
 }
 
-// TestTraceFastPathLane: a small job on an idle scheduler runs inline;
-// its trace names the lane in the enqueue span.
-func TestTraceFastPathLane(t *testing.T) {
-	s := New(traceCfg(Config{Executors: 2, FastPathValues: 2000,
-		runHook: func(context.Context, *JobSpec) ([]byte, *execMeta, error) {
-			return []byte("fast"), &execMeta{}, nil
-		}}))
-	defer s.Drain(context.Background())
-
-	j, err := s.SubmitTraced(seeded(1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, j)
-	if st.Lane != "fast-path" {
-		t.Fatalf("lane %q, want fast-path", st.Lane)
-	}
-	tj := jobTrace(t, s, j.ID)
-	found := false
-	for _, sp := range tj.Spans {
-		if sp.Name == "enqueue" && sp.Detail == "fast-path inline" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fast-path trace lacks the inline enqueue marker: %+v", tj.Spans)
-	}
-}
-
 // TestTraceRejectedSubmission: a validation reject still leaves a
 // finished, pinned trace behind (failed jobs are pinned).
 func TestTraceRejectedSubmission(t *testing.T) {

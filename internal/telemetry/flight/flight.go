@@ -114,7 +114,7 @@ func (t *Trace) SetTenant(tenant string) {
 }
 
 // SetLane records which admission lane served the job
-// ("cache-hit", "coalesced", "fast-path", "queued").
+// ("cache-hit", "coalesced", "queued").
 func (t *Trace) SetLane(lane string) {
 	if t == nil {
 		return

@@ -51,17 +51,19 @@ go test -race -count=1 \
     -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestRunItemPartQuotaSweep|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
     ./internal/core ./internal/creditrisk ./internal/rng/gamma
 
-# Serve fast-lane correctness under the race detector: cache semantics
+# Serve admission lanes under the race detector: cache semantics
 # (eviction, per-tenant accounting, hit-after-evict), singleflight
-# lifecycle (coalesce, waiter-cancel survival, last-waiter abort),
-# fast-path admission, digest-at-completion stability, the shared
-# stored payload, and the cached-vs-fresh byte equality of the HTTP
-# replay and golden-digest tests. Named so a
+# lifecycle (coalesce, waiter-cancel survival, last-waiter abort), the
+# replay-tuple index's failure paths (abandoned flight, panic in a
+# coalesced flight, completion race, drain with a live flight, each
+# leak- and index-checked), settled-only Remove, digest-at-completion
+# stability, the shared stored payload, and the cached-vs-fresh byte
+# equality of the HTTP replay and golden-digest tests. Named so a
 # narrowed filter can never drop the determinism-safety proof the
 # cache's correctness rests on.
-echo "== serve fast lane (cache, singleflight, fast path) under -race"
+echo "== serve admission lanes (cache hit, coalesce, queue) under -race"
 go test -race -count=1 \
-    -run 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestSchedulerFastPath|TestResultDigest|TestPayloadSharesStoredBytes|TestServerReplayDeterminism|TestServerResultDigestStability|TestServerGoldenDigests' \
+    -run 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestIndexAbandonedFlight|TestIndexCoalescedPanic|TestIndexCompletionRace|TestIndexDrainCoalescedFlight|TestSchedulerRemoveUnsettled|TestResultDigest|TestPayloadSharesStoredBytes|TestServerReplayDeterminism|TestServerResultDigestStability|TestServerGoldenDigests' \
     ./internal/serve
 
 # Observability correctness under the race detector: flight-recorder
@@ -95,12 +97,14 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 
 # Native Go fuzzing, 5 s per target: strict JobSpec decode + Validate
 # (no panic; an accepted spec keeps a stable cache key that scheduling
-# and accounting fields cannot move), traceparent parsing (the id is ""
-# or 32 lowercase hex) and the /debug/jobs/{id} validator (no panic).
-# The committed seed corpora under testdata/fuzz/ also run as plain
-# tests in every go test.
-echo "== fuzz (FuzzJobSpec, FuzzTraceIDFrom, FuzzCheckTraceJSON; 5s each)"
+# and accounting fields cannot move), the ?wait= long-poll parameter
+# (200 or 400 with a JSON body, no panic), traceparent parsing (the id
+# is "" or 32 lowercase hex) and the /debug/jobs/{id} validator (no
+# panic). The committed seed corpora under testdata/fuzz/ also run as
+# plain tests in every go test.
+echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON; 5s each)"
 go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
+go test -run '^$' -fuzz '^FuzzWaitParam$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
 
