@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
+.PHONY: check fmt-check vet build test race fuzz bench-smoke bce-check metrics-smoke serve-smoke trace-overhead trace clean
 
-check: fmt-check vet build race fuzz bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
+check: fmt-check vet build race fuzz bce-check bench-smoke metrics-smoke serve-smoke trace-overhead
 
 # Formatting gate: every tracked Go file must be gofmt-clean.
 fmt-check:
@@ -31,37 +31,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceIDFrom$$' -fuzztime 5s ./internal/telemetry/flight
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckTraceJSON$$' -fuzztime 5s ./internal/telemetry/flight
 
-# Telemetry overhead gate: telemetry-off must stay within noise of the
-# pre-telemetry engine (nil-receiver hooks only).
-bench:
-	$(GO) test -bench BenchmarkGamma -benchtime 1x -run '^$$' .
-
-# Machine-readable throughput baseline (BENCH_8.json at the repo root):
-# engine MB/s and ns/value for Config1-4 on the block compute path, plus
-# the parallel-scheduler and telemetry ablations.
-bench-json:
-	sh scripts/bench_json.sh
-
-# Diff the committed baselines with per-benchmark % deltas
-# (per-benchmark thresholds, default 5%).
-bench-compare:
-	sh scripts/bench_compare.sh BENCH_7.json BENCH_8.json
-
-# The self-diff is deterministic and delta-free by construction, so the
-# comparer itself can never silently rot.
-bench-compare-smoke:
-	sh scripts/bench_compare.sh BENCH_8.json BENCH_8.json
-
 # Bounds-check-elimination gate: the marked kernel regions in the RNG
 # packages must compile with zero IsInBounds/IsSliceInBounds checks
 # (fresh GOCACHE, -gcflags=-d=ssa/check_bce).
 bce-check:
 	sh scripts/bce_check.sh
 
-# One-iteration smoke run of the burst-stream, sharded-generation,
-# compute-path and leaf-kernel benchmarks, so they can never silently
-# rot.
+# One-iteration smoke run of the engine, burst-stream,
+# sharded-generation, compute-path and leaf-kernel benchmarks, so they
+# can never silently rot. Performance is measured by bench/run.sh.
 bench-smoke:
+	$(GO) test -run '^$$' -bench BenchmarkGamma -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 	$(GO) test -run '^$$' -bench BenchmarkGenerateParallel -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkBlockCompute -benchtime 1x .
@@ -78,25 +58,16 @@ metrics-smoke:
 # risk batch through decwi-loadgen (with the per-phase breakdown),
 # validate the live metrics plane and the /debug/jobs trace surface,
 # render a job trace with decwi-trace -job, require a clean SIGTERM
-# drain, and prove /healthz degrades under an injected slow executor.
+# drain while a coalesced flight runs, and prove /healthz degrades
+# under an injected slow executor.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Tracing non-perturbation gate: cache-hot throughput with the flight
-# recorder + SLO plane on must hold ≥ 0.90x the tracing-off run.
+# Tracing non-perturbation gate: cache-hot HTTP jobs/s with the flight
+# recorder + SLO plane on must hold a median >= 0.90x the tracing-off
+# rate over 10 interleaved in-process pairs.
 trace-overhead:
-	sh scripts/trace_overhead.sh
-
-# Service latency/throughput baseline (BENCH_6.json at the repo root):
-# p50/p99 job latency and saturation throughput across concurrency levels.
-bench-serve:
-	sh scripts/bench_serve.sh
-
-# Serve fast-lane baseline (BENCH_9.json at the repo root): cache-cold
-# vs cache-hot vs dedup-storm at concurrency 16; fails if the hot path
-# is less than 5x the cold jobs/s.
-bench-fastlane:
-	sh scripts/bench_serve.sh BENCH_9.json fastlane
+	$(GO) test -run '^TestTracingOverheadCacheHot$$' -count=1 -v ./internal/serve
 
 # Smoke-test the tracing CLI (artifacts land in the working directory).
 trace:

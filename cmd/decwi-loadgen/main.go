@@ -1,6 +1,7 @@
 // Command decwi-loadgen drives a running decwi-served instance with a
 // closed-loop workload and reports the latency distribution and
-// saturation throughput — the load harness behind BENCH_6.json.
+// saturation throughput. It is the client half of scripts/serve_smoke.sh;
+// the measured serve workloads live in the bench/ harness.
 //
 // Each worker loops submit → long-poll → download → delete over a
 // persistent connection (the transport keeps one idle conn per worker,
@@ -13,7 +14,7 @@
 // Usage:
 //
 //	decwi-loadgen -url http://127.0.0.1:8080 -requests 64 -concurrency 8
-//	decwi-loadgen -url http://... -kind risk -requests 16 -json
+//	decwi-loadgen -url http://... -kind risk -requests 16
 //	decwi-loadgen -url http://... -replay       # determinism check, 2 submits
 //	decwi-loadgen -url http://... -same-seed    # one tuple repeated: cache-hot
 //	decwi-loadgen -url http://... -phases       # per-phase latency breakdown
@@ -85,8 +86,6 @@ func main() {
 	seedBase := flag.Uint64("seed-base", 1000, "job i uses seed seed-base+i")
 	sameSeed := flag.Bool("same-seed", false, "every request uses seed-base itself — one replay tuple repeated, the cache-hot / dedup-storm workload")
 	tenant := flag.String("tenant", "loadgen", "tenant label for quota accounting")
-	label := flag.String("label", "", "free-form level name echoed into the summary (bench bookkeeping)")
-	jsonOut := flag.Bool("json", false, "emit the summary as a JSON object on stdout")
 	replay := flag.Bool("replay", false, "determinism check: submit one spec twice and require byte-identical payloads")
 	phases := flag.Bool("phases", false, "print a per-phase latency breakdown (submit RTT, queue wait, engine, download) from the server's job timings")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall per-job client deadline")
@@ -126,8 +125,7 @@ func main() {
 	} else {
 		err = lg.run(spec, runOpts{
 			requests: *requests, concurrency: *concurrency,
-			seedBase: *seedBase, sameSeed: *sameSeed,
-			label: *label, jsonOut: *jsonOut, phases: *phases,
+			seedBase: *seedBase, sameSeed: *sameSeed, phases: *phases,
 		})
 	}
 	if err != nil {
@@ -346,31 +344,11 @@ func (lg *loadgen) replayCheck(spec jobSpec, seed uint64) error {
 	return nil
 }
 
-type summary struct {
-	Label       string  `json:"label,omitempty"`
-	Kind        string  `json:"kind"`
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	Config      int     `json:"config"`
-	Scenarios   int64   `json:"scenarios"`
-	SameSeed    bool    `json:"same_seed,omitempty"`
-	WallMS      float64 `json:"wall_ms"`
-	P50MS       float64 `json:"p50_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MeanMS      float64 `json:"mean_ms"`
-	Throughput  float64 `json:"jobs_per_sec"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-	Retried429  int64   `json:"retried_429"`
-	// Phases is the per-phase breakdown (only with -phases).
-	Phases []phaseRow `json:"phases,omitempty"`
-}
-
-// phaseRow is one row of the -phases breakdown table.
+// phaseRow is one row of the latency table: the end-to-end latency, or
+// one phase of the -phases breakdown.
 type phaseRow struct {
-	Name   string  `json:"name"`
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
+	name           string
+	p50, p99, mean float64
 }
 
 // phaseStats reduces one phase's samples to a table row.
@@ -384,10 +362,10 @@ func phaseStats(name string, samples []time.Duration) phaseRow {
 		total += s
 	}
 	return phaseRow{
-		Name:   name,
-		P50MS:  float64(quantile(0.50).Microseconds()) / 1e3,
-		P99MS:  float64(quantile(0.99).Microseconds()) / 1e3,
-		MeanMS: float64(total.Microseconds()) / float64(len(samples)) / 1e3,
+		name: name,
+		p50:  float64(quantile(0.50).Microseconds()) / 1e3,
+		p99:  float64(quantile(0.99).Microseconds()) / 1e3,
+		mean: float64(total.Microseconds()) / float64(len(samples)) / 1e3,
 	}
 }
 
@@ -397,8 +375,6 @@ type runOpts struct {
 	concurrency int
 	seedBase    uint64
 	sameSeed    bool
-	label       string
-	jsonOut     bool
 	phases      bool
 }
 
@@ -457,26 +433,11 @@ func (lg *loadgen) run(spec jobSpec, opt runOpts) error {
 		return firstErr
 	}
 
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	quantile := func(q float64) time.Duration {
-		idx := int(q * float64(len(latencies)-1))
-		return latencies[idx]
-	}
-	var total time.Duration
-	for _, l := range latencies {
-		total += l
-	}
-	sum := summary{
-		Label: opt.label, Kind: spec.Kind, Requests: requests, Concurrency: concurrency,
-		Config: spec.Config, Scenarios: spec.Scenarios, SameSeed: opt.sameSeed,
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		P50MS:      float64(quantile(0.50).Microseconds()) / 1e3,
-		P99MS:      float64(quantile(0.99).Microseconds()) / 1e3,
-		MeanMS:     float64(total.Microseconds()) / float64(len(latencies)) / 1e3,
-		Throughput: float64(requests) / wall.Seconds(),
-		MBPerSec:   float64(bytesIn) / 1e6 / wall.Seconds(),
-		Retried429: lg.retried.Load(),
-	}
+	lat := phaseStats("latency", latencies)
+	fmt.Printf("decwi-loadgen: %d %s jobs @ concurrency %d in %v\n", requests, spec.Kind, concurrency, wall.Round(time.Millisecond))
+	fmt.Printf("  latency  p50 %.1fms  p99 %.1fms  mean %.1fms\n", lat.p50, lat.p99, lat.mean)
+	fmt.Printf("  throughput %.2f jobs/s, %.2f MB/s payload (%d throttled retries)\n",
+		float64(requests)/wall.Seconds(), float64(bytesIn)/1e6/wall.Seconds(), lg.retried.Load())
 	if opt.phases {
 		pick := func(name string, f func(jobPhases) time.Duration) phaseRow {
 			samples := make([]time.Duration, len(phases))
@@ -485,25 +446,15 @@ func (lg *loadgen) run(spec jobSpec, opt runOpts) error {
 			}
 			return phaseStats(name, samples)
 		}
-		sum.Phases = []phaseRow{
+		fmt.Printf("  %-12s %9s %9s %9s\n", "phase", "p50", "p99", "mean")
+		for _, row := range []phaseRow{
 			pick("submit", func(p jobPhases) time.Duration { return p.submit }),
 			pick("queue-wait", func(p jobPhases) time.Duration { return p.queue }),
 			pick("engine", func(p jobPhases) time.Duration { return p.engine }),
 			pick("download", func(p jobPhases) time.Duration { return p.download }),
 			pick("total", func(p jobPhases) time.Duration { return p.total }),
-		}
-	}
-	if opt.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		return enc.Encode(sum)
-	}
-	fmt.Printf("decwi-loadgen: %d %s jobs @ concurrency %d in %v\n", requests, spec.Kind, concurrency, wall.Round(time.Millisecond))
-	fmt.Printf("  latency  p50 %.1fms  p99 %.1fms  mean %.1fms\n", sum.P50MS, sum.P99MS, sum.MeanMS)
-	fmt.Printf("  throughput %.2f jobs/s, %.2f MB/s payload (%d throttled retries)\n", sum.Throughput, sum.MBPerSec, sum.Retried429)
-	if len(sum.Phases) > 0 {
-		fmt.Printf("  %-12s %9s %9s %9s\n", "phase", "p50", "p99", "mean")
-		for _, row := range sum.Phases {
-			fmt.Printf("  %-12s %7.1fms %7.1fms %7.1fms\n", row.Name, row.P50MS, row.P99MS, row.MeanMS)
+		} {
+			fmt.Printf("  %-12s %7.1fms %7.1fms %7.1fms\n", row.name, row.p50, row.p99, row.mean)
 		}
 	}
 	return nil

@@ -21,8 +21,11 @@
 // shared execution. Every other job takes the queue.
 //
 // SIGTERM/SIGINT starts a graceful drain: new submissions get 503,
-// queued and running jobs finish (bounded by -drain-timeout), then the
-// listener and metrics server shut down and the process exits 0.
+// queued and running jobs finish, and if any API request was open
+// when the drain began the API stays up for collectGrace, so clients
+// whose long-polls the drain answered can request their results (all
+// bounded by -drain-timeout). Then the listener and metrics server
+// shut down, downloads in progress complete, and the process exits 0.
 //
 // Usage:
 //
@@ -39,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -136,6 +140,12 @@ func buildLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
 }
 
+// collectGrace keeps the API listening after a drain that answered open
+// requests: a client whose long-poll the drain answered comes straight
+// back for the result, and a listener closed at once refuses that
+// download.
+const collectGrace = 250 * time.Millisecond
+
 func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 	mflags *metricsrv.Flags) error {
 	// The service always records its scheduler telemetry, whether or not
@@ -167,10 +177,16 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 		return err
 	}
 	// Announce the resolved address on stderr — with port 0 this line is
-	// how scripts (serve_smoke.sh, bench_serve.sh) find the API.
+	// how scripts/serve_smoke.sh and the bench/ harness find the API.
 	fmt.Fprintf(os.Stderr, "decwi-served: API on http://%s (POST /v1/generate /v1/risk, GET /v1/jobs/{id})\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: serve.NewServer(sched).Handler()}
+	api := serve.NewServer(sched).Handler()
+	var open atomic.Int64 // API requests in progress
+	httpSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		open.Add(1)
+		defer open.Add(-1)
+		api.ServeHTTP(w, r)
+	})}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -187,12 +203,23 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 	stopSignals() // a second signal now kills the process the default way
 
 	// Drain order matters: first stop admitting and let queued + running
-	// jobs finish (new submissions see 503 immediately), then shut the
-	// listener down — by that point every job is terminal, so lingering
-	// long-polls resolve instead of holding connections open.
+	// jobs finish (new submissions see 503 immediately), then give the
+	// clients whose open requests that answered a grace to request their
+	// results, and only then shut the listener down. By that point every
+	// job is terminal, so lingering long-polls resolve instead of
+	// holding connections open, and Shutdown waits for the downloads.
+	answered := open.Load() > 0
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := sched.Drain(drainCtx)
+	if answered {
+		grace := time.NewTimer(collectGrace)
+		select {
+		case <-drainCtx.Done():
+		case <-grace.C:
+		}
+		grace.Stop()
+	}
 
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -62,12 +64,28 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// jsonWriter is an indenting encoder over its own buffer, pooled so a
+// response body is encoded without regrowing scratch space every time.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	defer jsonWriters.Put(jw)
+	jw.buf.Reset()
+	_ = jw.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jw.buf.Bytes())
 }
 
 // writeError maps a scheduler error onto its transport status.

@@ -306,19 +306,22 @@ type Recorder struct {
 	lnames []string // index = label id - 1
 }
 
-// DefaultRingCap is the event capacity used when New is given n <= 0.
+// DefaultRingCap is the event ring capacity of the tracing CLIs.
 const DefaultRingCap = 1 << 16
 
-// New returns an enabled recorder with an event ring of capacity n
-// (DefaultRingCap when n <= 0). A nil *Recorder is the no-op recorder;
-// there is deliberately no constructor for it.
+// New returns an enabled recorder with an event ring of capacity n.
+// n <= 0 builds a metrics-only recorder: counters, gauges and
+// histograms record, but there is no ring and Track returns the nil
+// no-op track, so instrumented code emits no events. A nil *Recorder
+// is the no-op recorder; there is deliberately no constructor for it.
 func New(n int) *Recorder {
-	if n <= 0 {
-		n = DefaultRingCap
+	var ring []Event
+	if n > 0 {
+		ring = make([]Event, n)
 	}
 	return &Recorder{
 		start:    time.Now(),
-		ring:     make([]Event, n),
+		ring:     ring,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
@@ -326,7 +329,8 @@ func New(n int) *Recorder {
 	}
 }
 
-// Enabled reports whether events are being recorded.
+// Enabled reports whether r records anything: true for every non-nil
+// recorder, metrics-only ones included.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // NowMicros returns wall-clock microseconds since the recorder started
@@ -339,9 +343,9 @@ func (r *Recorder) NowMicros() int64 {
 }
 
 // Track registers (or creates) a named event lane in the given domain.
-// Returns nil — the no-op track — on a nil recorder.
+// Returns nil — the no-op track — on a nil or metrics-only recorder.
 func (r *Recorder) Track(name string, d Domain) *Track {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return nil
 	}
 	r.tmu.Lock()
@@ -405,8 +409,12 @@ func (r *Recorder) labelName(id int32) string {
 }
 
 // emit appends one event, overwriting the oldest record when the ring
-// is full. Instrumentation is expected to go through Track methods.
+// is full. Instrumentation is expected to go through Track methods,
+// which a metrics-only recorder never hands out.
 func (r *Recorder) emit(ev Event) {
+	if len(r.ring) == 0 {
+		return
+	}
 	r.mu.Lock()
 	r.ring[r.emitted%uint64(len(r.ring))] = ev
 	r.emitted++
@@ -414,9 +422,9 @@ func (r *Recorder) emit(ev Event) {
 }
 
 // Events returns a snapshot of the retained events in emission order
-// (oldest first). On a nil recorder it returns nil.
+// (oldest first). On a nil or metrics-only recorder it returns nil.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return nil
 	}
 	r.mu.Lock()

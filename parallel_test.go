@@ -342,7 +342,7 @@ func TestGenerateParallelDefaultsMatchGenerate(t *testing.T) {
 // steal and imbalance accounting through the recorder, and the
 // recorded EvChunk spans cover every chunk exactly once.
 func TestGenerateParallelTelemetry(t *testing.T) {
-	rec := telemetry.New(0)
+	rec := telemetry.New(telemetry.DefaultRingCap)
 	res, err := GenerateParallel(Config1, ParallelOptions{
 		GenerateOptions: GenerateOptions{
 			Scenarios: 1200, Sectors: 2, Seed: 3, Telemetry: rec,
@@ -403,7 +403,7 @@ func TestGenerateParallelTelemetryDoesNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := base
-	traced.Telemetry = telemetry.New(0)
+	traced.Telemetry = telemetry.New(telemetry.DefaultRingCap)
 	got, err := GenerateParallel(Config3, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -414,5 +414,52 @@ func TestGenerateParallelTelemetryDoesNotPerturb(t *testing.T) {
 	}
 	if total, _ := traced.Telemetry.Emitted(); total == 0 {
 		t.Error("traced run recorded no events")
+	}
+}
+
+// TestGenerateParallelMetricsOnlyRecorder: a recorder built with ring
+// capacity 0 (decwi-served, the -http CLIs) registers no track and
+// emits no event, yet the scheduler and engine counters still count.
+func TestGenerateParallelMetricsOnlyRecorder(t *testing.T) {
+	rec := telemetry.New(0)
+	res, err := GenerateParallel(Config1, ParallelOptions{
+		GenerateOptions: GenerateOptions{
+			Scenarios: 1200, Sectors: 2, Seed: 3, Telemetry: rec,
+		},
+		Workers: 2, ChunkWorkItems: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, dropped := rec.Emitted(); total != 0 || dropped != 0 {
+		t.Errorf("metrics-only recorder emitted %d events (%d dropped), want 0", total, dropped)
+	}
+	if tracks := rec.Tracks(); len(tracks) != 0 {
+		t.Errorf("metrics-only recorder registered %d tracks, first %q", len(tracks), tracks[0].Name())
+	}
+	if rec.Events() != nil {
+		t.Error("metrics-only recorder returned events")
+	}
+	counters := map[string]int64{}
+	for _, c := range rec.Counters() {
+		counters[c.Name()] = c.Value()
+	}
+	if got := counters["parallel.chunks"]; got != int64(res.Chunks) || got == 0 {
+		t.Errorf("parallel.chunks = %d, result reports %d chunks", got, res.Chunks)
+	}
+	if _, ok := counters["parallel.imbalance-x1000"]; !ok {
+		t.Error("parallel.imbalance-x1000 counter missing")
+	}
+	var busy, words int64
+	for name, v := range counters {
+		switch {
+		case strings.HasPrefix(name, "parallel.worker-busy["):
+			busy += v
+		case strings.HasSuffix(name, ".block-words"):
+			words += v
+		}
+	}
+	if busy <= 0 || words <= 0 {
+		t.Errorf("counters stopped counting: worker-busy %d ns, block-words %d", busy, words)
 	}
 }

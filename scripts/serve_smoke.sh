@@ -2,16 +2,20 @@
 # Service smoke: boot decwi-served on ephemeral ports, drive it with
 # decwi-loadgen (one generate replay-determinism check + a risk batch),
 # validate its live /metrics exposition and /snapshot JSON with
-# decwi-promcheck, then SIGTERM it and require a clean graceful drain
-# (exit 0). No curl/jq needed — the loadgen client is the harness.
+# decwi-promcheck, then SIGTERM it while a coalesced flight is running
+# and require a clean graceful drain (exit 0, both clients served). No
+# curl/jq needed — the loadgen client is the harness.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 SERVE_TMP=$(mktemp -d)
 SERVED_PID=""
+CLIENT1=""
+CLIENT2=""
 cleanup() {
     [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true
+    for pid in $CLIENT1 $CLIENT2; do kill "$pid" 2>/dev/null || true; done
     rm -rf "$SERVE_TMP"
 }
 trap cleanup EXIT
@@ -78,11 +82,47 @@ SNAPSHOT_URL=$(printf '%s' "$METRICS_URL" | sed 's#/metrics$#/snapshot#')
     -min-counters 3 -min-gauges 2 -min-histograms 2 \
     -require-counter serve.cache.hits=1 -require-counter serve.cache.misses=1
 
-# Graceful drain: SIGTERM must exit 0 after finishing in-flight work.
+# Graceful drain with a live coalesced flight: two clients submit the
+# same ~1 s risk tuple, so one engine run carries both jobs. SIGTERM
+# goes out only once the snapshot shows the second job coalesced onto
+# the running flight. decwi-served must finish the flight, let both
+# clients download their digest-checked payloads, and exit 0.
+coalesce_client() {
+    "$SERVE_TMP/decwi-loadgen" -url "$API_URL" -kind risk -same-seed -seed-base 77 \
+        -requests 1 -concurrency 1 -scenarios 150000 > "$SERVE_TMP/client$1.log" 2>&1
+}
+coalesce_client 1 &
+CLIENT1=$!
+coalesce_client 2 &
+CLIENT2=$!
+coalesced=""
+for _ in $(seq 1 200); do
+    if "$SERVE_TMP/decwi-promcheck" -url "$SNAPSHOT_URL" -snapshot \
+        -min-counters 0 -min-gauges 0 -min-histograms 0 \
+        -require-counter serve.dedup.coalesced=1 > /dev/null 2>&1; then
+        coalesced=1
+        break
+    fi
+    sleep 0.02
+done
 kill -TERM "$SERVED_PID"
 EXIT_CODE=0
 wait "$SERVED_PID" || EXIT_CODE=$?
 SERVED_PID=""
+CLIENTS_OK=1
+wait "$CLIENT1" || CLIENTS_OK=""
+wait "$CLIENT2" || CLIENTS_OK=""
+CLIENT1=""
+CLIENT2=""
+if [ -z "$CLIENTS_OK" ]; then
+    echo "serve smoke: a client failed across the drain" >&2
+    cat "$SERVE_TMP/client1.log" "$SERVE_TMP/client2.log" "$SERVE_TMP/served.log" >&2
+    exit 1
+fi
+if [ -z "$coalesced" ]; then
+    echo "serve smoke: the second client never coalesced onto the flight" >&2
+    exit 1
+fi
 if [ "$EXIT_CODE" -ne 0 ]; then
     echo "serve smoke: decwi-served exited $EXIT_CODE after SIGTERM" >&2
     cat "$SERVE_TMP/served.log" >&2
@@ -93,6 +133,14 @@ grep -q "drained, exiting" "$SERVE_TMP/served.log" || {
     cat "$SERVE_TMP/served.log" >&2
     exit 1
 }
+# Both jobs must have gone terminal after the signal: the flight was
+# live when the drain began.
+after=$(sed -n '/signal received/,$p' "$SERVE_TMP/served.log" | grep -c '"msg":"job terminal"' || true)
+if [ "$after" -ne 2 ]; then
+    echo "serve smoke: $after jobs went terminal after SIGTERM, want the flight's 2" >&2
+    cat "$SERVE_TMP/served.log" >&2
+    exit 1
+fi
 
 # SLO degradation end to end: a fresh instance with an injected slow
 # executor and a microscopic latency objective must flip /healthz to
