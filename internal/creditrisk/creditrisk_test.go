@@ -67,38 +67,6 @@ func TestAnalyticMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonSampler(t *testing.T) {
-	src := mt.NewMT19937(3)
-	for _, lambda := range []float64{0.01, 0.5, 3, 80} {
-		const n = 60000
-		var sum, sum2 float64
-		for i := 0; i < n; i++ {
-			k, err := Poisson(src, lambda)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += float64(k)
-			sum2 += float64(k) * float64(k)
-		}
-		mean := sum / n
-		variance := sum2/n - mean*mean
-		if math.Abs(mean-lambda)/lambda > 0.05 {
-			t.Errorf("λ=%g: mean %g", lambda, mean)
-		}
-		if math.Abs(variance-lambda)/lambda > 0.08 {
-			t.Errorf("λ=%g: variance %g", lambda, variance)
-		}
-	}
-	if k, err := Poisson(src, 0); err != nil || k != 0 {
-		t.Fatal("λ=0 must give 0")
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := Poisson(src, bad); err == nil {
-			t.Errorf("λ=%g should fail", bad)
-		}
-	}
-}
-
 // TestMCMatchesAnalyticMoments: the Monte-Carlo engine driven by the
 // paper's gamma generator reproduces the closed-form loss moments.
 func TestMCMatchesAnalyticMoments(t *testing.T) {

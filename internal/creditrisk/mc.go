@@ -12,34 +12,6 @@ import (
 	"github.com/decwi/decwi/internal/telemetry"
 )
 
-// Poisson draws a Poisson(λ) variate with Knuth's multiplication method,
-// chunked so large intensities never underflow exp(−λ). Portfolio
-// intensities are tiny (p_i·R_i ≪ 1), but the sampler stays correct for
-// any λ ≥ 0.
-func Poisson(u rng.Source32, lambda float64) (int64, error) {
-	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return 0, fmt.Errorf("creditrisk: invalid Poisson intensity %g", lambda)
-	}
-	var n int64
-	for lambda > 0 {
-		step := lambda
-		if step > 30 {
-			step = 30
-		}
-		lambda -= step
-		limit := math.Exp(-step)
-		prod := 1.0
-		for {
-			prod *= rng.U32ToFloat64Open(u.Uint32())
-			if prod <= limit {
-				break
-			}
-			n++
-		}
-	}
-	return n, nil
-}
-
 // sectorPipeAttempts is the candidate-block size of the sector-variable
 // pipes: small enough that per-sector scratch stays cache-resident with
 // hundreds of sectors live, large enough to amortize the bulk
@@ -93,7 +65,7 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 
 	// One pipelined generator per sector (sectors are independent
 	// streams, as on the device), plus one uniform stream for the
-	// Poisson draws.
+	// Poisson draws, read through the block-filled Poisson lane.
 	seeds := rng.StreamSeeds(cfg.Seed, len(p.Sectors)+1)
 	gens := make([]*gamma.Generator, len(p.Sectors))
 	for k, s := range p.Sectors {
@@ -102,7 +74,7 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 			fmt.Sprintf("rng.gamma.trips[sector-%d]", k), "trips",
 			"pipeline iterations per accepted gamma output (nested rejection-loop trip count)"))
 	}
-	psrc := mt.New(cfg.MTParams, seeds[len(p.Sectors)])
+	lane := newPoissonLane(mt.New(cfg.MTParams, seeds[len(p.Sectors)]))
 	cScenarios := cfg.Telemetry.Counter("creditrisk.scenarios", "events",
 		"Monte-Carlo economy scenarios completed")
 	hDefaults := cfg.Telemetry.Histogram("creditrisk.defaults", "events",
@@ -134,17 +106,13 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 		var defaults int64
 		for i := range p.Obligors {
 			o := &p.Obligors[i]
+			// A zero weight adds ±0, which leaves r unchanged because
+			// sector values are finite.
 			r := 0.0
 			for k, w := range o.Weights {
-				if w != 0 {
-					r += w * sVals[k]
-				}
+				r += w * sVals[k]
 			}
-			n, err := Poisson(psrc, o.PD*r)
-			if err != nil {
-				return nil, err
-			}
-			if n > 0 {
+			if n := lane.draw(o.PD * r); n > 0 {
 				loss += float64(n) * o.Exposure
 				defaults += n
 			}

@@ -1113,7 +1113,8 @@ func (s *Scheduler) execute(ctx context.Context, spec *JobSpec, tr *ftrace.Trace
 	case KindRisk:
 		// The Monte-Carlo layer has no chunk boundaries to observe a
 		// context at, so only the pre-start check applies; drain still
-		// waits for the run.
+		// waits for the run, about 10–15 ms for the benchmark's risk shape
+		// (Config2, 5,000 scenarios × 100 obligors).
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}

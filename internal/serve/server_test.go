@@ -146,28 +146,36 @@ func TestServerReplayDeterminism(t *testing.T) {
 
 // TestServerGoldenDigests pins the served bytes to history: two tuples
 // of the repository's golden table (golden_test.go), submitted as job
-// specs, must carry the committed digest in the X-Decwi-Sha256 header,
-// in the status sha256 and in the SHA-256 of the body — both when the
-// engine runs fresh and when the tuple is answered from the cache.
+// specs, and one risk job of the benchmark's risk shape (Config2, 5,000
+// scenarios, 4 sectors, 100 obligors) must carry the committed digest in
+// the X-Decwi-Sha256 header, in the status sha256 and in the SHA-256 of
+// the body — both when the engine runs fresh and when the tuple is
+// answered from the cache.
 func TestServerGoldenDigests(t *testing.T) {
 	ts, _ := testServer(t, Config{Executors: 1})
+	golden := func(config int) JobSpec {
+		return JobSpec{
+			Config: config, Seed: 0x601DE7, Scenarios: 3001,
+			Sectors: 3, Variances: []float64{0.5, 1.39, 4.0}, Workers: 1,
+		}
+	}
 	for _, tc := range []struct {
-		name   string
-		config int
-		want   string
+		name string
+		path string
+		spec JobSpec
+		want string
 	}{
-		{"Config1/BreakID0", 1, "200591d1c87aaca0b240b55af04a394989156695e9c3c3ceb79b7f5941e58b9a"},
-		{"Config4/BreakID0", 4, "58584dd18d972adfd132419982e5bccc020ea412d48fa7bc7b3ec90b7f65d5d7"},
+		{"Config1/BreakID0", "/v1/generate", golden(1), "200591d1c87aaca0b240b55af04a394989156695e9c3c3ceb79b7f5941e58b9a"},
+		{"Config4/BreakID0", "/v1/generate", golden(4), "58584dd18d972adfd132419982e5bccc020ea412d48fa7bc7b3ec90b7f65d5d7"},
+		{"Risk/Config2", "/v1/risk", JobSpec{
+			Config: 2, Seed: 0x601DE7, Scenarios: 5000, Sectors: 4, Obligors: 100, Workers: 1,
+		}, "1c430e53680179a82a75ae9d2e91de0fa7687f49b0b707dc17a5d0c9e13c55cf"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := JobSpec{
-				Config: tc.config, Seed: 0x601DE7, Scenarios: 3001,
-				Sectors: 3, Variances: []float64{0.5, 1.39, 4.0}, Workers: 1,
-			}
 			for _, cached := range []bool{false, true} {
 				// runJobOverHTTP checks that the header and the body digest
 				// equal the status digest.
-				st, _ := runJobOverHTTP(t, ts, "/v1/generate", spec)
+				st, _ := runJobOverHTTP(t, ts, tc.path, tc.spec)
 				if st.Cached != cached {
 					t.Fatalf("cached = %v, want %v", st.Cached, cached)
 				}

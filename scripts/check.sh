@@ -102,14 +102,16 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 # (no panic; an accepted spec keeps a stable cache key that scheduling
 # and accounting fields cannot move), the ?wait= long-poll parameter
 # (200 or 400 with a JSON body, no panic), traceparent parsing (the id
-# is "" or 32 lowercase hex) and the /debug/jobs/{id} validator (no
-# panic). The committed seed corpora under testdata/fuzz/ also run as
-# plain tests in every go test.
-echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON; 5s each)"
+# is "" or 32 lowercase hex), the /debug/jobs/{id} validator (no
+# panic) and the CreditRisk+ Poisson lane (same counts and stream
+# position as the one-word Knuth oracle). The committed seed corpora
+# under testdata/fuzz/ also run as plain tests in every go test.
+echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane; 5s each)"
 go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzWaitParam$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
+go test -run '^$' -fuzz '^FuzzPoissonLane$' -fuzztime 5s ./internal/creditrisk
 
 # Parallel-equivalence suite under both a single-core and a multicore
 # scheduler: GOMAXPROCS=1 exercises the sequential claim order,
