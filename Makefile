@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceIDFrom$$' -fuzztime 5s ./internal/telemetry/flight
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckTraceJSON$$' -fuzztime 5s ./internal/telemetry/flight
 	$(GO) test -run '^$$' -fuzz '^FuzzPoissonLane$$' -fuzztime 5s ./internal/creditrisk
+	$(GO) test -run '^$$' -fuzz '^FuzzFinishLane$$' -fuzztime 5s ./internal/rng/gamma
 
 # Bounds-check-elimination gate: the marked kernel regions in the RNG
 # packages must compile with zero IsInBounds/IsSliceInBounds checks

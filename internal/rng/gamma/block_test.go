@@ -1,11 +1,8 @@
 package gamma
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
-	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 	"github.com/decwi/decwi/internal/telemetry"
@@ -128,45 +125,6 @@ func TestCycleBlockAlphaFlagPath(t *testing.T) {
 				t.Fatalf("v=%g value %d: %v != %v", v, i, dst[i], want[i])
 			}
 		}
-	}
-}
-
-// TestPowCorrectBlockMatchesScalar walks the whole U32ToFloatOpen
-// lattice in blocks of lengths 0–9, so every lane and tail position of
-// the four-lane kernels runs, and requires powCorrectBlock to equal
-// powCorrect value by value (every 61st lattice point under -race).
-func TestPowCorrectBlockMatchesScalar(t *testing.T) {
-	const lattice = 1 << 24
-	step := uint32(1)
-	if raceEnabled {
-		step = 61
-	}
-	for _, e := range []float64{1 / 0.72, 1.0001, 2, 3, 10, 100} {
-		t.Run(fmt.Sprint(e), func(t *testing.T) {
-			t.Parallel()
-			u := make([]uint32, 4096)
-			pw := make([]float64, len(u))
-			for next := uint32(0); next < lattice; {
-				u = u[:cap(u)]
-				for i := range u {
-					u[i] = next << 8
-					if next += step; next >= lattice {
-						u = u[:i+1]
-						break
-					}
-				}
-				for lo, n := 0, 0; lo < len(u); lo, n = lo+n, (n+1)%10 {
-					hi := min(lo+n, len(u))
-					powCorrectBlock(pw[lo:hi], u[lo:hi], e)
-				}
-				for i, w := range u {
-					want := powCorrect(float64(rng.U32ToFloatOpen(w)), e)
-					if math.Float64bits(pw[i]) != math.Float64bits(want) {
-						t.Fatalf("word %#x: block %v, scalar %v", w, pw[i], want)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -43,6 +43,9 @@ type Params struct {
 
 	d, c     float64 // Marsaglia-Tsang d = α' − 1/3, c = 1/√(9d), α' = α or α+1
 	invAlpha float64 // 1/α, exponent of the correction uniform
+	// finishMargin is FinishBlock's rounding-test margin in float64
+	// ulps of the output (see finishMarginULPs).
+	finishMargin uint64
 }
 
 // NewParams precomputes the sampler constants. Alpha and scale must be
@@ -59,7 +62,37 @@ func NewParams(alpha, scale float64) (Params, error) {
 	p.d = ap - 1.0/3.0
 	p.c = 1 / math.Sqrt(9*p.d)
 	p.invAlpha = 1 / alpha
+	p.finishMargin = finishMarginULPs(p.invAlpha)
 	return p, nil
+}
+
+// lnUMax bounds |ln u| over the correction uniforms: U32ToFloatOpen's
+// smallest value is 2^−25, and 25·ln 2 < 17.33.
+const lnUMax = 17.33
+
+// finishMarginULPs bounds, in float64 ulps of y, how far FinishBlock's
+// approximate output y = dv·Exp(e·Log(u))·β can lie from Finish's
+// dv·powCorrect(u, e)·β, for e = 1/α. With λ = |e·ln u| ≤ 17.33·e:
+//
+//   - the lane: Log's 2^−49·|ln u| and the rounding of e·Log(u) move
+//     the exponent by λ·(2^−49 + 2^−53), Exp adds 2^−51 and the two
+//     products 2^−52;
+//   - the host: math.Log's 1 ulp and the rounding of e·ln u move the
+//     exponent by 1.5·λ·2^−52, math.Exp adds at most 2 ulps (2^−51) and
+//     the two products 2^−52.
+//
+// The relative distance is below λ·2^−48.6 + 2^−49, that is
+// 21.2·λ + 16 ulps of y, since y/ulp(y) < 2^53. The margin takes
+// 32·λ + 32 at λ's largest value, 17.33·e. That also covers u = 1,
+// which the top lattice words round to and where Log is within 2^−51
+// absolute, 4·e ulps of y. At e ≥ ~484,000 the margin saturates at
+// 2^28, where every value falls back.
+func finishMarginULPs(e float64) uint64 {
+	m := 32*lnUMax*e + 32
+	if !(m < 1<<28) {
+		return 1 << 28
+	}
+	return uint64(m)
 }
 
 // FromVariance maps a CreditRisk+ sector variance v to Params with
@@ -129,46 +162,35 @@ func (p Params) Finish(dv float64, u2 float32) float32 {
 // exp(e·ln u) form rather than math.Pow: Pow's general path pays for
 // extended-precision argument splitting (Frexp/Modf/Ldexp) to guarantee
 // <1 ulp over the full float64 domain, which profiles at ~half the cost
-// of the whole pipeline here. On this restricted domain the direct form's
-// float64 relative error stays within a few ulps, far below the final
-// float32 rounding step in Finish, so accepted outputs are unchanged at
-// float32 for all practical (u, e); see DESIGN.md for the error budget.
-// The bytes follow the host's math package: the golden digests pin
-// amd64 math.Exp's AVX+FMA sequence, and a non-FMA amd64 or an arm64
-// host writes different bytes. The block form (powCorrectBlock) takes
-// its logarithms from xmath's bit-exact four-lane port, which follows
-// whatever math.Log does on the host, and its exponentials from
-// math.Exp, so it adds no host dependence. The scalar form stays on the
-// math package: it is the independent oracle the block form is tested
-// against.
+// of the whole pipeline here. On this domain the direct form's float64
+// relative error is about |e·ln u|·2^−52, since the rounding of e·ln u
+// moves the exponent: at the smallest u, about 24 ulps at e = 1.39 and
+// about 1,700 at e = 100, still far below the float32 rounding in
+// Finish; see DESIGN.md for the error budget. The bytes follow the
+// host's math package: the golden digests pin amd64 math.Exp's AVX+FMA
+// sequence, and a non-FMA amd64 or an arm64 host writes different
+// bytes. FinishBlock reaches these same bytes through a rounding test
+// and falls back to Finish, and so to this function, value by value.
 func powCorrect(u, e float64) float64 {
 	return math.Exp(e * math.Log(u))
 }
 
-// powCorrectBlock sets pw[i] = powCorrect(U32ToFloatOpen(u[i]), e) for
-// the first len(u) entries of pw, running the logarithms through the
-// four-lane block kernel and then the exponentials through math.Exp.
-func powCorrectBlock(pw []float64, u []uint32, e float64) {
-	pw = pw[:len(u)]
-	// bce:begin powCorrectBlock passes
-	for i, w := range u {
-		pw[i] = float64(rng.U32ToFloatOpen(w))
-	}
-	xmath.LogBlock(pw)
-	for i, l := range pw {
-		pw[i] = math.Exp(e * l)
-	}
-	// bce:end
-}
-
 // FinishBlock is Finish over a compacted block of accepted candidates:
 // dst[i] = Finish(dv[i], U32ToFloatOpen(u2[i])) for every i < len(dv),
-// with the correction's pow batched through powCorrectBlock into the
-// scratch pw. dst, u2 and pw must hold at least len(dv) entries.
-// CycleBlock finishes through it; splitting the logarithms and the
-// exponentials into separate passes lets their dependency chains
-// overlap, which is what makes it cheaper per value than Finish.
-func (p Params) FinishBlock(dst []float32, dv []float64, u2 []uint32, pw []float64) {
+// bit for bit. dst, u2 and pw must hold at least len(dv) entries; pw is
+// scratch. CycleBlock finishes through it.
+//
+// With the boost correction it runs a certified lane in four passes,
+// each one loop, so the dependency chains of neighbouring values
+// overlap: convert the words to uniforms, take t = e·xmath.Log(u), take
+// xmath.Exp(t), then form y = dv·Exp(t)·β and take float32(y) when
+// xmath.Rounds32 certifies it within the margin that NewParams derived
+// (finishMarginULPs). Every other value — one the test cannot decide,
+// an exponential below xmath.ExpMin, an output outside the float32
+// normal range — is recomputed by Finish itself, so the bytes are the
+// math package's by construction. It returns how many values fell
+// back.
+func (p Params) FinishBlock(dst []float32, dv []float64, u2 []uint32, pw []float64) (fallbacks int) {
 	n := len(dv)
 	dst, u2, pw = dst[:n], u2[:n], pw[:n]
 	if !p.AlphaFlag {
@@ -177,14 +199,41 @@ func (p Params) FinishBlock(dst []float32, dv []float64, u2 []uint32, pw []float
 			dst[i] = float32(d * p.Scale)
 		}
 		// bce:end
-		return
+		return 0
 	}
-	powCorrectBlock(pw, u2, p.invAlpha)
-	// bce:begin FinishBlock corrected pass
+	e := p.invAlpha
+	// bce:begin FinishBlock lane passes
+	for i, w := range u2 {
+		pw[i] = float64(rng.U32ToFloatOpen(w))
+	}
+	for i, u := range pw {
+		pw[i] = e * xmath.Log(u)
+	}
+	for i, t := range pw {
+		if t < xmath.ExpMin {
+			pw[i] = 0 // underflow: y = 0 fails the rounding test
+			continue
+		}
+		pw[i] = xmath.Exp(t)
+	}
+	scale, margin := p.Scale, p.finishMargin
 	for i, d := range dv {
-		dst[i] = float32(d * pw[i] * p.Scale)
+		y := d * pw[i] * scale
+		dst[i] = float32(y)
+		if !xmath.Rounds32(y, margin) {
+			pw[i] = -1 // left to Finish below
+			fallbacks++
+		}
+	}
+	if fallbacks > 0 {
+		for i, f := range pw {
+			if f < 0 {
+				dst[i] = p.Finish(dv[i], rng.U32ToFloatOpen(u2[i]))
+			}
+		}
 	}
 	// bce:end
+	return fallbacks
 }
 
 // logChunk is how many squeeze failures CandidateBlock gathers before
@@ -194,25 +243,54 @@ const logChunk = 64
 // logTest runs the two-logarithm Marsaglia-Tsang test on gathered
 // squeeze failures: slot at[j] holds normal n0[at[j]] with uniform lu[j]
 // and cube lv[j] > 0. It sets acc for the slots that pass and returns
-// how many did; lu and lv are overwritten with their logarithms. The
-// cube is recomputed from n0 with the identical float operations, so
-// every decision matches Candidate's.
+// how many did. The cube is recomputed from n0 with the identical float
+// operations, so every decision matches Candidate's.
+//
+// The logarithms come from xmath.Log in one pass, and each decision
+// l < r, l = ln u, r = a + d·ln v, a = x²/2 + d − d·v, is taken from them
+// when |r − l| exceeds a slack that covers the math package's error as
+// well as Log's. Log is within 2^−49·|ln x| + 2^−51 of ln x for u and v,
+// math.Log within 2^−52·|ln x|, and d·ln v and a + d·ln v round once on
+// each side. The two differences r − l therefore lie within
+// 2^−48.5·(|l| + |d·ln v| + |r|) + 2^−51·(1 + d) of each other, which
+// logTestSlack more than doubles, as d ≥ 2/3. Otherwise, or when v is
+// not a normal float64 (outside Log's domain), both logarithms are
+// recomputed with math.Log and compared exactly as Candidate does.
 func (p Params) logTest(acc []bool, n0 []float32, at []int32, lu, lv []float64) (accepted int) {
-	xmath.LogBlock(lu)
-	xmath.LogBlock(lv)
+	var la, lb [logChunk]float64
 	lu, lv = lu[:len(at)], lv[:len(at)]
+	// bce:begin logTest log pass
+	for j, v := range lv {
+		la[j&(logChunk-1)], lb[j&(logChunk-1)] = xmath.Log(lu[j]), xmath.Log(v)
+		if !(v >= 0x1p-1022 && v <= math.MaxFloat64) {
+			lb[j&(logChunk-1)] = math.NaN() // outside Log's domain: no slack test passes
+		}
+	}
+	// bce:end
 	for j, i := range at {
 		x := float64(n0[i])
 		cx := 1 + p.c*x
 		v := cx * cx * cx
 		x2 := x * x
-		pass := lu[j] < 0.5*x2+p.d-p.d*v+p.d*lv[j]
+		a := 0.5*x2 + p.d - p.d*v
+		l, dl := la[j&(logChunk-1)], p.d*lb[j&(logChunk-1)]
+		r := a + dl
+		pass := l < r
+		if !(math.Abs(r-l) > p.logTestSlack(l, dl, r)) {
+			pass = math.Log(lu[j]) < 0.5*x2+p.d-p.d*v+p.d*math.Log(v)
+		}
 		acc[i] = pass
 		if pass {
 			accepted++
 		}
 	}
 	return accepted
+}
+
+// logTestSlack is logTest's decision margin for l ≈ ln u, dl ≈ d·ln v
+// and r = a + dl.
+func (p Params) logTestSlack(l, dl, r float64) float64 {
+	return 0x1p-47 * (math.Abs(l) + math.Abs(dl) + math.Abs(r) + p.d)
 }
 
 // CandidateBlock evaluates the Marsaglia-Tsang test over a whole block of

@@ -19,14 +19,14 @@ import (
 
 // PolarFill runs one Marsaglia-Bray polar attempt per word pair,
 // writing candidates to dst and validity to ok, and returns the number
-// of valid candidates. It works through fixed stack chunks in two
-// passes: the first forms s = v1² + v2² and the validity of every slot
-// and gathers the valid ones without a data-dependent branch; the
-// second takes their logarithms as one xmath block and scatters their
-// candidates into a zeroed chunk. Unlike the scalar PolarStep — which
-// evaluates the sqrt/log datapath unconditionally, as the pipelined
-// hardware does — the transcendental math is skipped for the ~21.5 % of
-// attempts the validity predicate rejects.
+// of valid candidates. It works through fixed stack chunks in passes:
+// the first forms s = v1² + v2² and the validity of every slot and
+// gathers the valid ones without a data-dependent branch; radii then
+// turns their s into PolarStep's radii, and the last pass scatters the
+// candidates v1·radius into a zeroed chunk. Unlike the scalar PolarStep
+// — which evaluates the sqrt/log datapath unconditionally, as the
+// pipelined hardware does — the transcendental math is skipped for the
+// ~21.5 % of attempts the validity predicate rejects.
 func PolarFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 	cnt := len(dst)
 	if cnt > len(ok) || cnt > len(w1) || cnt > len(w2) {
@@ -34,7 +34,7 @@ func PolarFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 	}
 	const chunk = 64
 	var ls, ss [chunk]float64
-	var vs, zs [chunk]float32
+	var vs, fs, zs [chunk]float32
 	var at [chunk]uint8
 	for len(dst) > 0 {
 		m := min(len(dst), chunk)
@@ -50,19 +50,18 @@ func PolarFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 			in := s > 0 && s < 1
 			o[i] = in
 			j := n & (chunk - 1)
-			ls[j], ss[j], vs[j], at[j] = float64(s), float64(s), v1, uint8(i)
+			ss[j], vs[j], at[j] = float64(s), v1, uint8(i)
 			if in {
 				n++
 			}
 		}
 		// bce:end
-		l := ls[:n]
-		xmath.LogBlock(l)
+		radii(fs[:n], ls[:n], ss[:n])
 		zs = [chunk]float32{}
 		// bce:begin PolarFill candidate pass
-		for j, lj := range l {
+		for j, f := range fs[:n] {
 			j &= chunk - 1
-			zs[at[j]&(chunk-1)] = vs[j] * float32(math.Sqrt(-2*lj/ss[j]))
+			zs[at[j]&(chunk-1)] = vs[j] * f
 		}
 		// bce:end
 		copy(dst, zs[:m])
@@ -70,6 +69,39 @@ func PolarFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 		dst, ok, w1, w2 = dst[m:], ok[m:], w1[m:], w2[m:]
 	}
 	return valid
+}
+
+// radiusMargin is radii's rounding-test margin in float64 ulps of the
+// radius F = √(−2·ln s/s). xmath.Log is within 2^−49 of ln s relative,
+// math.Log within 2^−52; −2·l is exact, the division and the square
+// root round once each, and the root halves the error it is given. So
+// radii's F is within 2^−49.8 of the true radius and PolarStep's within
+// 2^−52.2, 2^−49.5 apart: 11.3 ulps of F, since F/ulp(F) < 2^53.
+const radiusMargin = 32
+
+// radii sets f[j] = radius(s[j]) for every s[j] in (0, 1) that a float32
+// can hold, bit for bit, using l as scratch for the logarithms, and
+// returns how many values the rounding test left to radius. It takes
+// the logarithms through xmath.Log in one pass, then forms the radii
+// and takes float32 of those xmath.Rounds32 certifies within
+// radiusMargin. Every such radius is a normal float32: for s between
+// 2^−149 and 1 − 2^−24, F lies between 2^−12 and 2^79.
+func radii(f []float32, l, s []float64) (fallbacks int) {
+	f, l = f[:len(s)], l[:len(s)]
+	// bce:begin radii passes
+	for j, x := range s {
+		l[j] = xmath.Log(x)
+	}
+	for j, x := range s {
+		if r := math.Sqrt(-2 * l[j] / x); xmath.Rounds32(r, radiusMargin) {
+			f[j] = float32(r)
+			continue
+		}
+		f[j] = radius(x)
+		fallbacks++
+	}
+	// bce:end
+	return fallbacks
 }
 
 // BoxMullerFill computes one Box-Muller output per word pair; every

@@ -1,6 +1,7 @@
 package normal
 
 import (
+	"math"
 	"testing"
 
 	"github.com/decwi/decwi/internal/rng/mt"
@@ -123,4 +124,72 @@ func BenchmarkFillNormal(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestPolarRadii sweeps every float32 s in [0.5, 1) and the lower
+// binades, down to the smallest subnormal, at a stride, through radii
+// in chunks of PolarFill's size, and requires PolarStep's radius bit
+// for bit. Under -race the top binade is strided too.
+func TestPolarRadii(t *testing.T) {
+	const chunk = 64
+	var s, l [chunk]float64
+	var f [chunk]float32
+	top := uint32(1)
+	if raceEnabled {
+		top = 61
+	}
+	half := math.Float32bits(0.5)
+	n, fallbacks, total := 0, 0, 0
+	flush := func() {
+		fallbacks += radii(f[:n], l[:n], s[:n])
+		for j, x := range s[:n] {
+			if want := radius(x); math.Float32bits(f[j]) != math.Float32bits(want) {
+				t.Fatalf("s=%v: radii %v, PolarStep's radius %v", x, f[j], want)
+			}
+		}
+		total += n
+		n = 0
+	}
+	for b := uint32(1); b < math.Float32bits(1); {
+		s[n] = float64(math.Float32frombits(b))
+		if n++; n == chunk {
+			flush()
+		}
+		if b >= half {
+			b += top
+		} else {
+			b += 997
+		}
+	}
+	flush()
+	t.Logf("%d of %d radii fell back", fallbacks, total)
+
+	// s whose radius lies within radiusMargin of a float32 midpoint,
+	// found by a scan of every float32 below 1: radii must leave each to
+	// radius.
+	fallbacks = 0
+	for _, b := range []uint32{0x3eac0e, 0x60c6f8, 0x3b6fad6c, 0x3c121860, 0x3cd5ba6a, 0x3d191aa0} {
+		s[n] = float64(math.Float32frombits(b))
+		n++
+	}
+	want := n
+	flush()
+	if fallbacks != want {
+		t.Fatalf("%d of %d midpoint radii fell back", fallbacks, want)
+	}
+}
+
+// BenchmarkPolarFill times the polar transform over 4096 word pairs,
+// per attempt.
+func BenchmarkPolarFill(b *testing.B) {
+	const n = 4096
+	src := mt.NewMT19937(3)
+	w1 := drawWords(src, n)
+	w2 := drawWords(src, n)
+	dst := make([]float32, n)
+	ok := make([]bool, n)
+	for i := 0; i < b.N; i++ {
+		PolarFill(dst, ok, w1, w2)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/attempt")
 }

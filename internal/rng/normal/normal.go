@@ -121,8 +121,12 @@ func PolarStep(w1, w2 uint32) (z float32, ok bool) {
 	if sc <= 0 || sc >= 1 {
 		sc = 0.5
 	}
-	f := float32(math.Sqrt(-2 * math.Log(float64(sc)) / float64(sc)))
-	return v1 * f, ok
+	return v1 * radius(float64(sc)), ok
+}
+
+// radius is the polar method's float32(√(−2·ln s/s)) for s ∈ (0,1).
+func radius(s float64) float32 {
+	return float32(math.Sqrt(-2 * math.Log(s) / s))
 }
 
 // PolarSource adapts PolarStep to an rng.NormalSource over a shared

@@ -3,63 +3,30 @@ package xmath
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/decwi/decwi/internal/rng"
 )
 
-// same reports bit equality, counting any two NaNs as equal.
-func same(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// checkLog compares logValue and LogBlock with math.Log on every input.
+// checkLog requires Log to stay within its documented bound of
+// math.Log, widened by math.Log's own 1 ulp (2^−52 relative).
 func checkLog(t *testing.T, xs []float64) {
 	t.Helper()
-	blk := append([]float64(nil), xs...)
-	LogBlock(blk)
-	for i, x := range xs {
+	for _, x := range xs {
 		want := math.Log(x)
-		if got := logValue(x); !same(got, want) {
-			t.Fatalf("logValue(%v) = %v, math.Log = %v", x, got, want)
+		got := Log(x)
+		bound := (0x1p-49 + 0x1p-51) * math.Abs(want)
+		if !(x < 1 && float64(float32(x)) == x) {
+			bound += 0x1p-51
 		}
-		if !same(blk[i], want) {
-			t.Fatalf("LogBlock lane %d: Log(%v) = %v, math.Log = %v", i%4, x, blk[i], want)
-		}
-	}
-}
-
-// TestProbeMatchesHost pins that the host's math package was matched:
-// on amd64 the port must reproduce math.Log, otherwise every call would
-// silently take the fallback.
-func TestProbeMatchesHost(t *testing.T) {
-	t.Logf("GOARCH %s, port %v", runtime.GOARCH, usePort)
-	if runtime.GOARCH == "amd64" && !usePort {
-		t.Fatal("the log port does not match this amd64 host's math.Log")
-	}
-}
-
-// TestProbeVariants forces each of the probe's outcomes.
-func TestProbeVariants(t *testing.T) {
-	off := func(x float64) float64 { return math.Nextafter(logPort(x), 0) }
-	for _, tc := range []struct {
-		name string
-		arch string
-		log  func(float64) float64
-		want bool
-	}{
-		{"port", "amd64", logPort, true},
-		{"log differs", "amd64", off, false},
-		{"other arch", "arm64", logPort, false},
-	} {
-		if got := probe(tc.arch, tc.log); got != tc.want {
-			t.Errorf("%s: probe = %v, want %v", tc.name, got, tc.want)
+		if !(math.Abs(got-want) <= bound) {
+			t.Fatalf("Log(%v) = %v, math.Log = %v: error %g exceeds %g", x, got, want, math.Abs(got-want), bound)
 		}
 	}
 }
 
 // TestLogLattice covers every value rng.U32ToFloatOpen can produce.
+// The top words give exactly 1, where only the general bound applies.
 func TestLogLattice(t *testing.T) {
 	xs := make([]float64, 1<<12)
 	for w := 0; w < 1<<24; w += len(xs) {
@@ -85,7 +52,7 @@ func TestLogNormalFloat64(t *testing.T) {
 }
 
 // TestLogFloat32 covers float32 inputs in (0,1), the polar method's s,
-// at a stride over their bit patterns.
+// subnormal float32s included, at a stride over their bit patterns.
 func TestLogFloat32(t *testing.T) {
 	xs := make([]float64, 0, 1<<12)
 	for b := uint32(1); b < math.Float32bits(1); b += 61 {
@@ -98,27 +65,123 @@ func TestLogFloat32(t *testing.T) {
 	checkLog(t, xs)
 }
 
-// TestEdges covers the fallback boundaries and special values, each at
-// every lane position of a block, and the log reduction's f1 = √2/2
-// boundary at every exponent.
+// TestEdges covers both sides of every table interval boundary of Log
+// in several binades — including 1 itself, where the table switches
+// from the relative interval below to the centred ones above — the ends
+// of the normal range, and the ends and index boundaries of Exp's
+// domain.
 func TestEdges(t *testing.T) {
-	var halfSqrt2 []float64
-	for k := -1022; k <= 1024; k++ {
-		halfSqrt2 = append(halfSqrt2, math.Ldexp(math.Sqrt2/2, k))
-	}
-	checkLog(t, halfSqrt2)
-	inf, nan := math.Inf(1), math.NaN()
-	edges := []float64{0, math.Copysign(0, -1), -1, -inf, inf, nan, 5e-324, 0x1p-1022, math.Nextafter(0x1p-1022, 0), math.MaxFloat64, 1}
-	for _, e := range edges {
-		for n := 0; n <= 9; n++ {
-			for pos := 0; pos < n; pos++ {
-				xs := make([]float64, n)
-				for i := range xs {
-					xs[i] = 0.5
-				}
-				xs[pos] = e
-				checkLog(t, xs)
+	var below, any []float64
+	for _, k := range []int{-1022, -25, -2, -1, 0, 1, 40, 1023} {
+		for i := 0; i <= logN; i++ {
+			z := 0.6875 + float64(i)*0x1p-8
+			if i > logOne+1 {
+				z = 1 + float64(i-logOne-1)*0x1p-7
 			}
+			x := math.Ldexp(z, k)
+			if math.IsInf(x, 0) {
+				continue
+			}
+			for _, y := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1))} {
+				if y >= 0x1p-1022 && y <= math.MaxFloat64 {
+					any = append(any, y)
+				}
+			}
+			for _, y := range []float32{math.Nextafter32(float32(x), 0), float32(x)} {
+				if y > 0 && y < 1 {
+					below = append(below, float64(y))
+				}
+			}
+		}
+	}
+	checkLog(t, below)
+	checkLog(t, any)
+	checkLog(t, []float64{0x1p-1022, math.MaxFloat64, 1, math.Nextafter(1, 2), math.Nextafter(1, 0)})
+
+	var xs []float64
+	for n := -65400; n <= 65400; n += 37 {
+		c := float64(n) * math.Ln2 / expN
+		xs = append(xs, c, c+math.Ln2/(2*expN), c-math.Ln2/(2*expN))
+	}
+	xs = append(xs, ExpMin, 708, 0, 0x1p-60, -0x1p-60, -17.33*100/4)
+	checkExp(t, xs)
+}
+
+// checkExp requires Exp to stay within 2^−51 of e^x relative, widened
+// by a 2-ulp allowance for math.Exp.
+func checkExp(t *testing.T, xs []float64) {
+	t.Helper()
+	for _, x := range xs {
+		if x < ExpMin || x > 708 {
+			continue
+		}
+		want := math.Exp(x)
+		if got := Exp(x); !(math.Abs(got-want) <= 0x1p-50*want) {
+			t.Fatalf("Exp(%v) = %v, math.Exp = %v: relative error %g", x, got, want, math.Abs(got-want)/want)
+		}
+	}
+}
+
+// TestExpRange covers seeded arguments over Exp's whole domain and,
+// more densely, the boost correction's exponents e·ln u ∈ [−100·17.33, 0].
+func TestExpRange(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	xs := make([]float64, 1<<12)
+	for n := 0; n < 4_000_000; n += len(xs) {
+		for i := range xs {
+			if i%2 == 0 {
+				xs[i] = ExpMin + r.Float64()*(708-ExpMin)
+			} else {
+				xs[i] = -r.ExpFloat64() * 8
+			}
+		}
+		checkExp(t, xs)
+	}
+}
+
+// TestRounds32 drives the rounding test onto and around a float32
+// midpoint, across the float32 normal range's ends and onto inputs it
+// must refuse, and checks every accepted value against float32 rounding
+// of its neighbours.
+func TestRounds32(t *testing.T) {
+	const ulps = 100
+	mid := func(f float32) float64 { // midpoint between f and the next float32 up
+		return (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+	}
+	type tc struct {
+		y    float64
+		want bool
+	}
+	var cases []tc
+	for _, f := range []float32{1, 1.5, 3.0e-38, math.SmallestNonzeroFloat32 * (1 << 23), 1e38, math.Nextafter32(math.MaxFloat32, 0), math.Nextafter32(2, 0)} {
+		m := mid(f)
+		cases = append(cases,
+			tc{m, false},
+			tc{math.Float64frombits(math.Float64bits(m) - ulps), false},
+			tc{math.Float64frombits(math.Float64bits(m) + ulps), false},
+			tc{math.Float64frombits(math.Float64bits(m) - ulps - 1), true},
+			tc{math.Float64frombits(math.Float64bits(m) + ulps + 1), true},
+			tc{float64(f), true},
+		)
+	}
+	cases = append(cases,
+		tc{0, false}, tc{math.Copysign(0, -1), false}, tc{-1, false},
+		tc{math.Inf(1), false}, tc{math.NaN(), false},
+		tc{0x1p-126, true}, tc{math.Nextafter(0x1p-126, 0), false},
+		tc{0x1p128, false}, tc{math.Nextafter(0x1p128, 0), true},
+	)
+	for _, c := range cases {
+		got := Rounds32(c.y, ulps)
+		if got != c.want {
+			t.Errorf("Rounds32(%v, %d) = %v, want %v", c.y, ulps, got, c.want)
+		}
+		if !got {
+			continue
+		}
+		lo := math.Float64frombits(math.Float64bits(c.y) - ulps)
+		hi := math.Float64frombits(math.Float64bits(c.y) + ulps)
+		if float32(lo) != float32(c.y) || float32(hi) != float32(c.y) {
+			t.Errorf("Rounds32(%v) accepted, but its ±%d ulp neighbours round to %v and %v, not %v", c.y, ulps, float32(lo), float32(hi), float32(c.y))
 		}
 	}
 }

@@ -2,8 +2,8 @@
 # Bounds-check-elimination gate for the hot kernels.
 #
 # The unrolled lane kernels (mt fillSeg / fill521, normal PolarFill /
-# ICDFFPGAFill, gamma candidateBlockDense / powCorrectBlock /
-# FinishBlock, xmath LogBlock) are written in the len-pinned
+# radii / ICDFFPGAFill, gamma candidateBlockDense / logTest /
+# FinishBlock) are written in the len-pinned
 # subslice idiom precisely so the compiler's prove pass can discharge every
 # bounds check; a refactor that silently reintroduces one costs real
 # single-core throughput. This script compiles the RNG packages with
@@ -19,7 +19,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-files="internal/rng/mt/mt.go internal/rng/normal/batch.go internal/rng/gamma/gamma.go internal/rng/xmath/xmath.go"
+files="internal/rng/mt/mt.go internal/rng/normal/batch.go internal/rng/gamma/gamma.go"
 pkgs="./internal/rng/mt ./internal/rng/normal ./internal/rng/gamma ./internal/rng/xmath"
 
 cache="$(mktemp -d)"
@@ -61,9 +61,8 @@ done >"$regions"
 nregions="$(wc -l <"$regions" | tr -d ' ')"
 if [ "$nregions" -lt 10 ]; then
     echo "bce_check: found only $nregions marked regions, expected at least 10" >&2
-    echo "  (fillSeg + fill521 in mt.go, PolarFill x2 + ICDFFPGAFill in batch.go," >&2
-    echo "   powCorrectBlock + FinishBlock x2 + candidateBlockDense in gamma.go," >&2
-    echo "   LogBlock in xmath.go)" >&2
+    echo "  (fillSeg + fill521 in mt.go, PolarFill x2 + radii + ICDFFPGAFill in batch.go," >&2
+    echo "   FinishBlock x2 + logTest + candidateBlockDense in gamma.go)" >&2
     cat "$regions" >&2
     exit 1
 fi

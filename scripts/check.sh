@@ -24,8 +24,8 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # Bounds-check-elimination gate: the marked lane kernels (mt fillSeg /
-# fill521, normal PolarFill / ICDFFPGAFill, gamma candidateBlockDense /
-# powCorrectBlock / FinishBlock, xmath LogBlock) must compile
+# fill521, normal PolarFill / radii / ICDFFPGAFill, gamma
+# candidateBlockDense / logTest / FinishBlock) must compile
 # with zero surviving IsInBounds/IsSliceInBounds checks — the fused
 # pipe's single-core throughput depends on it.
 echo "== bounds-check elimination in marked kernel regions"
@@ -103,15 +103,17 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 # and accounting fields cannot move), the ?wait= long-poll parameter
 # (200 or 400 with a JSON body, no panic), traceparent parsing (the id
 # is "" or 32 lowercase hex), the /debug/jobs/{id} validator (no
-# panic) and the CreditRisk+ Poisson lane (same counts and stream
-# position as the one-word Knuth oracle). The committed seed corpora
+# panic), the CreditRisk+ Poisson lane (same counts and stream
+# position as the one-word Knuth oracle) and the certified finish lane
+# (FinishBlock equals Finish bit for bit). The committed seed corpora
 # under testdata/fuzz/ also run as plain tests in every go test.
-echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane; 5s each)"
+echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane, FuzzFinishLane; 5s each)"
 go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzWaitParam$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzPoissonLane$' -fuzztime 5s ./internal/creditrisk
+go test -run '^$' -fuzz '^FuzzFinishLane$' -fuzztime 5s ./internal/rng/gamma
 
 # Parallel-equivalence suite under both a single-core and a multicore
 # scheduler: GOMAXPROCS=1 exercises the sequential claim order,
