@@ -67,7 +67,7 @@ serve-smoke:
 
 # Tracing non-perturbation gate: cache-hot HTTP jobs/s with the flight
 # recorder + SLO plane on must hold a median >= 0.90x the tracing-off
-# rate over 10 interleaved in-process pairs.
+# rate over 40 short interleaved in-process pairs.
 trace-overhead:
 	$(GO) test -run '^TestTracingOverheadCacheHot$$' -count=1 -v ./internal/serve
 

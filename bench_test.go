@@ -538,5 +538,5 @@ func BenchmarkGamma(b *testing.B) {
 		b.SetBytes(65536 * 4)
 	}
 	b.Run("telemetry-off", func(b *testing.B) { run(b, nil) })
-	b.Run("telemetry-on", func(b *testing.B) { run(b, telemetry.New(telemetry.DefaultRingCap)) })
+	b.Run("telemetry-on", func(b *testing.B) { run(b, telemetry.New(1<<16)) })
 }

@@ -2,17 +2,22 @@
 // (Table I) with cycle-level telemetry enabled and emits two artifacts:
 //
 //   - a Chrome trace_event JSON file (load it in chrome://tracing or
-//     https://ui.perfetto.dev) with the OpenCL command queue, the
-//     dataflow processes, the hls::stream blocking spans and the
-//     cycle-accurate co-simulation lanes on separate clock domains;
+//     https://ui.perfetto.dev) of the run trace: the OpenCL command
+//     queue, the dataflow processes, the hls::stream blocking spans,
+//     the cycle-accurate co-simulation lanes and (with -parallel) the
+//     scheduler's chunks, one trace process per clock, plus every
+//     counter's final value on a "counters" track;
 //   - a plain-text stall-attribution report ranking which stream or
 //     loop-carried dependency cost the most cycles.
+//
+// The run trace keeps at most -events spans; spans past that budget
+// are dropped and counted in the report.
 //
 // With -job the tool switches sides: instead of running a kernel it
 // renders one serve-path job's flight-recorder trace — fetched from a
 // live decwi-served /debug/jobs/{id} endpoint or read from a saved
-// JSON file — into the same Chrome trace_event format, after running
-// the full schema/containment validation on it.
+// JSON file. Both modes validate the trace with flight.CheckTraceJSON
+// and render it through the same exporter.
 //
 // Usage:
 //
@@ -54,7 +59,7 @@ func main() {
 	chunkWI := flag.Int("chunk", 0, "parallel: work-items per chunk (0 = even split across shards)")
 	tracePath := flag.String("trace", "decwi-trace.json", "output path for the Chrome trace_event JSON")
 	reportPath := flag.String("report", "", "output path for the stall-attribution report (default: stdout)")
-	ringCap := flag.Int("events", telemetry.DefaultRingCap, "event ring capacity (oldest events overwritten beyond this)")
+	budget := flag.Int("events", 1<<16, "span budget of the run trace (spans past it are dropped and counted)")
 	jobSrc := flag.String("job", "", "render a serve-path job trace instead of running a kernel: a /debug/jobs/{id} URL or a saved trace JSON file")
 	mflags := metricsrv.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -63,8 +68,8 @@ func main() {
 	if *jobSrc != "" {
 		err = runJob(*jobSrc, *tracePath)
 	} else {
-		err = run(*cfgNum, *scenarios, *sectors, *workItems, *seed,
-			*cosimQuota, *tracePath, *reportPath, *ringCap,
+		_, err = run(*cfgNum, *scenarios, *sectors, *workItems, *seed,
+			*cosimQuota, *tracePath, *reportPath, *budget,
 			*parallel, *shards, *workers, *chunkWI, mflags)
 	}
 	if err != nil {
@@ -123,22 +128,8 @@ func runJob(src, tracePath string) error {
 			return err
 		}
 	}
-	// Validate before rendering: a malformed span tree (negative times,
-	// a child outside its parent) should fail the tool, not produce a
-	// silently wrong flame graph.
-	spans, err := flight.CheckTraceJSON(body)
+	tj, err := writeChrome(body, tracePath)
 	if err != nil {
-		return fmt.Errorf("invalid job trace: %w", err)
-	}
-	var tj flight.TraceJSON
-	if err := json.Unmarshal(body, &tj); err != nil {
-		return err
-	}
-	out, err := tj.ChromeTrace()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(tracePath, out, 0o644); err != nil {
 		return err
 	}
 	lane := tj.Lane
@@ -146,31 +137,78 @@ func runJob(src, tracePath string) error {
 		lane = "unknown"
 	}
 	fmt.Printf("decwi-trace: job %s trace %s — lane %s, state %s, %d spans, %dus\n",
-		tj.JobID, tj.TraceID, lane, tj.State, spans, tj.DurationUS)
+		tj.JobID, tj.TraceID, lane, tj.State, len(tj.Spans), tj.DurationUS)
 	fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", tracePath)
 	return nil
 }
 
+// writeChrome validates a trace body and writes its Chrome trace_event
+// rendering to path. Validation comes first: a malformed span tree
+// (negative times, a child outside its parent or on another clock)
+// should fail the tool, not produce a silently wrong flame graph.
+func writeChrome(body []byte, path string) (flight.TraceJSON, error) {
+	var tj flight.TraceJSON
+	if _, err := flight.CheckTraceJSON(body); err != nil {
+		return tj, fmt.Errorf("invalid trace: %w", err)
+	}
+	if err := json.Unmarshal(body, &tj); err != nil {
+		return tj, err
+	}
+	out, err := tj.ChromeTrace()
+	if err != nil {
+		return tj, err
+	}
+	return tj, os.WriteFile(path, out, 0o644)
+}
+
+// recordCounters adds every counter's final value to the run trace as a
+// zero-length span on the "counters" track, stamped at the end of its
+// clock's timeline: cycle counters on the cycle clock, the rest on the
+// wall clock.
+func recordCounters(rec *telemetry.Recorder) {
+	tr := rec.Trace()
+	var cycleEnd int64
+	for _, s := range tr.Snapshot().Spans {
+		if s.Clock == flight.CycleClock && s.EndUS > cycleEnd {
+			cycleEnd = s.EndUS
+		}
+	}
+	wallEnd := tr.Now()
+	for _, c := range rec.Counters() {
+		s := flight.Span{Track: "counters", Name: c.Name(), Arg: c.Value(),
+			Detail: fmt.Sprintf("%d %s", c.Value(), c.Unit()), StartUS: wallEnd, EndUS: wallEnd}
+		if c.Unit() == "cycles" {
+			s.Clock, s.StartUS, s.EndUS = flight.CycleClock, cycleEnd, cycleEnd
+		}
+		tr.Put(s)
+	}
+}
+
+// run is the kernel mode. It returns the recorder, whose run trace and
+// counters hold everything the artifacts were rendered from.
 func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
-	cosimQuota int64, tracePath, reportPath string, ringCap int,
-	parallel bool, shards, workers, chunkWI int, mflags *metricsrv.Flags) error {
+	cosimQuota int64, tracePath, reportPath string, budget int,
+	parallel bool, shards, workers, chunkWI int, mflags *metricsrv.Flags) (*telemetry.Recorder, error) {
 	if cfgNum < 1 || cfgNum > 4 {
-		return fmt.Errorf("-config must be 1..4, got %d", cfgNum)
+		return nil, fmt.Errorf("-config must be 1..4, got %d", cfgNum)
+	}
+	if budget < 1 {
+		return nil, fmt.Errorf("-events must be at least 1, got %d", budget)
 	}
 	cfg := decwi.ConfigID(cfgNum)
 	info, err := cfg.Describe()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	kernels := []perf.KernelConfig{perf.Config1, perf.Config2, perf.Config3, perf.Config4}
 	k := kernels[cfgNum-1]
 
-	// decwi-trace needs the event ring for its trace artifacts, so it
+	// decwi-trace needs the run trace for its trace artifact, so it
 	// builds its own recorder instead of the metrics-only Flags.Recorder.
-	rec := telemetry.New(ringCap)
+	rec := telemetry.New(budget)
 	stopMetrics, err := mflags.Start("decwi-trace", rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer stopMetrics()
 
@@ -179,7 +217,7 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	// and feed-stream counters.
 	sess, err := decwi.NewSession("FPGA")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sess.SetTelemetry(rec)
 	kr, err := sess.EnqueueGamma(cfg, decwi.GenerateOptions{
@@ -188,10 +226,10 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	}, false)
 	if err != nil {
 		sess.Close()
-		return err
+		return nil, err
 	}
 	if err := sess.Close(); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Pass 2: the cycle-accurate co-simulation — per-lane II-stall
@@ -209,14 +247,14 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 			Seed: seed, Telemetry: rec,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cosim = &res
 	}
 
 	// Pass 3 (optional): the work-stealing parallel host path — per-chunk
-	// EvChunk spans plus the scheduler counters the stall report's
-	// "Parallel scheduler" section attributes.
+	// spans plus the scheduler counters the stall report's "Parallel
+	// scheduler" section attributes.
 	var pres *decwi.ParallelResult
 	if parallel {
 		pres, err = decwi.GenerateParallel(cfg, decwi.ParallelOptions{
@@ -226,29 +264,28 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 				Telemetry: rec,
 			},
 			Shards: shards, Workers: workers, ChunkWorkItems: chunkWI,
+			Trace: rec.Trace(),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 
-	f, err := os.Create(tracePath)
+	recordCounters(rec)
+	rec.Trace().Finish("done", "")
+	body, err := json.Marshal(rec.Trace().Snapshot())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
+	if _, err := writeChrome(body, tracePath); err != nil {
+		return nil, err
 	}
 
 	out := os.Stdout
 	if reportPath != "" {
 		rf, err := os.Create(reportPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer rf.Close()
 		out = rf
@@ -269,8 +306,8 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	}
 	fmt.Fprintln(out)
 	if err := rec.WriteStallReport(out); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(out, "\nchrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", tracePath)
-	return nil
+	return rec, nil
 }

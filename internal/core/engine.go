@@ -11,6 +11,7 @@ import (
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // Config describes one kernel build of the decoupled work-item engine.
@@ -55,11 +56,12 @@ type Config struct {
 	LimitMaxFactor int64
 	// Seed is the master seed; per-work-item streams are split from it.
 	Seed uint64
-	// Telemetry, when non-nil, records cycle/event telemetry for the
-	// run: hls::stream backpressure, per-work-item divergence and retry
-	// attribution, dataflow process spans, burst events. A nil recorder
-	// leaves the hot paths on their uninstrumented fast path. Tracing
-	// never perturbs the generated data (see TestTelemetryDoesNotPerturbRNG).
+	// Telemetry, when non-nil, records cycle telemetry for the run:
+	// hls::stream backpressure, per-work-item divergence and retry
+	// attribution, and — into its run trace — dataflow process, sector
+	// and burst spans. A nil recorder leaves the hot paths on their
+	// uninstrumented fast path. Tracing never perturbs the generated
+	// data (see TestTelemetryDoesNotPerturbRNG).
 	Telemetry *telemetry.Recorder
 }
 
@@ -266,12 +268,13 @@ func (e *Engine) Run() (*RunResult, error) {
 			},
 		)
 	}
-	kernelTr := cfg.Telemetry.Track("engine", telemetry.Wall)
-	kStart := kernelTr.Now()
+	tr := cfg.Telemetry.Trace()
+	kStart := tr.Now()
 	if err := hls.DataflowWith(cfg.Telemetry, procs); err != nil {
 		return nil, err
 	}
-	kernelTr.Span(telemetry.EvKernel, kStart, kernelTr.Now(), cfg.Scenarios*int64(cfg.Sectors))
+	tr.Put(flight.Span{Track: "engine", Name: "kernel", StartUS: kStart, EndUS: tr.Now(),
+		Arg: cfg.Scenarios * int64(cfg.Sectors)})
 	for w := range res.PerWI {
 		s := &res.PerWI[w]
 		if s.Accepted > 0 {
@@ -387,11 +390,15 @@ type sink struct {
 func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *gamma.Generator, snk sink, stats *WorkItemStats) error {
 	cfg := e.cfg
 	limitMax := cfg.LimitMaxFactor*limitMain + 1024
-	// Telemetry: a cycle-domain track timestamped by the generator's own
+	// Telemetry: a cycle-clock track timestamped by the generator's own
 	// cycle counter. All handles are nil-safe no-ops when tracing is off,
 	// and everything here is per-sector or per-block — the MAINLOOP body
 	// itself carries no instrumentation.
-	tr := cfg.Telemetry.Track(fmt.Sprintf("GammaRNG[%d]", wid), telemetry.Cycles)
+	tr := cfg.Telemetry.Trace()
+	var track string
+	if tr != nil {
+		track = fmt.Sprintf("GammaRNG[%d]", wid)
+	}
 
 	bufs := blockBuffersPool.Get().(*blockBuffers)
 	defer blockBuffersPool.Put(bufs)
@@ -420,9 +427,12 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 				wid, sector, counter, limitMain, limitMax)
 		}
 		stats.Overshoot += trips - (quotaAt + 1)
-		tr.Span(telemetry.EvSector, sectorStart, int64(gen.Cycles()), trips)
+		end := int64(gen.Cycles())
+		tr.Put(flight.Span{Track: track, Clock: flight.CycleClock, Name: "sector",
+			StartUS: sectorStart, EndUS: end, Arg: trips})
 		// Retry attribution for this sector: loop trips beyond the quota.
-		tr.Instant(telemetry.EvRetry, int64(gen.Cycles()), trips-limitMain)
+		tr.Put(flight.Span{Track: track, Clock: flight.CycleClock, Name: "rejection-retry",
+			StartUS: end, EndUS: end, Arg: trips - limitMain})
 	}
 	stats.Cycles = gen.Cycles()
 	stats.Accepted = gen.Accepted()
@@ -532,7 +542,11 @@ func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res
 	cfg := e.cfg
 	burstWords := cfg.BurstRNs / WordRNs
 	burst := make([]Word512, 0, burstWords)
-	tr := cfg.Telemetry.Track(fmt.Sprintf("Transfer[%d]", wid), telemetry.Wall)
+	tr := cfg.Telemetry.Trace()
+	var track string
+	if tr != nil {
+		track = fmt.Sprintf("Transfer[%d]", wid)
+	}
 	cBursts := cfg.Telemetry.Counter(fmt.Sprintf("membus.bursts[%d]", wid), "events",
 		"memory bursts issued by the Transfer engine")
 
@@ -553,7 +567,8 @@ func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res
 		burst = burst[:0]
 		stats.Bursts++
 		cBursts.Add(1)
-		tr.Instant(telemetry.EvMemBurst, tr.Now(), payload)
+		now := tr.Now()
+		tr.Put(flight.Span{Track: track, Name: "mem-burst", StartUS: now, EndUS: now, Arg: payload})
 	}
 
 	total := limitMain * int64(cfg.Sectors)

@@ -8,6 +8,7 @@ import (
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // This file is the cycle-accurate co-simulation of the dataflow region —
@@ -132,10 +133,16 @@ type laneState struct {
 	buf burstBuffer
 
 	// Telemetry state (inert when tracing is off).
-	tr         *telemetry.Track   // per-lane cycle-domain track
+	track      string             // "lane[N]": the lane's cycle-clock track
 	cStall     *telemetry.Counter // FIFO-backpressure stall cycles
-	label      int32              // interned "lane N" for channel spans
 	stallStart int64              // first cycle of the open stall span, -1 if none
+}
+
+// stallSpan closes the lane's open II bubble at cycle as one span.
+func (ls *laneState) stallSpan(tr *flight.Trace, cycle int64) {
+	tr.Put(flight.Span{Track: ls.track, Clock: flight.CycleClock, Name: "ii-stall",
+		StartUS: ls.stallStart, EndUS: cycle, Arg: cycle - ls.stallStart})
+	ls.stallStart = -1
 }
 
 // RunCoSim executes the co-simulation to completion.
@@ -149,7 +156,7 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 	// offsets alias with the generator's internal stream split).
 	wiSeeds := rng.StreamSeeds(cfg.Seed, cfg.WorkItems)
 	rec := cfg.Telemetry
-	memTr := rec.Track("memctrl", telemetry.Cycles)
+	tr := rec.Trace()
 	cBusy := rec.Counter("cosim.channel-busy", "cycles", "memory channel occupied by bursts")
 	cBursts := rec.Counter("cosim.bursts", "events", "bursts granted by the channel arbiter")
 	cValues := rec.Counter("cosim.burst-values", "values",
@@ -169,10 +176,9 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 				gamma.MustFromVariance(cfg.Variance), wiSeeds[i])
 		}
 		if rec != nil {
-			ls.tr = rec.Track(fmt.Sprintf("lane[%d]", i), telemetry.Cycles)
+			ls.track = fmt.Sprintf("lane[%d]", i)
 			ls.cStall = rec.Counter(fmt.Sprintf("cosim.fifo-stall[%d]", i), "cycles",
 				"pipeline stalled on full hls::stream FIFO (II bubble)")
-			ls.label = rec.Intern(fmt.Sprintf("burst lane %d", i))
 		}
 		lanes[i] = ls
 	}
@@ -236,7 +242,8 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 				transferred += int64(payload)
 				cValues.Add(int64(payload))
 				hBurst.Record(int64(payload))
-				memTr.SpanL(telemetry.EvMemBurst, ls.label, ls.buf.grantCycle, cycle, int64(payload))
+				tr.Put(flight.Span{Track: "memctrl", Clock: flight.CycleClock, Name: "mem-burst",
+					Detail: ls.track, StartUS: ls.buf.grantCycle, EndUS: cycle, Arg: int64(payload)})
 			}
 
 			// 3. Transfer engine: move one value per cycle from the FIFO
@@ -259,8 +266,7 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 				} else {
 					if ls.stallStart >= 0 {
 						// The bubble ends: coalesce it into one span.
-						ls.tr.Span(telemetry.EvIIStall, ls.stallStart, cycle, cycle-ls.stallStart)
-						ls.stallStart = -1
+						ls.stallSpan(tr, cycle)
 					}
 					valid := true
 					if !cfg.TransfersOnly {
@@ -296,8 +302,7 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 	// Close any stall span still open at the end of the simulation.
 	for _, ls := range lanes {
 		if ls.stallStart >= 0 {
-			ls.tr.Span(telemetry.EvIIStall, ls.stallStart, cycle, cycle-ls.stallStart)
-			ls.stallStart = -1
+			ls.stallSpan(tr, cycle)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // Dependence is one loop-carried dependency as an HLS scheduler sees it:
@@ -124,30 +125,31 @@ type Process struct {
 func Dataflow(procs []Process) error { return DataflowWith(nil, procs) }
 
 // DataflowWith is Dataflow with process-lifecycle telemetry: each
-// process gets an EvProcess span (start..finish, wall clock) on its own
-// track. A nil recorder records nothing and costs nothing.
+// process gets a "process" span (start..finish, wall clock) on its own
+// track of the recorder's run trace. A recorder without a run trace
+// records nothing and costs nothing.
 func DataflowWith(rec *telemetry.Recorder, procs []Process) error {
+	tr := rec.Trace()
 	var wg sync.WaitGroup
 	errs := make([]error, len(procs))
 	for i, p := range procs {
 		wg.Add(1)
 		go func(i int, p Process) {
 			defer wg.Done()
-			var tr *telemetry.Track
-			if rec != nil {
-				tr = rec.Track("proc "+p.Name, telemetry.Wall)
-			}
 			start := tr.Now()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("hls: process %q panicked: %v", p.Name, r)
 				}
-				// Span arg 1 flags a failed process in the trace.
-				var failed int64
-				if errs[i] != nil {
-					failed = 1
+				if tr != nil {
+					// Span arg 1 flags a failed process in the trace.
+					var failed int64
+					if errs[i] != nil {
+						failed = 1
+					}
+					tr.Put(flight.Span{Track: "proc " + p.Name, Name: "process",
+						StartUS: start, EndUS: tr.Now(), Arg: failed})
 				}
-				tr.Span(telemetry.EvProcess, start, tr.Now(), failed)
 			}()
 			if err := p.Run(); err != nil {
 				errs[i] = fmt.Errorf("hls: process %q: %w", p.Name, err)

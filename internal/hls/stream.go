@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // ErrStreamClosed is returned by Read after the producer closed the
@@ -83,7 +84,8 @@ type Stream[T any] struct {
 
 // streamProbe carries the telemetry handles of an instrumented stream.
 type streamProbe struct {
-	tr          *telemetry.Track
+	tr          *flight.Trace // the recorder's run trace, nil when it has none
+	track       string
 	pushes      *telemetry.Counter
 	pops        *telemetry.Counter
 	pushBlockNS *telemetry.Counter
@@ -100,17 +102,18 @@ type streamProbe struct {
 	occupancy *telemetry.Gauge
 	blockUS   *telemetry.Histogram
 	starveUS  *telemetry.Histogram
-	// sampleMask thins the per-value push/pop instants: an event is
-	// emitted when count&sampleMask == 0; burst operations emit one
+	// sampleMask thins the per-value push/pop instants: one is
+	// recorded when count&sampleMask == 0; burst operations record one
 	// instant per crossed sampling window (block/starve spans are
-	// always emitted).
+	// always recorded).
 	sampleMask uint64
 }
 
 // Instrument attaches the stream to a recorder: push/pop counters (bulk
 // incremented by the burst API), burst-size counters, blocked-time
-// counters for the stall report, and EvStreamBlock / EvStreamStarve
-// spans (plus sampled push/pop instants) on a wall-clock track named
+// counters for the stall report, and "stream.block(full)" /
+// "stream.starve(empty)" spans (plus sampled "stream.push" /
+// "stream.pop" instants) on the run trace's wall-clock track named
 // after the stream. Must be called before the stream is shared between
 // goroutines; a nil recorder leaves the stream un-instrumented.
 func (s *Stream[T]) Instrument(rec *telemetry.Recorder) {
@@ -118,7 +121,8 @@ func (s *Stream[T]) Instrument(rec *telemetry.Recorder) {
 		return
 	}
 	s.probe = &streamProbe{
-		tr: rec.Track("stream "+s.name, telemetry.Wall),
+		tr:    rec.Trace(),
+		track: "stream " + s.name,
 		pushes: rec.Counter("stream."+s.name+".push", "values",
 			fmt.Sprintf("hls::stream %q values written", s.name)),
 		pops: rec.Counter("stream."+s.name+".pop", "values",
@@ -139,6 +143,12 @@ func (s *Stream[T]) Instrument(rec *telemetry.Recorder) {
 			fmt.Sprintf("hls::stream %q per-wait consumer starved duration (FIFO empty)", s.name)),
 		sampleMask: 255,
 	}
+}
+
+// instant records a sampled push/pop point carrying the running count.
+func (p *streamProbe) instant(name string, count uint64) {
+	now := p.tr.Now()
+	p.tr.Put(flight.Span{Track: p.track, Name: name, StartUS: now, EndUS: now, Arg: int64(count)})
 }
 
 // NewStream creates a stream with the given FIFO depth (≥1) and a
@@ -202,7 +212,8 @@ func (s *Stream[T]) waitNotFull(p *streamProbe) {
 	if p != nil {
 		blocked := time.Since(start)
 		end := p.tr.Now()
-		p.tr.Span(telemetry.EvStreamBlock, end-blocked.Microseconds(), end, int64(s.count))
+		p.tr.Put(flight.Span{Track: p.track, Name: "stream.block(full)",
+			StartUS: end - blocked.Microseconds(), EndUS: end, Arg: int64(s.count)})
 		p.pushBlockNS.Add(blocked.Nanoseconds())
 		p.blockUS.Record(blocked.Microseconds())
 	}
@@ -224,7 +235,8 @@ func (s *Stream[T]) waitNotEmpty(p *streamProbe) {
 	if p != nil {
 		starved := time.Since(start)
 		end := p.tr.Now()
-		p.tr.Span(telemetry.EvStreamStarve, end-starved.Microseconds(), end, 0)
+		p.tr.Put(flight.Span{Track: p.track, Name: "stream.starve(empty)",
+			StartUS: end - starved.Microseconds(), EndUS: end})
 		p.popBlockNS.Add(starved.Nanoseconds())
 		p.starveUS.Record(starved.Microseconds())
 	}
@@ -251,7 +263,7 @@ func (s *Stream[T]) Write(v T) {
 		p.occupancy.Set(int64(occ))
 		p.pushes.Add(1)
 		if n&p.sampleMask == 0 {
-			p.tr.Instant(telemetry.EvStreamPush, p.tr.Now(), int64(n))
+			p.instant("stream.push", n)
 		}
 	}
 }
@@ -309,7 +321,7 @@ func (s *Stream[T]) WriteBurst(vs []T) {
 		// One sampled instant per crossed sampling window, so burst and
 		// per-value transports produce comparable trace densities.
 		if win := p.sampleMask + 1; after/win != before/win {
-			p.tr.Instant(telemetry.EvStreamPush, p.tr.Now(), int64(after))
+			p.instant("stream.push", after)
 		}
 	}
 }
@@ -337,7 +349,7 @@ func (s *Stream[T]) Read() (T, error) {
 		p.occupancy.Set(int64(occ))
 		p.pops.Add(1)
 		if n&p.sampleMask == 0 {
-			p.tr.Instant(telemetry.EvStreamPop, p.tr.Now(), int64(n))
+			p.instant("stream.pop", n)
 		}
 	}
 	return v, nil
@@ -387,7 +399,7 @@ func (s *Stream[T]) ReadBurst(dst []T) (int, error) {
 		p.burstValues.Add(int64(read))
 		p.burstOps.Add(1)
 		if win := p.sampleMask + 1; after/win != before/win {
-			p.tr.Instant(telemetry.EvStreamPop, p.tr.Now(), int64(after))
+			p.instant("stream.pop", after)
 		}
 	}
 	if read == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // EventStatus tracks the lifecycle of an enqueued command.
@@ -92,25 +93,24 @@ type CommandQueue struct {
 
 	// Telemetry handles, set once by SetTelemetry before commands are
 	// enqueued; all nil (no-op) when tracing is off.
-	tel     *telemetry.Recorder
-	telWall *telemetry.Track   // host-side worker activity (wall clock)
-	telSim  *telemetry.Track   // simulated device timeline
-	cCmds   *telemetry.Counter // commands completed
+	tr    *flight.Trace      // the recorder's run trace
+	cCmds *telemetry.Counter // commands completed
 }
 
 // SetTelemetry attaches the queue to a recorder: every command gets an
-// EvEnqueue instant plus two EvCommand spans named after the command —
-// one on the wall-clock worker track (host-observed execution) and one
-// on the simulated device timeline (the profiled start/end the paper's
-// event profiling reports). Must be called before the first enqueue.
+// "enqueue" instant plus two "command" spans whose detail is the
+// command name — one on the wall-clock worker track (host-observed
+// execution) and one on the simulated device clock (the profiled
+// start/end the paper's event profiling reports). Must be called
+// before the first enqueue.
 func (q *CommandQueue) SetTelemetry(rec *telemetry.Recorder) {
-	if rec == nil {
-		return
-	}
-	q.tel = rec
-	q.telWall = rec.Track(fmt.Sprintf("queue[%s] worker", q.Device.Name), telemetry.Wall)
-	q.telSim = rec.Track(fmt.Sprintf("queue[%s] device", q.Device.Name), telemetry.SimClock)
+	q.tr = rec.Trace()
 	q.cCmds = rec.Counter("queue.commands", "events", "OpenCL commands completed")
+}
+
+// track names one of the queue's two timelines ("worker", "device").
+func (q *CommandQueue) track(side string) string {
+	return "queue[" + q.Device.Name + "] " + side
 }
 
 // NewCommandQueue creates an in-order queue for the device.
@@ -167,11 +167,14 @@ func (q *CommandQueue) worker() {
 		c.ev.start = start
 		c.ev.mu.Unlock()
 
-		lbl := q.tel.Intern(c.ev.name)
-		w0 := q.telWall.Now()
+		w0 := q.tr.Now()
 		err := c.run()
-		q.telWall.SpanL(telemetry.EvCommand, lbl, w0, q.telWall.Now(), 0)
-		q.telSim.SpanL(telemetry.EvCommand, lbl, start.Microseconds(), end.Microseconds(), 0)
+		if q.tr != nil {
+			q.tr.Put(flight.Span{Track: q.track("worker"), Name: "command", Detail: c.ev.name,
+				StartUS: w0, EndUS: q.tr.Now()})
+			q.tr.Put(flight.Span{Track: q.track("device"), Clock: flight.DeviceClock, Name: "command",
+				Detail: c.ev.name, StartUS: start.Microseconds(), EndUS: end.Microseconds()})
+		}
 		q.cCmds.Add(1)
 
 		c.ev.mu.Lock()
@@ -202,7 +205,10 @@ func (q *CommandQueue) enqueue(name string, modelDur time.Duration, waits []*Eve
 		}
 	}
 	ev := &Event{name: name, done: make(chan struct{})}
-	q.telWall.InstantL(telemetry.EvEnqueue, q.tel.Intern(name), q.telWall.Now(), 0)
+	if q.tr != nil {
+		now := q.tr.Now()
+		q.tr.Put(flight.Span{Track: q.track("worker"), Name: "enqueue", Detail: name, StartUS: now, EndUS: now})
+	}
 	q.pending <- command{ev: ev, modelDur: modelDur, waits: waits, run: run}
 	return ev, nil
 }

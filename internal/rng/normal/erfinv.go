@@ -52,10 +52,10 @@ func ErfcinvGiles(y float32) float32 { return ErfinvGiles(1 - y) }
 //
 //	Φ⁻¹(u) = −√2 · erfcinv(2u)
 //
-// with Giles' erfinv underneath. It is valid on every cycle (ok=false only
-// for the degenerate all-zeros word, which the open-interval conversion
-// already precludes; the flag is kept for interface symmetry with the
-// rejecting transforms).
+// with Giles' erfinv underneath. ok is false exactly when z is not
+// finite: the words ≥ 0xFFFFFF00, which U32ToFloatOpen maps to u = 1
+// and which give z = −Inf. Every other word, the all-zeros word
+// included, yields a finite variate.
 func ICDFCUDAStep(w uint32) (z float32, ok bool) {
 	u := rng.U32ToFloatOpen(w)
 	z = -float32(math.Sqrt2) * ErfcinvGiles(2*u)

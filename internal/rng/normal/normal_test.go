@@ -100,6 +100,47 @@ func TestICDFCUDAMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestUniformLatticeEdges pins the edges of the word → uniform
+// conversions the transforms consume, as the bytes stand: the lower
+// half of the U32ToFloatOpen lattice sits at half steps, the upper half
+// rounds (m+0.5) to even so pairs of words share a value, words ≥
+// 0xFFFFFF00 give exactly 1, U32ToSigned gives exactly 0 at 0x80000000
+// and exactly 1 at the top, and ICDFCUDAStep fails only on the top
+// words. A conversion fix moves every golden digest; this table makes
+// such a change show up here as a deliberate one.
+func TestUniformLatticeEdges(t *testing.T) {
+	inf := float32(math.Inf(-1))
+	cases := []struct {
+		w      uint32
+		open   float32
+		signed float32
+		icdfOK bool
+	}{
+		{0x00000000, 0x1p-25, -1 + 0x1p-24, true},
+		{0x000000FF, 0x1p-25, -1 + 0x1p-24, true},
+		{0x7FFFFFFF, 0.5 - 0x1p-25, -0x1p-24, true},
+		{0x80000000, 0.5, 0, true},
+		{0x800000FF, 0.5, 0, true},
+		{0x80000100, 0.5 + 0x1p-23, 0x1p-22, true}, // m = 2^23+1 rounds up to m+1 ...
+		{0x80000200, 0.5 + 0x1p-23, 0x1p-22, true}, // ... and shares m = 2^23+2's value
+		{0xFFFFFEFF, 1 - 0x1p-23, 1 - 0x1p-22, true},
+		{0xFFFFFF00, 1, 1, false},
+		{0xFFFFFFFF, 1, 1, false},
+	}
+	for _, c := range cases {
+		if got := rng.U32ToFloatOpen(c.w); got != c.open {
+			t.Errorf("U32ToFloatOpen(%#08x) = %g, want %g", c.w, got, c.open)
+		}
+		if got := rng.U32ToSigned(c.w); got != c.signed {
+			t.Errorf("U32ToSigned(%#08x) = %g, want %g", c.w, got, c.signed)
+		}
+		z, ok := ICDFCUDAStep(c.w)
+		if ok != c.icdfOK || (!ok && z != inf) {
+			t.Errorf("ICDFCUDAStep(%#08x) = (%g, %v), want ok=%v (z = -Inf when not ok)", c.w, z, ok, c.icdfOK)
+		}
+	}
+}
+
 // TestICDFFPGAMatchesOracle checks the bit-level step against the oracle:
 // reconstruct the exact x the hardware decomposition represents and bound
 // the quantized-polynomial error.

@@ -69,10 +69,16 @@ const (
 )
 
 // U32ToFloatOpen maps a raw 32-bit word to a single-precision uniform in
-// the open interval (0,1). It keeps the 24 high-order bits — the full
-// mantissa width of float32 — and centres the lattice at half steps, so
-// neither 0 nor 1 is ever produced. This is the `uint2float` of Listing 2:
-// downstream code may safely take logarithms and reciprocals.
+// (0,1]: with m = x>>8, the 24 high-order bits (the full mantissa width
+// of float32), it returns (m+0.5)·2^-24 in float32 arithmetic. This is
+// the `uint2float` of Listing 2. For m < 2^23 the sum is exact, so the
+// lower half of the lattice sits at half steps and 0 is never produced.
+// For m ≥ 2^23 the sum needs 25 bits and rounds to even, giving m or
+// m+1: the upper half is not centred, the words with m = 2k+1 and
+// m = 2k+2 share one value, and every word ≥ 0xFFFFFF00 gives exactly
+// 1.0. Logarithms and reciprocals stay finite; a transform that needs
+// u < 1 must check. Changing the conversion would move every golden
+// digest (TestUniformLatticeEdges pins these edges).
 func U32ToFloatOpen(x uint32) float32 {
 	return (float32(x>>8) + 0.5) * inv24
 }
@@ -89,8 +95,13 @@ func U64ToFloat64Open(x uint64) float64 {
 	return (float64(x>>11) + 0.5) * inv53
 }
 
-// U32ToSigned maps a raw word to a single-precision uniform in the open
-// interval (-1,1), as required by the Marsaglia-Bray polar candidates.
+// U32ToSigned maps a raw word to a single-precision uniform in (-1,1]
+// for the Marsaglia-Bray polar candidates: (m+0.5)·2^-23 − 1 with
+// m = x>>8, rounded as in U32ToFloatOpen. The words 0x80000000 to
+// 0x800000FF give exactly 0, every word ≥ 0xFFFFFF00 gives exactly 1,
+// and the upper half pairs words as U32ToFloatOpen does. The polar
+// test's 0 < s < 1 bounds reject a candidate with a coordinate of
+// exactly 1 or with both coordinates 0.
 func U32ToSigned(x uint32) float32 {
 	return (float32(x>>8)+0.5)*(2*inv24) - 1
 }

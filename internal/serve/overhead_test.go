@@ -15,13 +15,15 @@ import (
 	ftrace "github.com/decwi/decwi/internal/telemetry/flight"
 )
 
-// Shape of the tracing-overhead A/B: 10 interleaved pairs of rounds,
+// Shape of the tracing-overhead A/B: 40 interleaved pairs of rounds,
 // each round overheadJobs cache-hot jobs over overheadClients
 // keep-alive clients, gated at a median on/off jobs/s ratio of
-// overheadFloor.
+// overheadFloor. Rounds are short (about 0.1 s) so that load from
+// whatever else shares the CPUs — other packages' tests under
+// `go test ./...` — changes little between the two halves of a pair.
 const (
-	overheadPairs   = 10
-	overheadJobs    = 1200
+	overheadPairs   = 40
+	overheadJobs    = 300
 	overheadClients = 4
 	overheadFloor   = 0.90
 )

@@ -65,11 +65,13 @@ func CheckJobsJSON(body []byte) (jobs int, err error) {
 	return len(b.Jobs), nil
 }
 
-// CheckTraceJSON validates a GET /debug/jobs/{id} body: strict schema,
-// span ids unique and strictly ascending from 1, parents referring only
-// to earlier spans, monotone span times (end ≥ start; open spans only
-// on a live trace), and parent/child containment — a child span must
-// lie inside its parent's [start, end] window. Returns the span count.
+// CheckTraceJSON validates a trace body — a GET /debug/jobs/{id}
+// response or a traced kernel run's snapshot: strict schema, span ids
+// unique and strictly ascending from 1, parents referring only to
+// earlier spans, every span on a known clock and on its parent's clock,
+// monotone span times (end ≥ start; open spans only on a live trace),
+// and parent/child containment — a child span must lie inside its
+// parent's [start, end] window. Returns the span count.
 func CheckTraceJSON(body []byte) (spans int, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -104,6 +106,9 @@ func CheckTraceJSON(body []byte) (spans int, err error) {
 		if s.Parent < 0 || s.Parent >= s.ID {
 			return 0, fmt.Errorf("%s: parent %d must name an earlier span or 0", ctx, s.Parent)
 		}
+		if clockIndex(s.Clock) < 0 {
+			return 0, fmt.Errorf("%s: unknown clock %q", ctx, s.Clock)
+		}
 		if s.StartUS < 0 {
 			return 0, fmt.Errorf("%s: negative start_us %d", ctx, s.StartUS)
 		}
@@ -117,6 +122,10 @@ func CheckTraceJSON(body []byte) (spans int, err error) {
 		}
 		if s.Parent > 0 {
 			p := t.Spans[s.Parent-1]
+			if s.Clock != p.Clock {
+				return 0, fmt.Errorf("%s: clock %q differs from parent %d (%q) clock %q",
+					ctx, s.Clock, p.ID, p.Name, p.Clock)
+			}
 			if s.StartUS < p.StartUS {
 				return 0, fmt.Errorf("%s: starts at %dus, before parent %d (%q) at %dus",
 					ctx, s.StartUS, p.ID, p.Name, p.StartUS)

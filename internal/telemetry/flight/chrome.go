@@ -3,26 +3,21 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
-// This file renders one job trace in the Chrome trace_event JSON format
-// (the same "JSON Array Format" internal/telemetry's ChromeTrace
-// emits), so `decwi-trace -job` can turn a /debug/jobs/{id} body into a
-// file chrome://tracing and Perfetto load directly. Layout:
+// This file renders a trace in the Chrome trace_event JSON format (the
+// "JSON Array Format" with an object wrapper), which chrome://tracing
+// and Perfetto load directly. It is the one exporter of the stack: a
+// serve-path job trace from /debug/jobs/{id} and a traced kernel run's
+// trace from decwi-trace both render here. Layout:
 //
-//   - one trace "process" (pid 1) named after the job;
-//   - tid 1 ("serve") carries the admission/queue/engine span tree —
-//     Chrome nests 'X' events on one thread by time containment, so the
-//     tree renders as a flame stack;
-//   - each engine worker's chunk spans ("chunk[w]") get their own tid,
-//     so the work-stealing execution renders as parallel lanes under
-//     the engine-run span.
+//   - one trace "process" per Clock, so wall-clock, cycle and device
+//     spans never share a time axis;
+//   - one trace "thread" per track within its clock; the serve path's
+//     untracked span tree is the "serve" thread, where Chrome nests
+//     'X' events by time containment into a flame stack;
+//   - every span, zero-length ones included, is an 'X' complete event.
 
-// chromeEvent mirrors telemetry.chromeEvent; duplicated here because
-// the field set is tiny and the flight package must not depend on the
-// recorder internals.
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -30,7 +25,6 @@ type chromeEvent struct {
 	Dur   int64          `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -39,50 +33,46 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// serveTID is the thread id of the admission/scheduler span tree;
-// chunk spans land on serveTID+1+worker.
-const serveTID = 1
+// serveTrack is the thread name of spans that carry no track.
+const serveTrack = "serve"
 
-// chunkWorker extracts w from a "chunk[w]" span name (-1 otherwise).
-func chunkWorker(name string) int {
-	rest, ok := strings.CutPrefix(name, "chunk[")
-	if !ok || !strings.HasSuffix(rest, "]") {
-		return -1
-	}
-	w, err := strconv.Atoi(rest[:len(rest)-1])
-	if err != nil || w < 0 {
-		return -1
-	}
-	return w
-}
-
-// ChromeTrace renders the trace for chrome://tracing / Perfetto.
+// ChromeTrace renders the trace for chrome://tracing / Perfetto. A span
+// on an unknown clock is an error.
 func (t TraceJSON) ChromeTrace() ([]byte, error) {
-	procName := t.JobID
-	if procName == "" {
-		procName = t.TraceID
+	header := fmt.Sprintf("%s trace %s (%s)", t.Kind, t.TraceID, t.State)
+	if t.JobID != "" {
+		header = fmt.Sprintf("job %s (trace %s, lane %s, %s)", t.JobID, t.TraceID, t.Lane, t.State)
 	}
-	out := []chromeEvent{{
-		Name: "process_name", Phase: "M", PID: 1,
-		Args: map[string]any{"name": fmt.Sprintf("job %s (trace %s, lane %s, %s)",
-			procName, t.TraceID, t.Lane, t.State)},
-	}, {
-		Name: "thread_name", Phase: "M", PID: 1, TID: serveTID,
-		Args: map[string]any{"name": "serve"},
-	}}
 
-	workers := map[int]bool{}
+	out := []chromeEvent{}
+	type thread struct{ pid, tid int }
+	threads := map[[2]string]thread{} // (clock, track) → thread
+	procs := [len(clocks)]int{}       // per clock: threads named so far
 	for _, s := range t.Spans {
-		tid := serveTID
-		if w := chunkWorker(s.Name); w >= 0 {
-			tid = serveTID + 1 + w
-			if !workers[w] {
-				workers[w] = true
+		ci := clockIndex(s.Clock)
+		if ci < 0 {
+			return nil, fmt.Errorf("flight: span %d (%q) has unknown clock %q", s.ID, s.Name, s.Clock)
+		}
+		track := s.Track
+		if track == "" {
+			track = serveTrack
+		}
+		key := [2]string{string(s.Clock), track}
+		th, ok := threads[key]
+		if !ok {
+			if procs[ci] == 0 {
 				out = append(out, chromeEvent{
-					Name: "thread_name", Phase: "M", PID: 1, TID: tid,
-					Args: map[string]any{"name": fmt.Sprintf("engine worker %d", w)},
+					Name: "process_name", Phase: "M", PID: ci + 1,
+					Args: map[string]any{"name": header + " — " + clocks[ci].name},
 				})
 			}
+			procs[ci]++
+			th = thread{pid: ci + 1, tid: procs[ci]}
+			threads[key] = th
+			out = append(out, chromeEvent{
+				Name: "thread_name", Phase: "M", PID: th.pid, TID: th.tid,
+				Args: map[string]any{"name": track},
+			})
 		}
 		args := map[string]any{"id": s.ID, "parent": s.Parent}
 		if s.Detail != "" {
@@ -100,14 +90,13 @@ func (t TraceJSON) ChromeTrace() ([]byte, error) {
 		dur := end - s.StartUS
 		if dur < 1 {
 			// chrome://tracing hides true zero-duration 'X' events;
-			// clamp to 1us so instants stay clickable.
+			// clamp to 1 unit so instants stay clickable.
 			dur = 1
 		}
 		out = append(out, chromeEvent{
 			Name: s.Name, Phase: "X", TS: s.StartUS, Dur: dur,
-			PID: 1, TID: tid, Cat: "serve",
+			PID: th.pid, TID: th.tid, Args: args,
 		})
-		out[len(out)-1].Args = args
 	}
 	return json.MarshalIndent(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
 }

@@ -12,6 +12,12 @@
 // failed jobs), so the interesting timeline is still there when someone
 // comes looking after the fact.
 //
+// The same span record carries the kernel path's timelines: a traced
+// kernel run records into a standalone run trace (NewTrace, reached
+// through telemetry.Recorder.Trace), whose spans name their track and
+// clock — wall time, simulated cycles or the simulated device clock —
+// and render through the one Chrome exporter in chrome.go.
+//
 // The same non-perturbation contract as the rest of the telemetry
 // stack applies: a nil *Recorder and a nil *Trace are the disabled
 // implementation. Every method is nil-receiver safe and free of side
@@ -39,21 +45,65 @@ import (
 // so disabled tracing threads zeros around harmlessly.
 type SpanID int32
 
-// Span is one timed operation in a trace. Times are microseconds
+// Span is one timed operation in a trace. StartUS and EndUS are in the
+// span's Clock: on the default wall clock they are microseconds
 // relative to the trace start (so a whole trace is compact and
-// offset-free); EndUS is -1 while the span is open.
+// offset-free); EndUS is -1 while the span is open. Track names the
+// timeline the span belongs to ("engine worker 1", "GammaRNG[3]"); ""
+// is the serve path's own span tree.
 type Span struct {
 	ID     SpanID `json:"id"`
 	Parent SpanID `json:"parent"` // 0 = root-level
 	Name   string `json:"name"`
 	Detail string `json:"detail,omitempty"` // e.g. "hit", "coalesced onto j-00000007"
 	Arg    int64  `json:"arg,omitempty"`    // span-defined quantity (bytes, chunk index, ...)
+	Track  string `json:"track,omitempty"`
+	Clock  Clock  `json:"clock,omitempty"`
 
 	StartUS int64 `json:"start_us"`
 	EndUS   int64 `json:"end_us"` // -1 while open
 }
 
-// maxSpans caps one trace's span slice: a single job touching every
+// Clock is the time base of a span's StartUS/EndUS. The stack mixes
+// three: goroutine-level wall time, the co-simulation's and pipelines'
+// simulated clock cycles, and the OpenCL queue's simulated device
+// timeline. A child span shares its parent's clock, and the Chrome
+// renderer keeps each clock on its own trace process so a cycle count
+// is never drawn against a microsecond.
+type Clock string
+
+const (
+	// WallClock stamps are microseconds since the trace started.
+	WallClock Clock = ""
+	// CycleClock stamps are simulated clock cycles.
+	CycleClock Clock = "cycles"
+	// DeviceClock stamps are microseconds on the simulated OpenCL
+	// device timeline.
+	DeviceClock Clock = "device-us"
+)
+
+// clocks lists every Clock with its Chrome process name; the index + 1
+// is the clock's trace process id.
+var clocks = [...]struct {
+	clock Clock
+	name  string
+}{
+	{WallClock, "wall clock (us)"},
+	{CycleClock, "simulated cycles"},
+	{DeviceClock, "simulated device clock (us)"},
+}
+
+// clockIndex returns c's index in clocks, -1 for an unknown clock.
+func clockIndex(c Clock) int {
+	for i := range clocks {
+		if clocks[i].clock == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// maxSpans caps one job trace's span slice: a single job touching every
 // engine chunk of a large run must not grow a timeline without bound.
 // Beyond the cap, spans are counted (Dropped) instead of stored.
 const maxSpans = 1024
@@ -61,7 +111,8 @@ const maxSpans = 1024
 // Trace is one job's timeline. All mutable state is guarded by mu;
 // every method is nil-receiver safe (a nil *Trace is tracing-off).
 type Trace struct {
-	rec *Recorder // owning recorder (never nil on a non-nil trace)
+	rec    *Recorder // owning recorder; nil for a NewTrace run trace
+	budget int       // span cap (maxSpans for recorder traces)
 
 	traceID string
 	start   time.Time
@@ -82,6 +133,34 @@ type Trace struct {
 // StateLive is the Trace state before Finish; Finish replaces it with a
 // terminal state ("done", "failed", "cancelled", "rejected", ...).
 const StateLive = "live"
+
+// NewTrace starts a standalone trace that keeps at most budget spans
+// and counts the rest as dropped — the run trace of a traced kernel
+// run, which no Recorder retains.
+func NewTrace(kind string, budget int) *Trace {
+	return &Trace{budget: budget, traceID: NewTraceID(), start: time.Now(), kind: kind, state: StateLive}
+}
+
+// now reads the owning recorder's clock (the wall clock for a
+// standalone trace).
+func (t *Trace) now() time.Time {
+	if t.rec == nil {
+		return time.Now()
+	}
+	return t.rec.now()
+}
+
+// Now returns the current WallClock stamp: microseconds since the
+// trace started (0 on nil).
+func (t *Trace) Now() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.nowUS()
+}
+
+// nowUS is Now past the nil check, kept apart so that check inlines.
+func (t *Trace) nowUS() int64 { return t.rel(t.now()) }
 
 // TraceID returns the W3C-shaped 32-hex-digit trace id ("" on nil).
 func (t *Trace) TraceID() string {
@@ -146,7 +225,7 @@ func (t *Trace) Begin(name string, parent SpanID) SpanID {
 	if t == nil {
 		return 0
 	}
-	now := t.rec.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state != StateLive {
@@ -162,7 +241,7 @@ func (t *Trace) Begin(name string, parent SpanID) SpanID {
 // assigns its id. IDs are 1-based and strictly ascending — the
 // validation in CheckTraceJSON leans on that.
 func (t *Trace) addLocked(s Span) SpanID {
-	if len(t.spans) >= maxSpans {
+	if len(t.spans) >= t.budget {
 		t.dropped++
 		return 0
 	}
@@ -182,7 +261,7 @@ func (t *Trace) EndDetail(id SpanID, detail string, arg int64) {
 	if t == nil || id <= 0 {
 		return
 	}
-	now := t.rec.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(id) > len(t.spans) {
@@ -209,15 +288,34 @@ func (t *Trace) Add(name string, parent SpanID, start, end time.Time, detail str
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := Span{
+	return t.put(Span{
 		Parent: parent, Name: name, Detail: detail, Arg: arg,
 		StartUS: t.rel(start), EndUS: t.rel(end),
+	})
+}
+
+// Put records a closed span whose StartUS and EndUS are already in
+// s.Clock's units (WallClock: Now stamps) — the bridge for the kernel
+// path, whose cycle and device-clock stamps are not wall times. The id
+// is assigned here; a negative start clamps to 0 and end to start.
+func (t *Trace) Put(s Span) SpanID {
+	if t == nil {
+		return 0
+	}
+	return t.put(s)
+}
+
+// put is Put past the nil check, kept apart so that check inlines into
+// the kernel path's call sites.
+func (t *Trace) put(s Span) SpanID {
+	if s.StartUS < 0 {
+		s.StartUS = 0
 	}
 	if s.EndUS < s.StartUS {
 		s.EndUS = s.StartUS
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.addLocked(s)
 }
 
@@ -226,7 +324,7 @@ func (t *Trace) Event(name string, parent SpanID, detail string) {
 	if t == nil {
 		return
 	}
-	now := t.rec.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	us := t.rel(now)
@@ -254,7 +352,7 @@ func (t *Trace) Finish(state, errMsg string) {
 	if t == nil {
 		return
 	}
-	now := t.rec.now()
+	now := t.now()
 	t.mu.Lock()
 	if t.state != StateLive {
 		t.mu.Unlock()
@@ -274,9 +372,12 @@ func (t *Trace) Finish(state, errMsg string) {
 	t.rec.noteFinish(t, state, dur)
 }
 
-// snapshot renders the trace as its JSON wire shape (t.mu held by
-// caller-free path: takes the lock itself).
-func (t *Trace) snapshot() TraceJSON {
+// Snapshot renders the trace as its JSON wire shape (the zero value
+// on nil).
+func (t *Trace) Snapshot() TraceJSON {
+	if t == nil {
+		return TraceJSON{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := TraceJSON{
@@ -453,6 +554,7 @@ func (r *Recorder) Start(traceID, kind string) *Trace {
 	}
 	t := &Trace{
 		rec:     r,
+		budget:  maxSpans,
 		traceID: traceID,
 		start:   r.now(),
 		kind:    kind,
@@ -550,7 +652,7 @@ func (r *Recorder) Get(id string) (TraceJSON, bool) {
 	if t == nil {
 		return TraceJSON{}, false
 	}
-	return t.snapshot(), true
+	return t.Snapshot(), true
 }
 
 // Jobs returns the /debug/jobs listing: every retained trace (ring ∪

@@ -3,6 +3,7 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -424,6 +425,8 @@ func TestCheckTraceJSONRejects(t *testing.T) {
 		{"empty name", func(t *TraceJSON) { t.Spans[1].Name = "" }},
 		{"empty state", func(t *TraceJSON) { t.State = "" }},
 		{"terminal without duration", func(t *TraceJSON) { t.DurationUS = -1 }},
+		{"unknown clock", func(t *TraceJSON) { t.Spans[0].Clock = "ticks"; t.Spans[1].Clock = "ticks" }},
+		{"child on another clock", func(t *TraceJSON) { t.Spans[1].Clock = CycleClock }},
 	}
 	for _, tc := range cases {
 		tj := base()
@@ -453,15 +456,15 @@ func TestFlightChromeExport(t *testing.T) {
 	tr.SetJob("j-chrome")
 	root := tr.Begin("job", 0)
 	run := tr.Begin("engine-run", root)
-	s := clk.now()
+	s := tr.Now()
 	clk.advance(2 * time.Millisecond)
-	tr.Add("chunk[0]", run, s, clk.now(), "work-items [0,2)", 0)
-	tr.Add("chunk[1]", run, s, clk.now(), "work-items [2,4) stolen", 1)
+	tr.Put(Span{Parent: run, Track: "engine worker 0", Name: "chunk[0]", StartUS: s, EndUS: tr.Now(), Detail: "work-items [0,2)"})
+	tr.Put(Span{Parent: run, Track: "engine worker 1", Name: "chunk[1]", StartUS: s, EndUS: tr.Now(), Detail: "work-items [2,4) (stolen)", Arg: 1})
 	tr.End(run)
 	tr.End(root)
 	tr.Finish("done", "")
 
-	tj, _ := r.Get("j-chrome")
+	tj := checkTrace(t, r, "j-chrome")
 	b, err := tj.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -487,8 +490,83 @@ func TestFlightChromeExport(t *testing.T) {
 	if meta != 4 || spans != 4 {
 		t.Fatalf("chrome export: %d metadata, %d spans (want 4, 4)\n%s", meta, spans, b)
 	}
-	// job+engine-run on the serve tid, one tid per chunk worker.
+	// job+engine-run on the serve tid, one tid per chunk worker track.
 	if len(tids) != 3 {
 		t.Fatalf("chrome export used %d tids, want 3", len(tids))
+	}
+}
+
+// TestChromeClockProcesses: a run trace mixing the three clocks renders
+// one trace process per clock and one thread per (clock, track), a
+// track name reused on two clocks gets a thread on each, instants
+// render with a visible duration, and a span on an unknown clock is
+// refused rather than drawn on the wrong axis.
+func TestChromeClockProcesses(t *testing.T) {
+	tr := NewTrace("run", 64)
+	tr.Put(Span{Track: "Transfer[0]", Name: "process", StartUS: 0, EndUS: 100})
+	tr.Put(Span{Track: "GammaRNG[0]", Clock: CycleClock, Name: "rejection-retry", StartUS: 42, EndUS: 42, Arg: 3})
+	tr.Put(Span{Track: "queue[FPGA] worker", Name: "command", Detail: "ndrange:Config3", StartUS: 10, EndUS: 30})
+	tr.Put(Span{Track: "queue[FPGA] device", Clock: DeviceClock, Name: "command", Detail: "ndrange:Config3", StartUS: 0, EndUS: 41})
+	tr.Put(Span{Track: "counters", Clock: CycleClock, Name: "engine.cycles[0]", StartUS: 42, EndUS: 42, Arg: 1000})
+	tr.Put(Span{Track: "counters", Name: "queue.commands", StartUS: 100, EndUS: 100, Arg: 1})
+	tr.Finish("done", "")
+	tj := tr.Snapshot()
+	body, err := json.Marshal(tj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := CheckTraceJSON(body); err != nil || n != 6 {
+		t.Fatalf("CheckTraceJSON = %d, %v; want 6 spans accepted", n, err)
+	}
+	raw, err := tj.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			Dur   int64          `json:"dur"`
+			PID   int            `json:"pid"`
+			TID   int            `json:"tid"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &parsed); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	procs := map[int]string{}
+	threads := map[[2]int]string{}
+	for _, ev := range parsed.TraceEvents {
+		switch {
+		case ev.Name == "process_name":
+			procs[ev.PID] = ev.Args["name"].(string)
+		case ev.Name == "thread_name":
+			threads[[2]int{ev.PID, ev.TID}] = ev.Args["name"].(string)
+		case ev.Phase != "X":
+			t.Fatalf("unexpected %q event %q", ev.Phase, ev.Name)
+		case ev.Dur < 1:
+			t.Fatalf("span %q renders with duration %d", ev.Name, ev.Dur)
+		}
+	}
+	if len(procs) != 3 {
+		t.Fatalf("%d trace processes, want one per clock: %v", len(procs), procs)
+	}
+	for pid, c := range clocks {
+		if name := procs[pid+1]; !strings.HasSuffix(name, c.name) {
+			t.Fatalf("process %d named %q, want the %q clock", pid+1, name, c.name)
+		}
+	}
+	pidOf := map[string][]int{}
+	for k, name := range threads {
+		pidOf[name] = append(pidOf[name], k[0])
+	}
+	if len(threads) != 6 || len(pidOf["counters"]) != 2 || pidOf["Transfer[0]"][0] == pidOf["GammaRNG[0]"][0] {
+		t.Fatalf("threads %v: want one per (clock, track)", threads)
+	}
+
+	tj.Spans[0].Clock = "ticks"
+	if _, err := tj.ChromeTrace(); err == nil {
+		t.Fatal("rendered a span on an unknown clock")
 	}
 }

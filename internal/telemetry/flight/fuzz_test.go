@@ -1,6 +1,9 @@
 package flight
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzTraceIDFrom: any header yields either "" or a 32-character
 // lowercase-hex trace id taken verbatim from the header. The seed
@@ -25,14 +28,25 @@ func FuzzTraceIDFrom(f *testing.F) {
 	})
 }
 
-// FuzzCheckTraceJSON: the /debug/jobs/{id} validator never panics, and
-// an accepted body reports a non-negative span count. The seed corpus
-// is testdata/fuzz/FuzzCheckTraceJSON.
+// FuzzCheckTraceJSON: the trace validator never panics, and an
+// accepted body reports a non-negative span count and renders to
+// Chrome trace_event JSON. The seed corpus is
+// testdata/fuzz/FuzzCheckTraceJSON.
 func FuzzCheckTraceJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spans, err := CheckTraceJSON(body)
-		if err == nil && spans < 0 {
+		if err != nil {
+			return
+		}
+		if spans < 0 {
 			t.Fatalf("accepted trace with %d spans", spans)
+		}
+		var tj TraceJSON
+		if err := json.Unmarshal(body, &tj); err != nil {
+			t.Fatalf("accepted trace does not decode: %v", err)
+		}
+		if _, err := tj.ChromeTrace(); err != nil {
+			t.Fatalf("accepted trace does not render: %v", err)
 		}
 	})
 }

@@ -31,10 +31,10 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Recorder returns a fresh metrics-only recorder (ring capacity 0) when
+// Recorder returns a fresh metrics-only recorder (span budget 0) when
 // the server is enabled, nil otherwise — the create-iff--http convention
-// every CLI used to hand-roll. CLIs that want event tracing too (a
-// non-zero ring) build their own recorder and ignore this helper.
+// every CLI used to hand-roll. CLIs that want a run trace too (a
+// non-zero budget) build their own recorder and ignore this helper.
 func (f *Flags) Recorder() *telemetry.Recorder {
 	if f.Addr == "" {
 		return nil

@@ -121,8 +121,11 @@ func (r *Recorder) StallReport() string {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	total, dropped := r.Emitted()
-	fmt.Fprintf(&b, "events recorded: %d (ring dropped %d)\n\n", total, dropped)
+	if r.trace != nil {
+		tj := r.trace.Snapshot()
+		fmt.Fprintf(&b, "spans recorded: %d (%d past the span budget dropped)\n", len(tj.Spans)+tj.Dropped, tj.Dropped)
+	}
+	fmt.Fprintf(&b, "\n")
 
 	if len(cycleGroups) > 0 {
 		fmt.Fprintf(&b, "Cycle attribution (ranked, share of pipeline cycles)\n")

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -67,56 +66,5 @@ func TestStallReportDeterministic(t *testing.T) {
 		"  parallel.chunk-service-us                             4        8      200      200      200 us\n"
 	if !strings.Contains(rep, wantDists) {
 		t.Fatalf("report missing sorted distribution section\n--- want\n%s\n--- got\n%s", wantDists, rep)
-	}
-}
-
-// TestChromeTraceRingWrap drives the event ring far past capacity and
-// checks the Chrome exporter still emits valid JSON whose retained span
-// events are the newest ones in chronological order — overwriting must
-// never splice stale timestamps into the middle of the timeline.
-func TestChromeTraceRingWrap(t *testing.T) {
-	r := New(16)
-	tr := r.Track("lane", Cycles)
-	const emitted = 100
-	for i := 0; i < emitted; i++ {
-		tr.Span(EvMemBurst, int64(i*10), int64(i*10+4), int64(i))
-	}
-
-	raw, err := r.ChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []struct {
-			Phase string  `json:"ph"`
-			TS    float64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		t.Fatalf("trace after ring wrap is not valid JSON: %v", err)
-	}
-
-	var spanTS []float64
-	for _, ev := range parsed.TraceEvents {
-		if ev.Phase == "X" {
-			spanTS = append(spanTS, ev.TS)
-		}
-	}
-	if len(spanTS) != 16 {
-		t.Fatalf("trace retains %d spans, want ring capacity 16", len(spanTS))
-	}
-	// Newest-16 window: first retained span is number emitted-16.
-	if want := float64((emitted - 16) * 10); spanTS[0] != want {
-		t.Fatalf("oldest retained span at ts %v, want %v", spanTS[0], want)
-	}
-	for i := 1; i < len(spanTS); i++ {
-		if spanTS[i] < spanTS[i-1] {
-			t.Fatalf("span timestamps out of order after wrap: ts[%d]=%v < ts[%d]=%v",
-				i, spanTS[i], i-1, spanTS[i-1])
-		}
-	}
-	total, dropped := r.Emitted()
-	if total != emitted || dropped != emitted-16 {
-		t.Fatalf("emitted accounting (%d, %d), want (%d, %d)", total, dropped, emitted, emitted-16)
 	}
 }

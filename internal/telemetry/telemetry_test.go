@@ -2,10 +2,11 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // TestNilRecorderIsNoOp pins the disabled-mode contract: every handle a
@@ -17,15 +18,12 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	tr := r.Track("x", Wall)
+	tr := r.Trace()
 	if tr != nil {
-		t.Fatal("nil recorder returned a live track")
+		t.Fatal("nil recorder returned a run trace")
 	}
-	tr.Instant(EvStreamPush, 1, 2)
-	tr.Span(EvProcess, 0, 5, 0)
-	tr.SpanL(EvCommand, 7, 0, 5, 0)
-	if tr.Now() != 0 || tr.Name() != "" {
-		t.Fatal("nil track leaked state")
+	if tr.Now() != 0 || tr.Put(flight.Span{Name: "process", EndUS: 5}) != 0 {
+		t.Fatal("nil run trace recorded a span")
 	}
 	c := r.Counter("c", "cycles", "")
 	c.Add(5)
@@ -33,57 +31,46 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if c.Value() != 0 || c.Name() != "" || c.Unit() != "" || c.Desc() != "" {
 		t.Fatal("nil counter retained a value")
 	}
-	if r.Intern("label") != 0 {
-		t.Fatal("nil recorder interned a label")
-	}
-	if r.Events() != nil || r.Counters() != nil || r.Tracks() != nil {
+	if r.Counters() != nil {
 		t.Fatal("nil recorder returned data")
-	}
-	if total, dropped := r.Emitted(); total != 0 || dropped != 0 {
-		t.Fatal("nil recorder emitted events")
 	}
 	if r.StallReport() != "" {
 		t.Fatal("nil recorder produced a report")
 	}
-	if err := r.WriteChromeTrace(&bytes.Buffer{}); err == nil {
-		t.Fatal("nil recorder wrote a trace")
+	if err := r.WriteStallReport(&bytes.Buffer{}); err == nil {
+		t.Fatal("nil recorder wrote a report")
 	}
 }
 
-// TestRingOverwrite checks that the ring keeps exactly the newest capN
-// events, in order, and accounts the overwritten ones.
-func TestRingOverwrite(t *testing.T) {
+// TestRunTraceBudget: New(n) carries a run trace that keeps the first n
+// spans in recording order and counts the rest as dropped, and New(0)
+// carries none — the bounded-memory half of the recorder's contract.
+func TestRunTraceBudget(t *testing.T) {
+	if New(0).Trace() != nil {
+		t.Fatal("metrics-only recorder carries a run trace")
+	}
 	r := New(8)
-	tr := r.Track("lane", Cycles)
 	for i := 0; i < 20; i++ {
-		tr.Instant(EvRetry, int64(i), int64(i))
+		r.Trace().Put(flight.Span{Track: "lane", Clock: flight.CycleClock, Name: "rejection-retry",
+			StartUS: int64(i), EndUS: int64(i), Arg: int64(i)})
 	}
-	evs := r.Events()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8", len(evs))
+	tj := r.Trace().Snapshot()
+	if len(tj.Spans) != 8 || tj.Dropped != 12 {
+		t.Fatalf("kept %d spans, dropped %d; want 8 and 12", len(tj.Spans), tj.Dropped)
 	}
-	for i, ev := range evs {
-		if want := int64(12 + i); ev.TS != want {
-			t.Fatalf("event %d has ts %d, want %d (oldest-first order)", i, ev.TS, want)
+	for i, s := range tj.Spans {
+		if s.StartUS != int64(i) || s.ID != flight.SpanID(i+1) {
+			t.Fatalf("span %d: id %d at %d, want id %d at %d (recording order)", i, s.ID, s.StartUS, i+1, i)
 		}
 	}
-	total, dropped := r.Emitted()
-	if total != 20 || dropped != 12 {
-		t.Fatalf("emitted (%d, %d), want (20, 12)", total, dropped)
+	if rep := r.StallReport(); !strings.Contains(rep, "spans recorded: 20 (12 past the span budget dropped)") {
+		t.Fatalf("report does not account the dropped spans:\n%s", rep)
 	}
 }
 
-// TestTrackAndCounterIdempotence checks registry lookups are stable.
-func TestTrackAndCounterIdempotence(t *testing.T) {
+// TestCounterIdempotence checks registry lookups are stable.
+func TestCounterIdempotence(t *testing.T) {
 	r := New(16)
-	a := r.Track("t", Wall)
-	b := r.Track("t", Wall)
-	if a != b {
-		t.Fatal("same name+domain gave two tracks")
-	}
-	if c := r.Track("t", Cycles); c == a {
-		t.Fatal("different domain shared a track")
-	}
 	c1 := r.Counter("n", "cycles", "desc")
 	c2 := r.Counter("n", "ignored", "ignored")
 	if c1 != c2 {
@@ -93,27 +80,26 @@ func TestTrackAndCounterIdempotence(t *testing.T) {
 	if c2.Value() != 3 {
 		t.Fatal("counter handles diverged")
 	}
-	if id := r.Intern("cmd"); id == 0 || id != r.Intern("cmd") {
-		t.Fatal("interning is not stable")
-	}
 }
 
-// TestConcurrentEmit drives the recorder from several goroutines; run
-// with -race this pins the thread-safety of the ring and registries.
+// TestConcurrentEmit drives the recorder and its run trace from several
+// goroutines; run with -race this pins the thread-safety of the trace
+// and the registries, and every span gets its own id.
 func TestConcurrentEmit(t *testing.T) {
-	r := New(1024)
+	r := New(1 << 14)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr := r.Track("lane", Cycles)
+			tr := r.Trace()
 			c := r.Counter("shared", "cycles", "")
 			for i := 0; i < 500; i++ {
-				tr.Instant(EvStreamPush, int64(i), 0)
-				tr.Span(EvMemBurst, int64(i), int64(i+4), 64)
+				tr.Put(flight.Span{Track: "lane", Clock: flight.CycleClock, Name: "stream.push",
+					StartUS: int64(i), EndUS: int64(i)})
+				tr.Put(flight.Span{Track: "lane", Clock: flight.CycleClock, Name: "mem-burst",
+					StartUS: int64(i), EndUS: int64(i + 4), Arg: 64})
 				c.Add(1)
-				r.Intern("x")
 			}
 		}(g)
 	}
@@ -121,52 +107,14 @@ func TestConcurrentEmit(t *testing.T) {
 	if got := r.Counter("shared", "cycles", "").Value(); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
 	}
-	if total, _ := r.Emitted(); total != 8000 {
-		t.Fatalf("emitted %d events, want 8000", total)
+	tj := r.Trace().Snapshot()
+	if len(tj.Spans) != 8000 || tj.Dropped != 0 {
+		t.Fatalf("recorded %d spans (%d dropped), want 8000", len(tj.Spans), tj.Dropped)
 	}
-}
-
-// TestChromeTraceShape validates the exporter output is parseable JSON
-// in the trace_event wrapper shape with metadata, spans, instants and
-// counter samples, and that clock domains land on distinct pids.
-func TestChromeTraceShape(t *testing.T) {
-	r := New(64)
-	wallT := r.Track("Transfer[0]", Wall)
-	cycT := r.Track("GammaRNG[0]", Cycles)
-	wallT.Span(EvProcess, 0, 100, 0)
-	cycT.Instant(EvRetry, 42, 3)
-	lbl := r.Intern("ndrange:Config3")
-	wallT.SpanL(EvCommand, lbl, 10, 30, 0)
-	r.Counter("engine.cycles[0]", "cycles", "").Add(1000)
-
-	raw, err := r.ChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var names []string
-	pids := map[string]float64{}
-	for _, ev := range parsed.TraceEvents {
-		name, _ := ev["name"].(string)
-		names = append(names, name)
-		if name == "thread_name" {
-			args := ev["args"].(map[string]any)
-			pids[args["name"].(string)] = ev["pid"].(float64)
+	for i, s := range tj.Spans {
+		if s.ID != flight.SpanID(i+1) {
+			t.Fatalf("span %d has id %d", i, s.ID)
 		}
-	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"process_name", "thread_name", "process", "rejection-retry", "ndrange:Config3", "engine.cycles[0]"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("trace missing %q; names: %s", want, joined)
-		}
-	}
-	if pids["Transfer[0]"] == pids["GammaRNG[0]"] {
-		t.Fatal("wall and cycle tracks share a trace process")
 	}
 }
 
@@ -233,9 +181,5 @@ func TestStallReportParallelScheduler(t *testing.T) {
 	}
 	if strings.Contains(rep, "Other counters") {
 		t.Fatalf("scheduler counters leaked into the generic sections:\n%s", rep)
-	}
-	// EvChunk spans must carry a trace-facing name.
-	if EvChunk.String() != "parallel.chunk" {
-		t.Fatalf("EvChunk renders as %q", EvChunk.String())
 	}
 }

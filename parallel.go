@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/decwi/decwi/internal/core"
-	"github.com/decwi/decwi/internal/telemetry"
 	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
@@ -46,12 +45,13 @@ type ParallelOptions struct {
 	// Incompatible with BreakID > 0 and explicit Shards/ChunkWorkItems
 	// (normalizeParallel rejects those).
 	IntraItemSubstreams int
-	// Trace, when non-nil, receives one externally-timed "chunk[w]" span
-	// (w = executing worker) per completed chunk, parented under
-	// TraceSpan — the serve path's flight recorder links one job's HTTP
-	// trace down into the work-stealing execution through these. Pure
-	// observability: a nil Trace skips the sink entirely and the bytes
-	// never depend on either field.
+	// Trace, when non-nil, receives one "chunk[w]" span (w = executing
+	// worker, on track "engine worker w") per executed chunk, parented
+	// under TraceSpan — the serve path's flight recorder links one job's
+	// HTTP trace down into the work-stealing execution through these,
+	// and decwi-trace passes its run trace. Pure observability: a nil
+	// Trace skips the sink entirely and the bytes never depend on either
+	// field.
 	Trace     *flight.Trace
 	TraceSpan flight.SpanID
 }
@@ -172,7 +172,15 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		"service time of stolen chunks (claimed off their static owner)")
 	gActive := rec.Gauge("parallel.workers-active", "events",
 		"scheduler workers currently executing a chunk")
-	stealLabel := rec.Intern("steal")
+	// chunkDesc names a chunk's work for its error message and its trace
+	// detail; formatted only when one of those is built.
+	chunkDesc := func(chunk int) string {
+		if subs > 1 {
+			return fmt.Sprintf("work-item %d substream %d/%d", chunk/subs, chunk%subs, subs)
+		}
+		lo := chunk * chunkWI
+		return fmt.Sprintf("work-items [%d,%d)", lo, min(lo+chunkWI, wi))
+	}
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -203,48 +211,39 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			track := rec.Track(fmt.Sprintf("parallel/worker[%d]", w), telemetry.Wall)
 			gBusy := rec.Gauge(fmt.Sprintf("parallel.worker-busy-us[%d]", w), "us",
 				"accumulated chunk-execution time of this scheduler worker, updated live per chunk")
+			var spanName, track string
+			if opt.Trace != nil {
+				spanName, track = fmt.Sprintf("chunk[%d]", w), fmt.Sprintf("engine worker %d", w)
+			}
 			for {
 				chunk := int(cursor.Add(1) - 1)
 				if chunk >= chunks || ctx.Err() != nil {
 					return
 				}
-				var desc string
-				var wid, part, lo, hi int
-				if subs > 1 {
-					wid, part = chunk/subs, chunk%subs
-					desc = fmt.Sprintf("work-item %d substream %d/%d", wid, part, subs)
-				} else {
-					lo = chunk * chunkWI
-					hi = lo + chunkWI
-					if hi > wi {
-						hi = wi
-					}
-					desc = fmt.Sprintf("work-items [%d,%d)", lo, hi)
-				}
 				stolen := chunk%opt.Workers != w
 				gActive.Add(1)
-				tsStart := track.Now()
+				tsStart := opt.Trace.Now()
 				start := time.Now()
 				err := parallelChunkFaultErr(chunk)
 				if err == nil {
 					if subs > 1 {
-						err = eng.RunItemPart(ctx, values, wid, part, subs, &unitStats[chunk])
+						err = eng.RunItemPart(ctx, values, chunk/subs, chunk%subs, subs, &unitStats[chunk])
 					} else {
-						err = eng.RunChunk(ctx, values, lo, hi, stats)
+						lo := chunk * chunkWI
+						err = eng.RunChunk(ctx, values, lo, min(lo+chunkWI, wi), stats)
 					}
 				}
 				elapsed := time.Since(start).Nanoseconds()
 				gActive.Add(-1)
 				if opt.Trace != nil {
-					detail := desc
+					detail := chunkDesc(chunk)
 					if stolen {
 						detail += " (stolen)"
 					}
-					opt.Trace.Add(fmt.Sprintf("chunk[%d]", w), opt.TraceSpan,
-						start, start.Add(time.Duration(elapsed)), detail, int64(chunk))
+					opt.Trace.Put(flight.Span{Parent: opt.TraceSpan, Track: track, Name: spanName,
+						Detail: detail, Arg: int64(chunk), StartUS: tsStart, EndUS: opt.Trace.Now()})
 				}
 				if err == nil {
 					chunkDur[chunk] = elapsed
@@ -256,9 +255,6 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 					steals.Add(1)
 					cSteals.Add(1)
 					hStealUS.Record(elapsed / 1000)
-					track.SpanL(telemetry.EvChunk, stealLabel, tsStart, track.Now(), int64(chunk))
-				} else {
-					track.Span(telemetry.EvChunk, tsStart, track.Now(), int64(chunk))
 				}
 				cChunks.Add(1)
 				if err != nil {
@@ -273,7 +269,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 					if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() != nil {
 						return
 					}
-					fail(fmt.Errorf("decwi: chunk %d (%s): %w", chunk, desc, err))
+					fail(fmt.Errorf("decwi: chunk %d (%s): %w", chunk, chunkDesc(chunk), err))
 					return
 				}
 			}

@@ -339,15 +339,16 @@ func TestGenerateParallelDefaultsMatchGenerate(t *testing.T) {
 }
 
 // TestGenerateParallelTelemetry: the scheduler surfaces its chunk,
-// steal and imbalance accounting through the recorder, and the
-// recorded EvChunk spans cover every chunk exactly once.
+// steal and imbalance accounting through the recorder, and the chunk
+// spans it records into the run trace cover every chunk exactly once.
 func TestGenerateParallelTelemetry(t *testing.T) {
-	rec := telemetry.New(telemetry.DefaultRingCap)
+	rec := telemetry.New(1 << 16)
 	res, err := GenerateParallel(Config1, ParallelOptions{
 		GenerateOptions: GenerateOptions{
 			Scenarios: 1200, Sectors: 2, Seed: 3, Telemetry: rec,
 		},
 		Workers: 2, ChunkWorkItems: 1,
+		Trace: rec.Trace(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,14 +379,17 @@ func TestGenerateParallelTelemetry(t *testing.T) {
 		t.Error("no parallel.worker-busy[*] time recorded")
 	}
 	seen := map[int64]int{}
-	for _, ev := range rec.Events() {
-		if ev.Kind == telemetry.EvChunk {
-			seen[ev.Arg]++
+	for _, sp := range rec.Trace().Snapshot().Spans {
+		if strings.HasPrefix(sp.Name, "chunk[") {
+			seen[sp.Arg]++
+			if !strings.HasPrefix(sp.Track, "engine worker ") {
+				t.Errorf("chunk span %d on track %q", sp.Arg, sp.Track)
+			}
 		}
 	}
 	for chunk := 0; chunk < res.Chunks; chunk++ {
 		if seen[int64(chunk)] != 1 {
-			t.Errorf("chunk %d has %d EvChunk spans, want 1", chunk, seen[int64(chunk)])
+			t.Errorf("chunk %d has %d chunk spans, want 1", chunk, seen[int64(chunk)])
 		}
 	}
 }
@@ -403,7 +407,8 @@ func TestGenerateParallelTelemetryDoesNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := base
-	traced.Telemetry = telemetry.New(telemetry.DefaultRingCap)
+	traced.Telemetry = telemetry.New(1 << 16)
+	traced.Trace = traced.Telemetry.Trace()
 	got, err := GenerateParallel(Config3, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -412,14 +417,14 @@ func TestGenerateParallelTelemetryDoesNotPerturb(t *testing.T) {
 	if got.RejectionRate != plain.RejectionRate {
 		t.Errorf("tracing changed the rejection rate: %v vs %v", got.RejectionRate, plain.RejectionRate)
 	}
-	if total, _ := traced.Telemetry.Emitted(); total == 0 {
-		t.Error("traced run recorded no events")
+	if traced.Trace.SpanCount() == 0 {
+		t.Error("traced run recorded no spans")
 	}
 }
 
-// TestGenerateParallelMetricsOnlyRecorder: a recorder built with ring
-// capacity 0 (decwi-served, the -http CLIs) registers no track and
-// emits no event, yet the scheduler and engine counters still count.
+// TestGenerateParallelMetricsOnlyRecorder: a recorder built with span
+// budget 0 (decwi-served, the -http CLIs) carries no run trace, so no
+// span is recorded, yet the scheduler and engine counters still count.
 func TestGenerateParallelMetricsOnlyRecorder(t *testing.T) {
 	rec := telemetry.New(0)
 	res, err := GenerateParallel(Config1, ParallelOptions{
@@ -431,14 +436,8 @@ func TestGenerateParallelMetricsOnlyRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total, dropped := rec.Emitted(); total != 0 || dropped != 0 {
-		t.Errorf("metrics-only recorder emitted %d events (%d dropped), want 0", total, dropped)
-	}
-	if tracks := rec.Tracks(); len(tracks) != 0 {
-		t.Errorf("metrics-only recorder registered %d tracks, first %q", len(tracks), tracks[0].Name())
-	}
-	if rec.Events() != nil {
-		t.Error("metrics-only recorder returned events")
+	if rec.Trace() != nil {
+		t.Error("metrics-only recorder carries a run trace")
 	}
 	counters := map[string]int64{}
 	for _, c := range rec.Counters() {

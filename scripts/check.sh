@@ -71,14 +71,17 @@ go test -race -count=1 \
 # Observability correctness under the race detector: flight-recorder
 # ring wrap and slow/failed-job pinning under churn, per-lane span
 # trees over HTTP, concurrent Submit vs /debug/jobs reads, the SLO
-# burn-rate plane (degradation + recovery), and the chunk-span hook in
-# the parallel scheduler. Named so a narrowed filter can never drop
-# the tracing plane's consistency proofs.
-echo "== job tracing, flight recorder & SLO plane under -race"
+# burn-rate plane (degradation + recovery), the chunk-span hook in
+# the parallel scheduler, the run trace's span budget and concurrent
+# recording, and decwi-trace's kernel mode (-config 3 -parallel
+# -cosim-quota 256: a valid run trace, one Chrome process per clock,
+# one span per chunk). Named so a narrowed filter can never drop the
+# tracing plane's consistency proofs.
+echo "== job tracing, flight recorder, run trace & SLO plane under -race"
 go test -race -count=1 \
-    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestHealthAndSLOHooks' \
-    ./internal/telemetry/flight ./internal/telemetry/slo \
-    ./internal/telemetry/metricsrv ./internal/serve .
+    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace' \
+    ./internal/telemetry ./internal/telemetry/flight ./internal/telemetry/slo \
+    ./internal/telemetry/metricsrv ./internal/serve ./cmd/decwi-trace .
 
 # Jump-ahead correctness under the race detector: the property suite
 # (Jump(a+b) == Jump(a);Jump(b), Jump ≡ n×Advance, golden vectors, the
@@ -180,7 +183,7 @@ sh scripts/serve_smoke.sh
 
 # Tracing non-perturbation: cache-hot HTTP jobs/s with the flight
 # recorder and SLO plane on must hold a median >= 0.90x the tracing-off
-# rate over 10 interleaved in-process pairs (the test skips itself
+# rate over 40 short interleaved in-process pairs (the test skips itself
 # under -race, so it runs here by name).
 echo "== tracing-overhead gate (flight recorder on vs off, cache-hot, interleaved)"
 go test -run '^TestTracingOverheadCacheHot$' -count=1 -v ./internal/serve
