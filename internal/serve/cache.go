@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"context"
+	"hash/maphash"
+	"slices"
 	"time"
 
 	ftrace "github.com/decwi/decwi/internal/telemetry/flight"
@@ -28,6 +30,15 @@ import (
 // deliberately cross-tenant — the bytes are a pure function of the
 // tuple, so any tenant could compute them — only the storage
 // attribution is scoped.
+//
+// Admission is frequency-gated (TinyLFU: Einziger, Friedman & Manes,
+// ACM TOS 2017). Every Submit lookup counts its key, hit, coalesce or
+// miss alike, in a table of 4-bit counts halved every window()
+// lookups. A completed result that would have to evict an entry
+// requested more often than itself is refused: it is returned to its
+// waiters but not indexed, so a one-off miss cannot push out a hot
+// tuple. Ties admit, so all-distinct traffic evicts exactly as plain
+// LRU does.
 //
 // The index has no lock of its own: every method runs under
 // Scheduler.mu, and so does every read or write of a flight's mutable
@@ -64,7 +75,30 @@ type resultCache struct {
 	lru       *list.List // result entries only; front = most recently used
 	entries   map[string]*cacheEntry
 	perTenant map[string]int64
+
+	// freq counts lookups per key hash, capped at maxFreq; lookups
+	// counts those since the last halving. Halving drops every key seen
+	// once, so the table never holds more keys than two windows of
+	// lookups. Keys are 64-bit hashes rather than the key strings, so
+	// counting keeps no key alive; a collision only merges two counts,
+	// which can change what is cached but never what is served.
+	freq    map[uint64]uint8
+	lookups int
+	seed    maphash.Seed
 }
+
+// maxFreq caps a key's lookup count: a 4-bit counter, as in TinyLFU.
+const maxFreq = 15
+
+// window is the halving period in lookups: 30 per resident entry, and
+// at least 1,920, so a cache of few entries still sees enough requests
+// between halvings to tell hot tuples from cold ones. A shorter window
+// leaves the tuples near the admission boundary with counts of one or
+// two; a longer one lets them reach maxFreq, where they tie with the
+// hot ones. Replaying Zipf(1.1) traffic, 30 kept the most hits of the
+// periods tried (EXPERIMENTS.md, "Frequency-gated cache admission";
+// TestResultCacheZipfReplay).
+func (c *resultCache) window() int { return 30 * max(c.lru.Len(), 64) }
 
 func newResultCache(budget, tenantCap int64) *resultCache {
 	if budget < 0 {
@@ -79,6 +113,8 @@ func newResultCache(budget, tenantCap int64) *resultCache {
 		lru:       list.New(),
 		entries:   map[string]*cacheEntry{},
 		perTenant: map[string]int64{},
+		freq:      map[uint64]uint8{},
+		seed:      maphash.MakeSeed(),
 	}
 }
 
@@ -86,13 +122,49 @@ func newResultCache(budget, tenantCap int64) *resultCache {
 func (c *resultCache) enabled() bool { return c.budget > 0 }
 
 // lookup returns key's entry — a live flight or a cached result — or
-// nil. A result entry's recency is refreshed.
+// nil. A result entry's recency is refreshed, and the key's request
+// count goes up whatever the outcome: admission weighs requests, not
+// stored results.
 func (c *resultCache) lookup(key string) *cacheEntry {
+	if c.enabled() {
+		c.count(key)
+	}
+	return c.touch(key)
+}
+
+// touch returns key's entry and refreshes a result entry's recency
+// without counting a request.
+func (c *resultCache) touch(key string) *cacheEntry {
 	e := c.entries[key]
 	if e != nil && e.elem != nil {
 		c.lru.MoveToFront(e.elem)
 	}
 	return e
+}
+
+// requests is key's lookup count as the halvings have left it.
+func (c *resultCache) requests(key string) uint8 {
+	return c.freq[maphash.String(c.seed, key)]
+}
+
+// count records one request for key and halves every count once a
+// window of lookups has passed, so old popularity fades.
+func (c *resultCache) count(key string) {
+	h := maphash.String(c.seed, key)
+	if n := c.freq[h]; n < maxFreq {
+		c.freq[h] = n + 1
+	}
+	if c.lookups++; c.lookups < c.window() {
+		return
+	}
+	c.lookups = 0
+	for k, n := range c.freq {
+		if n >>= 1; n == 0 {
+			delete(c.freq, k)
+		} else {
+			c.freq[k] = n
+		}
+	}
 }
 
 // lead indexes f as its tuple's live flight. The caller has checked
@@ -112,58 +184,74 @@ func (c *resultCache) release(f *flight) bool {
 }
 
 // put inserts a completed result under key, attributed to tenant. It
-// reports whether the entry was stored and which entries were evicted
-// to make room. Oversized results (bigger than the per-tenant cap) are
-// not cached at all — one huge job must not flush everyone else.
-// Re-inserting an existing key only refreshes recency: determinism
-// guarantees the stored bytes already equal the new ones. A completing
-// flight releases its own entry first.
-func (c *resultCache) put(key, tenant string, res *result, meta execMeta) (inserted bool, evicted []cacheEviction) {
+// reports whether the entry was stored, whether admission refused it,
+// and which entries were evicted to make room. Oversized results
+// (bigger than the per-tenant cap) are not cached at all — one huge job
+// must not flush everyone else. Re-inserting an existing key only
+// refreshes recency: determinism guarantees the stored bytes already
+// equal the new ones. A completing flight releases its own entry first.
+//
+// The victims are the owning tenant's oldest entries until it fits
+// under its cap, then the global oldest until the cache fits under the
+// budget. If any victim was requested more often than key, nothing is
+// evicted and the result is refused.
+func (c *resultCache) put(key, tenant string, res *result, meta execMeta) (inserted, refused bool, evicted []cacheEviction) {
 	size := int64(res.size())
-	if size == 0 || size > c.tenantCap || size > c.budget || c.lookup(key) != nil {
-		return false, nil
+	if size == 0 || size > c.tenantCap || size > c.budget || c.touch(key) != nil {
+		return false, false, nil
 	}
-	// First make the owning tenant fit under its own cap, evicting its
-	// oldest entries; then make the whole cache fit under the budget.
-	for c.perTenant[tenant]+size > c.tenantCap {
-		ev := c.evictOldest(func(e *cacheEntry) bool { return e.tenant == tenant })
-		if ev == nil {
-			break // no older entry of this tenant left (size ≤ tenantCap holds, so this cannot loop)
+	victims := c.victims(tenant, size)
+	newcomer := c.requests(key)
+	for _, e := range victims {
+		if c.requests(e.key) > newcomer {
+			return false, true, nil
 		}
-		evicted = append(evicted, *ev)
 	}
-	for c.bytes+size > c.budget {
-		ev := c.evictOldest(func(*cacheEntry) bool { return true })
-		if ev == nil {
-			break
-		}
-		evicted = append(evicted, *ev)
+	for _, e := range victims {
+		c.evict(e)
+		evicted = append(evicted, cacheEviction{tenant: e.tenant, size: e.size})
 	}
 	e := &cacheEntry{key: key, tenant: tenant, res: res, meta: meta, size: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size
 	c.perTenant[tenant] += size
-	return true, evicted
+	return true, false, evicted
 }
 
-// evictOldest removes the least-recently-used result entry matching the
-// predicate; returns nil when nothing matches.
-func (c *resultCache) evictOldest(match func(*cacheEntry) bool) *cacheEviction {
-	for elem := c.lru.Back(); elem != nil; elem = elem.Prev() {
-		e := elem.Value.(*cacheEntry)
-		if !match(e) {
-			continue
+// victims lists, in eviction order, the entries a size-byte result of
+// tenant would evict: the tenant's own LRU tail until it fits under
+// tenantCap, then the global tail until the cache fits under budget.
+// The caller has checked size ≤ tenantCap ≤ budget, so the walks always
+// succeed.
+func (c *resultCache) victims(tenant string, size int64) []*cacheEntry {
+	var out []*cacheEntry
+	own, total := c.perTenant[tenant]+size, c.bytes+size
+	for elem := c.lru.Back(); elem != nil && own > c.tenantCap; elem = elem.Prev() {
+		if e := elem.Value.(*cacheEntry); e.tenant == tenant {
+			out = append(out, e)
+			own -= e.size
+			total -= e.size
 		}
-		c.lru.Remove(elem)
-		delete(c.entries, e.key)
-		c.bytes -= e.size
-		if c.perTenant[e.tenant] -= e.size; c.perTenant[e.tenant] <= 0 {
-			delete(c.perTenant, e.tenant)
-		}
-		return &cacheEviction{tenant: e.tenant, size: e.size}
 	}
-	return nil
+	for elem := c.lru.Back(); elem != nil && total > c.budget; elem = elem.Prev() {
+		e := elem.Value.(*cacheEntry)
+		if !slices.Contains(out, e) {
+			out = append(out, e)
+			total -= e.size
+		}
+	}
+	return out
+}
+
+// evict removes result entry e from the index and its accounting.
+func (c *resultCache) evict(e *cacheEntry) {
+	c.lru.Remove(e.elem)
+	delete(c.entries, e.key)
+	c.bytes -= e.size
+	if c.perTenant[e.tenant] -= e.size; c.perTenant[e.tenant] <= 0 {
+		delete(c.perTenant, e.tenant)
+	}
 }
 
 // totalBytes is the current global occupancy.

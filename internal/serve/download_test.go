@@ -159,7 +159,9 @@ func TestServerEvictionDuringDownload(t *testing.T) {
 	}
 
 	// Distinct tuples fill the cache until the LRU evicts the entry
-	// being downloaded.
+	// being downloaded. Admission refuses a result that would evict a
+	// more-requested entry, so each filler is requested as often as the
+	// downloaded tuple was.
 	cached := func() bool {
 		sched.mu.Lock()
 		defer sched.mu.Unlock()
@@ -169,6 +171,7 @@ func TestServerEvictionDuringDownload(t *testing.T) {
 		if seed > 5 {
 			t.Fatal("cache never evicted the downloaded entry")
 		}
+		submitDone(t, sched, seeded(seed))
 		submitDone(t, sched, seeded(seed))
 	}
 	checkIndex(t, sched)

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +36,7 @@ func cached(c *resultCache, key string) bool {
 func TestResultCacheEvictionByteBudget(t *testing.T) {
 	c := newResultCache(100, 100)
 	for _, key := range []string{"a", "b"} {
-		if ok, ev := c.put(key, "t1", rawRes(40), execMeta{}); !ok || len(ev) != 0 {
+		if ok, _, ev := c.put(key, "t1", rawRes(40), execMeta{}); !ok || len(ev) != 0 {
 			t.Fatalf("put %s: inserted=%v evicted=%v", key, ok, ev)
 		}
 	}
@@ -42,7 +44,7 @@ func TestResultCacheEvictionByteBudget(t *testing.T) {
 	if !cached(c, "a") {
 		t.Fatal("get a before eviction: miss")
 	}
-	ok, ev := c.put("c", "t1", rawRes(40), execMeta{})
+	ok, _, ev := c.put("c", "t1", rawRes(40), execMeta{})
 	if !ok || len(ev) != 1 || ev[0].size != 40 {
 		t.Fatalf("put c over budget: inserted=%v evicted=%+v", ok, ev)
 	}
@@ -64,12 +66,12 @@ func TestResultCacheEvictionByteBudget(t *testing.T) {
 // cross-tenant (the bytes are a pure function of the tuple).
 func TestResultCachePerTenantAccounting(t *testing.T) {
 	c := newResultCache(1000, 100)
-	if ok, _ := c.put("other", "t2", rawRes(60), execMeta{}); !ok {
+	if ok, _, _ := c.put("other", "t2", rawRes(60), execMeta{}); !ok {
 		t.Fatal("t2 seed insert failed")
 	}
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		ok, ev := c.put(key, "t1", rawRes(40), execMeta{})
+		ok, _, ev := c.put(key, "t1", rawRes(40), execMeta{})
 		if !ok {
 			t.Fatalf("t1 put %s failed", key)
 		}
@@ -100,13 +102,13 @@ func TestResultCachePerTenantAccounting(t *testing.T) {
 // refreshes recency (no double-count, nothing evicted).
 func TestResultCacheOversizedAndRefresh(t *testing.T) {
 	c := newResultCache(100, 50)
-	if ok, _ := c.put("big", "t1", rawRes(51), execMeta{}); ok {
+	if ok, _, _ := c.put("big", "t1", rawRes(51), execMeta{}); ok {
 		t.Fatal("oversized result was cached")
 	}
-	if ok, _ := c.put("k", "t1", rawRes(30), execMeta{}); !ok {
+	if ok, _, _ := c.put("k", "t1", rawRes(30), execMeta{}); !ok {
 		t.Fatal("first insert failed")
 	}
-	if ok, ev := c.put("k", "t1", rawRes(30), execMeta{}); ok || len(ev) != 0 {
+	if ok, _, ev := c.put("k", "t1", rawRes(30), execMeta{}); ok || len(ev) != 0 {
 		t.Fatalf("re-insert of existing key: inserted=%v evicted=%v", ok, ev)
 	}
 	if got := c.totalBytes(); got != 30 {
@@ -114,6 +116,177 @@ func TestResultCacheOversizedAndRefresh(t *testing.T) {
 	}
 	if c.len() != 1 {
 		t.Fatalf("entry count %d after refresh, want 1", c.len())
+	}
+}
+
+// TestResultCacheAdmission: a result is stored only if no entry it
+// would evict was requested more often. Lookups count requests; put's
+// own existence check does not.
+func TestResultCacheAdmission(t *testing.T) {
+	// request counts key's lookups as Submit does, whatever they find.
+	request := func(c *resultCache, key string, n int) {
+		for i := 0; i < n; i++ {
+			c.lookup(key)
+		}
+	}
+	t.Run("one-off newcomer refused", func(t *testing.T) {
+		c := newResultCache(100, 100)
+		request(c, "hot", 1)
+		if ok, _, _ := c.put("hot", "t1", rawRes(60), execMeta{}); !ok {
+			t.Fatal("first put refused on an empty cache")
+		}
+		request(c, "hot", 1)
+		request(c, "new", 1)
+		ok, refused, ev := c.put("new", "t1", rawRes(60), execMeta{})
+		if ok || !refused || len(ev) != 0 {
+			t.Fatalf("one-off over a twice-requested entry: inserted=%v refused=%v evicted=%+v", ok, refused, ev)
+		}
+		if got := c.requests("hot"); got != 2 {
+			t.Fatalf("hot counted %d requests, want 2 (put's existence check must not count)", got)
+		}
+		if c.totalBytes() != 60 || c.len() != 1 || !cached(c, "hot") {
+			t.Fatalf("refused put moved the cache: %d bytes, %d entries", c.totalBytes(), c.len())
+		}
+	})
+	t.Run("ties admit in LRU order", func(t *testing.T) {
+		// All-distinct traffic, as serve-cold-mix sends: every key is
+		// requested once, so every put admits and evicts the LRU tail.
+		c := newResultCache(100, 100)
+		for i := 0; i < 6; i++ {
+			key := fmt.Sprintf("k%d", i)
+			request(c, key, 1)
+			ok, refused, ev := c.put(key, "t1", rawRes(40), execMeta{})
+			if !ok || refused {
+				t.Fatalf("put %s: inserted=%v refused=%v", key, ok, refused)
+			}
+			if wantEv := i >= 2; (len(ev) == 1) != wantEv || len(ev) > 1 {
+				t.Fatalf("put %s evicted %+v", key, ev)
+			}
+			if i >= 2 && cached(c, fmt.Sprintf("k%d", i-2)) {
+				t.Fatalf("put %s kept k%d, the LRU tail", key, i-2)
+			}
+		}
+		// A newcomer requested as often as the hot entry displaces it.
+		c = newResultCache(100, 100)
+		request(c, "hot", 2)
+		c.put("hot", "t1", rawRes(60), execMeta{})
+		request(c, "peer", 2)
+		if ok, refused, ev := c.put("peer", "t1", rawRes(60), execMeta{}); !ok || refused || len(ev) != 1 {
+			t.Fatalf("equal-count newcomer: inserted=%v refused=%v evicted=%+v", ok, refused, ev)
+		}
+	})
+	t.Run("halving lets a formerly hot entry go", func(t *testing.T) {
+		c := newResultCache(100, 100)
+		request(c, "hot", 2)
+		c.put("hot", "t1", rawRes(60), execMeta{})
+		// Distinct one-off keys fill the window; the halving then drops
+		// them and leaves hot with one request.
+		for n := c.window() - c.lookups; n > 0; n-- {
+			request(c, fmt.Sprintf("f%d", n), 1)
+		}
+		if c.lookups != 0 || c.requests("hot") != 1 || len(c.freq) != 1 {
+			t.Fatalf("after a window: %d lookups pending, hot=%d, %d keys counted; want 0, 1, 1", c.lookups, c.requests("hot"), len(c.freq))
+		}
+		request(c, "new", 1)
+		ok, refused, ev := c.put("new", "t1", rawRes(60), execMeta{})
+		if !ok || refused || len(ev) != 1 || cached(c, "hot") {
+			t.Fatalf("newcomer after halving: inserted=%v refused=%v evicted=%+v", ok, refused, ev)
+		}
+	})
+	t.Run("refused flight still answers its waiters", func(t *testing.T) {
+		gate := make(chan struct{})
+		s := New(Config{Executors: 1, CacheBytes: 10, CacheTenantBytes: 10, Telemetry: telemetry.New(0),
+			runHook: func(ctx context.Context, spec *JobSpec) ([]byte, *execMeta, error) {
+				if spec.Seed == 2 {
+					select {
+					case <-gate:
+					case <-ctx.Done():
+						return nil, nil, ctx.Err()
+					}
+				}
+				return []byte(fmt.Sprintf("seed-%d", spec.Seed)), &execMeta{}, nil
+			}})
+		defer s.Drain(context.Background())
+		var hotJob *Job
+		for i := 0; i < 3; i++ { // one miss, two hits
+			hotJob = submitDone(t, s, seeded(1))
+		}
+		leader, err := s.Submit(seeded(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitRunning(t, leader)
+		follower, err := s.Submit(seeded(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(gate)
+		for _, j := range []*Job{leader, follower} {
+			if st := waitTerminal(t, j); st.State != StateDone {
+				t.Fatalf("job %s ended %s (%s)", j.ID, st.State, st.Error)
+			}
+			if p, _ := j.Payload(); string(p) != "seed-2" {
+				t.Fatalf("job %s got %q, want the run's bytes", j.ID, p)
+			}
+		}
+		if got := s.cRefusals.Value(); got != 1 {
+			t.Fatalf("serve.cache.admission-refusals = %d, want 1", got)
+		}
+		if got := s.cEvictions.Value(); got != 0 {
+			t.Fatalf("serve.cache.evictions = %d after a refusal, want 0", got)
+		}
+		s.mu.Lock()
+		hot, cold := s.cache.entries[hotJob.Spec.cacheKey()], s.cache.entries[leader.Spec.cacheKey()]
+		s.mu.Unlock()
+		if hot == nil || cold != nil {
+			t.Fatalf("after the refusal: thrice-requested entry cached=%v, refused tuple indexed=%v", hot != nil, cold != nil)
+		}
+		checkIndex(t, s)
+	})
+}
+
+// TestResultCacheZipfReplay replays serve-zipf-hot's traffic shape
+// through the cache: rounds of 20 stratified Zipf(1.1) draws over 128
+// one-MiB tuples, tuple i owned by tenant i%4, against 64 MiB with
+// 16 MiB per tenant. Plain LRU keeps 85.3% hits here and a halving
+// period of 10 lookups per entry 88.0%; admission must keep at least
+// 88.5% once the first 200 rounds have warmed the cache.
+func TestResultCacheZipfReplay(t *testing.T) {
+	cdf := make([]float64, 128)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -1.1)
+		cdf[k] = sum
+	}
+	res := rawRes(1 << 20)
+	c := newResultCache(64<<20, 16<<20)
+	rnd := rand.New(rand.NewPCG(1, 7))
+	draws := make([]int, 20)
+	hits, lookups := 0, 0
+	for round := 0; round < 2000; round++ {
+		for j := range draws {
+			u := (float64(j) + rnd.Float64()) / float64(len(draws)) * sum
+			draws[j] = min(sort.SearchFloat64s(cdf, u), len(cdf)-1)
+		}
+		rnd.Shuffle(len(draws), func(i, j int) { draws[i], draws[j] = draws[j], draws[i] })
+		for _, d := range draws {
+			key := fmt.Sprintf("k%d", d)
+			hit := c.lookup(key) != nil
+			if !hit {
+				c.put(key, fmt.Sprintf("t%d", d%4), res, execMeta{})
+			}
+			if round >= 200 {
+				lookups++
+				if hit {
+					hits++
+				}
+			}
+		}
+	}
+	ratio := float64(hits) / float64(lookups)
+	t.Logf("hit ratio %.4f over %d lookups", ratio, lookups)
+	if ratio < 0.885 {
+		t.Fatalf("hit ratio %.4f, want at least 0.885 (plain LRU keeps 0.853)", ratio)
 	}
 }
 

@@ -401,6 +401,7 @@ type Scheduler struct {
 	cHits       *telemetry.Counter
 	cMisses     *telemetry.Counter
 	cEvictions  *telemetry.Counter
+	cRefusals   *telemetry.Counter
 	cCoalesced  *telemetry.Counter
 	gCacheBytes *telemetry.Gauge
 	gCacheEnts  *telemetry.Gauge
@@ -475,6 +476,8 @@ func New(cfg Config) *Scheduler {
 			"submissions whose replay tuple was not cached"),
 		cEvictions: rec.Counter("serve.cache.evictions", "events",
 			"cache entries evicted under the byte budget or a tenant cap"),
+		cRefusals: rec.Counter("serve.cache.admission-refusals", "events",
+			"completed results not cached because making room would evict a more-requested entry"),
 		cCoalesced: rec.Counter("serve.dedup.coalesced", "events",
 			"submissions coalesced onto another submission's in-flight execution"),
 		gCacheBytes: rec.Gauge("serve.cache.bytes", "bytes",
@@ -860,9 +863,12 @@ func (s *Scheduler) runFlight(f *flight) {
 		if meta != nil {
 			m = *meta
 		}
-		inserted, evicted := s.cache.put(f.key, f.spec.Tenant, res, m)
+		inserted, refused, evicted := s.cache.put(f.key, f.spec.Tenant, res, m)
 		if n := len(evicted); n > 0 {
 			s.cEvictions.Add(int64(n))
+		}
+		if refused {
+			s.cRefusals.Add(1)
 		}
 		if inserted || len(evicted) > 0 {
 			s.gCacheBytes.Set(s.cache.totalBytes())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // This file validates the /debug/jobs wire shapes the way
@@ -24,7 +25,8 @@ func CheckJobsJSON(body []byte) (jobs int, err error) {
 	if err := dec.Decode(&b); err != nil {
 		return 0, fmt.Errorf("jobs listing is not well-formed JSON: %w", err)
 	}
-	if dec.More() {
+	// As in CheckTraceJSON: only the end of input may follow.
+	if _, err := dec.Token(); err != io.EOF {
 		return 0, errors.New("trailing data after the jobs object")
 	}
 	if b.Recorded < 0 || b.Evicted < 0 || b.Pinned < 0 {
@@ -79,7 +81,9 @@ func CheckTraceJSON(body []byte) (spans int, err error) {
 	if err := dec.Decode(&t); err != nil {
 		return 0, fmt.Errorf("trace is not well-formed JSON: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a stray '}' or ']', so ask for the
+	// next token: only the end of input may follow the object.
+	if _, err := dec.Token(); err != io.EOF {
 		return 0, errors.New("trailing data after the trace object")
 	}
 	if t.TraceID == "" {

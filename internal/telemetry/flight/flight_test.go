@@ -444,6 +444,19 @@ func TestCheckTraceJSONRejects(t *testing.T) {
 	if _, err := CheckTraceJSON(body); err != nil {
 		t.Fatalf("base trace rejected: %v", err)
 	}
+	// Only the end of input may follow the object, in both validators.
+	jobs, _ := json.Marshal(JobsJSON{})
+	if _, err := CheckJobsJSON(jobs); err != nil {
+		t.Fatalf("empty listing rejected: %v", err)
+	}
+	for _, tail := range []string{" }", "]", "{}"} {
+		if _, err := CheckTraceJSON(append(body[:len(body):len(body)], tail...)); err == nil {
+			t.Errorf("trace followed by %q accepted", tail)
+		}
+		if _, err := CheckJobsJSON(append(jobs[:len(jobs):len(jobs)], tail...)); err == nil {
+			t.Errorf("jobs listing followed by %q accepted", tail)
+		}
+	}
 	// Unknown fields are rejected (strict decode).
 	if _, err := CheckTraceJSON([]byte(`{"trace_id":"x","state":"done","duration_us":1,"start_unix_us":0,"spans":[],"bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // CheckSnapshot validates a /snapshot JSON body the way CheckExposition
@@ -27,7 +28,9 @@ func CheckSnapshot(body []byte) (counters, gauges, histograms int, err error) {
 	if err := dec.Decode(&b); err != nil {
 		return 0, 0, 0, fmt.Errorf("snapshot is not well-formed JSON: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a stray '}' or ']', so ask for the
+	// next token: only the end of input may follow the object.
+	if _, err := dec.Token(); err != io.EOF {
 		return 0, 0, 0, errors.New("trailing data after the snapshot object")
 	}
 	for _, c := range b.Counters {

@@ -62,6 +62,8 @@ func TestCheckSnapshotRejects(t *testing.T) {
 		{"not json", `{"counters": [`, "not well-formed"},
 		{"unknown field", `{"counters": [], "gauges": [], "histograms": [], "extra": 1}`, "unknown field"},
 		{"trailing data", `{"counters": [], "gauges": [], "histograms": []} {"x":1}`, "trailing data"},
+		{"trailing close brace", `{"counters": [], "gauges": [], "histograms": []} }`, "trailing data"},
+		{"trailing close bracket", `{"counters": [], "gauges": [], "histograms": []}]`, "trailing data"},
 		{"negative delta", `{"counters": [{"name": "c", "value": 5, "delta": -1}], "gauges": [], "histograms": []}`, "negative delta"},
 		{"negative value", `{"counters": [{"name": "c", "value": -5, "delta": 0}], "gauges": [], "histograms": []}`, "negative value"},
 		{"unnamed counter", `{"counters": [{"name": "", "value": 1, "delta": 1}], "gauges": [], "histograms": []}`, "empty name"},

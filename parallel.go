@@ -101,9 +101,11 @@ func (r *ParallelResult) Sector(k int) []float32 {
 }
 
 // parallelChunkFault, when non-nil, injects a failure before the given
-// chunk executes. Test hook for the cancellation path: rejection
-// sampling has no practical way to make a mid-run chunk fail naturally.
-var parallelChunkFault func(chunk int) error
+// chunk executes; ctx is the run's context, so a hook can hold a claim
+// until a cancellation is visible. Test hook for the cancellation path:
+// rejection sampling has no practical way to make a mid-run chunk fail
+// naturally.
+var parallelChunkFault func(ctx context.Context, chunk int) error
 
 // GenerateParallel runs configuration c sharded by work-item — the
 // axis the paper proves is dependency-free. Each work-item's values
@@ -226,7 +228,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 				gActive.Add(1)
 				tsStart := opt.Trace.Now()
 				start := time.Now()
-				err := parallelChunkFaultErr(chunk)
+				err := parallelChunkFaultErr(ctx, chunk)
 				if err == nil {
 					if subs > 1 {
 						err = eng.RunItemPart(ctx, values, chunk/subs, chunk%subs, subs, &unitStats[chunk])
@@ -320,11 +322,11 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 }
 
 // parallelChunkFaultErr consults the test hook.
-func parallelChunkFaultErr(chunk int) error {
+func parallelChunkFaultErr(ctx context.Context, chunk int) error {
 	if parallelChunkFault == nil {
 		return nil
 	}
-	return parallelChunkFault(chunk)
+	return parallelChunkFault(ctx, chunk)
 }
 
 // chunkImbalance returns the max/min chunk wall-time ratio, the

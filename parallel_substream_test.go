@@ -141,7 +141,7 @@ func TestGenerateParallelCancellationClassified(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var claims atomic.Int64
-	parallelChunkFault = func(chunk int) error {
+	parallelChunkFault = func(_ context.Context, chunk int) error {
 		if claims.Add(1) == 2 {
 			// Simulate the engine observing the cancellation inside the
 			// chunk body: cancel first, then return the wrapped ctx error
@@ -175,7 +175,7 @@ func TestGenerateParallelCancellationClassified(t *testing.T) {
 // error's type alone.
 func TestGenerateParallelInjectedCtxErrorStaysFailure(t *testing.T) {
 	var claims atomic.Int64
-	parallelChunkFault = func(chunk int) error {
+	parallelChunkFault = func(_ context.Context, chunk int) error {
 		if claims.Add(1) == 2 {
 			return fmt.Errorf("stream source gone: %w", context.Canceled)
 		}
@@ -202,7 +202,7 @@ func TestGenerateParallelInjectedCtxErrorStaysFailure(t *testing.T) {
 func TestGenerateParallelAbortedImbalance(t *testing.T) {
 	rec := telemetry.New(0)
 	var claims atomic.Int64
-	parallelChunkFault = func(chunk int) error {
+	parallelChunkFault = func(_ context.Context, chunk int) error {
 		if claims.Add(1) == 2 {
 			return fmt.Errorf("injected fault in chunk %d", chunk)
 		}

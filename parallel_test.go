@@ -213,9 +213,16 @@ func TestGenerateParallelStealStress(t *testing.T) {
 func TestGenerateParallelCancelOnFault(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var executed atomic.Int64
-	parallelChunkFault = func(chunk int) error {
-		if executed.Add(1) == 2 {
+	parallelChunkFault = func(ctx context.Context, chunk int) error {
+		switch n := executed.Add(1); {
+		case n == 2:
 			return fmt.Errorf("injected fault in chunk %d", chunk)
+		case n > 2:
+			// The faulting worker may be descheduled before it cancels;
+			// a later claim waits for the cancel rather than racing
+			// through the remaining chunks.
+			<-ctx.Done()
+			return ctx.Err()
 		}
 		return nil
 	}
@@ -268,7 +275,7 @@ func TestGenerateParallelContextCancel(t *testing.T) {
 	// to park a chunk).
 	ctx, cancel := context.WithCancel(context.Background())
 	var claims atomic.Int64
-	parallelChunkFault = func(int) error {
+	parallelChunkFault = func(context.Context, int) error {
 		if claims.Add(1) == 2 {
 			cancel()
 		}

@@ -52,7 +52,8 @@ go test -race -count=1 \
     ./internal/core ./internal/creditrisk ./internal/rng/gamma
 
 # Serve admission lanes under the race detector: cache semantics
-# (eviction, per-tenant accounting, hit-after-evict), singleflight
+# (eviction, per-tenant accounting, hit-after-evict, frequency-gated
+# admission and its refused-but-answered flight), singleflight
 # lifecycle (coalesce, waiter-cancel survival, last-waiter abort), the
 # replay-tuple index's failure paths (abandoned flight, panic in a
 # coalesced flight, completion race, drain with a live flight, each
@@ -104,15 +105,19 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 # Native Go fuzzing, 5 s per target: strict JobSpec decode + Validate
 # (no panic; an accepted spec keeps a stable cache key that scheduling
 # and accounting fields cannot move), the ?wait= long-poll parameter
-# (200 or 400 with a JSON body, no panic), traceparent parsing (the id
+# (200 or 400 with a JSON body, no panic), the result cache under
+# random lookup/lead/release/put sequences (byte accounting, tenant and
+# global caps, a refused put changes nothing, the LRU holds exactly the
+# result entries), traceparent parsing (the id
 # is "" or 32 lowercase hex), the /debug/jobs/{id} validator (no
 # panic), the CreditRisk+ Poisson lane (same counts and stream
 # position as the one-word Knuth oracle) and the certified finish lane
 # (FinishBlock equals Finish bit for bit). The committed seed corpora
 # under testdata/fuzz/ also run as plain tests in every go test.
-echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane, FuzzFinishLane; 5s each)"
+echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzResultCache, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane, FuzzFinishLane; 5s each)"
 go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzWaitParam$' -fuzztime 5s ./internal/serve
+go test -run '^$' -fuzz '^FuzzResultCache$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzPoissonLane$' -fuzztime 5s ./internal/creditrisk

@@ -74,13 +74,15 @@ HEALTHZ_URL=$(printf '%s' "$METRICS_URL" | sed 's#/metrics$#/healthz#')
 # The serve.* instruments must be live on the same metrics plane the
 # other CLIs use, and the /snapshot JSON must validate across scrapes.
 # The replay above re-submitted one tuple, so serve.cache.hits ≥ 1 —
-# a regression that silently disables the fast lane fails here.
+# a regression that silently disables the fast lane fails here. The
+# admission-refusal counter must be published even while it reads 0.
 "$SERVE_TMP/decwi-promcheck" -url "$METRICS_URL" \
     -min-counters 3 -min-gauges 2 -min-histograms 2
 SNAPSHOT_URL=$(printf '%s' "$METRICS_URL" | sed 's#/metrics$#/snapshot#')
 "$SERVE_TMP/decwi-promcheck" -url "$SNAPSHOT_URL" -snapshot \
     -min-counters 3 -min-gauges 2 -min-histograms 2 \
-    -require-counter serve.cache.hits=1 -require-counter serve.cache.misses=1
+    -require-counter serve.cache.hits=1 -require-counter serve.cache.misses=1 \
+    -require-counter serve.cache.admission-refusals=0
 
 # Graceful drain with a live coalesced flight: two clients submit the
 # same ~1 s risk tuple, so one engine run carries both jobs. SIGTERM
