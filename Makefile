@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz bench-smoke bce-check metrics-smoke serve-smoke trace-overhead trace clean
+.PHONY: check fmt-check vet build test race fuzz bench-smoke bce-check smoke trace-overhead trace clean
 
-check: fmt-check vet build race fuzz bce-check bench-smoke metrics-smoke serve-smoke trace-overhead
+check: fmt-check vet build race fuzz bce-check bench-smoke smoke trace-overhead
 
 # Formatting gate: every tracked Go file must be gofmt-clean.
 fmt-check:
@@ -52,19 +52,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkCycleBlock -benchtime 1x ./internal/rng/gamma
 	$(GO) test -run '^$$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
-# Live metrics smoke: scrape a running decwi-gammagen -http server and
-# validate the Prometheus exposition with the in-repo checker.
-metrics-smoke:
-	sh scripts/metrics_smoke.sh
-
-# Service smoke: boot decwi-served, run a replay-determinism check and a
-# risk batch through decwi-loadgen (with the per-phase breakdown),
-# validate the live metrics plane and the /debug/jobs trace surface,
-# render a job trace with decwi-trace -job, require a clean SIGTERM
-# drain while a coalesced flight runs, and prove /healthz degrades
-# under an injected slow executor.
-serve-smoke:
-	sh scripts/serve_smoke.sh
+# Service and metrics smokes: Go tests that run the real decwi-served
+# and decwi-gammagen main() as child processes on ephemeral ports
+# (golden-digest replay, traceparent echo, /debug/jobs, /healthz,
+# /metrics, /snapshot, SIGTERM drain during a coalesced flight, SLO
+# degradation). -count=1 so a cached pass cannot stand in for a run.
+smoke:
+	$(GO) test -count=1 -run '^TestSmoke' ./cmd/decwi-served ./cmd/decwi-gammagen
 
 # Tracing non-perturbation gate: cache-hot HTTP jobs/s with the flight
 # recorder + SLO plane on must hold a median >= 0.90x the tracing-off

@@ -434,7 +434,7 @@ func BenchmarkGenerateParallel(b *testing.B) {
 			o := opts
 			o.Seed = uint64(i + 1)
 			if _, err := decwi.GenerateParallel(decwi.Config2, decwi.ParallelOptions{
-				GenerateOptions: o, Shards: 4,
+				GenerateOptions: o, ChunkWorkItems: 2,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func BenchmarkGenerateParallel(b *testing.B) {
 			o := opts
 			o.Seed = uint64(i + 1)
 			if _, err := decwi.GenerateParallel(decwi.Config2, decwi.ParallelOptions{
-				GenerateOptions: o, Shards: 4, Workers: 1,
+				GenerateOptions: o, ChunkWorkItems: 2, Workers: 1,
 			}); err != nil {
 				b.Fatal(err)
 			}

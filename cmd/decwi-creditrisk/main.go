@@ -32,7 +32,7 @@ func main() {
 	flag.Parse()
 
 	rec := mflags.Recorder()
-	stopMetrics, err := mflags.Start("decwi-creditrisk", rec)
+	_, stopMetrics, err := mflags.Start("decwi-creditrisk", rec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decwi-creditrisk: %v\n", err)
 		os.Exit(1)

@@ -31,7 +31,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master seed")
 	offset := flag.Uint64("offset", 0, "fast-forward every work-item's streams by this many state words with the O(log n) jump-ahead (checkpoint/resume; 0 = the seed state)")
 	parallel := flag.Bool("parallel", false, "generate with the work-stealing parallel engine (same output bytes)")
-	shards := flag.Int("shards", 0, "parallel: target work-item chunk count (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "parallel: concurrent scheduler workers (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "output file (default stdout)")
 	text := flag.Bool("text", false, "write one decimal value per line instead of raw float32 LE")
@@ -47,13 +46,13 @@ func main() {
 		os.Exit(1)
 	}
 	rec := mflags.Recorder()
-	stopMetrics, err := mflags.Start("decwi-gammagen", rec)
+	_, stopMetrics, err := mflags.Start("decwi-gammagen", rec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decwi-gammagen: %v\n", err)
 		os.Exit(1)
 	}
 	runErr := run(*cfgNum, *n, *variance, *workItems, *seed, *offset,
-		*parallel, *shards, *workers, *out, *text, *validate, rec)
+		*parallel, *workers, *out, *text, *validate, rec)
 	if err := stopMetrics(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -67,7 +66,7 @@ func main() {
 }
 
 func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint64,
-	parallel bool, shards, workers int, out string, text, validate bool, rec *telemetry.Recorder) error {
+	parallel bool, workers int, out string, text, validate bool, rec *telemetry.Recorder) error {
 	if cfgNum < 1 || cfgNum > 4 {
 		return fmt.Errorf("config %d outside 1-4", cfgNum)
 	}
@@ -85,7 +84,7 @@ func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint
 	var vals []float32
 	if parallel {
 		pres, err := decwi.GenerateParallel(cfg, decwi.ParallelOptions{
-			GenerateOptions: gopt, Shards: shards, Workers: workers,
+			GenerateOptions: gopt, Workers: workers,
 		})
 		if err != nil {
 			return err

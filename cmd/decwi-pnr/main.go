@@ -23,7 +23,7 @@ func main() {
 	flag.Parse()
 
 	rec := mflags.Recorder()
-	stopMetrics, err := mflags.Start("decwi-pnr", rec)
+	_, stopMetrics, err := mflags.Start("decwi-pnr", rec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decwi-pnr: %v\n", err)
 		os.Exit(1)

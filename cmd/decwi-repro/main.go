@@ -50,7 +50,7 @@ func main() {
 		os.Exit(1)
 	}
 	metricsRec = mflags.Recorder()
-	stopMetrics, err := mflags.Start("decwi-repro", metricsRec)
+	_, stopMetrics, err := mflags.Start("decwi-repro", metricsRec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decwi-repro: %v\n", err)
 		os.Exit(1)

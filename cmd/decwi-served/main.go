@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -152,7 +153,7 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 	// the -http observability server is up: the instruments are cheap
 	// and a later scrape should see history, not a cold start.
 	rec := telemetry.New(0)
-	msrv, stopMetrics, err := mflags.StartServer("decwi-served", rec)
+	msrv, stopMetrics, err := mflags.Start("decwi-served", rec)
 	if err != nil {
 		return err
 	}
@@ -177,16 +178,40 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 		return err
 	}
 	// Announce the resolved address on stderr — with port 0 this line is
-	// how scripts/serve_smoke.sh and the bench/ harness find the API.
+	// how the smoke tests and the bench/ harness find the API.
 	fmt.Fprintf(os.Stderr, "decwi-served: API on http://%s (POST /v1/generate /v1/risk, GET /v1/jobs/{id})\n", ln.Addr())
 
 	api := serve.NewServer(sched).Handler()
 	var open atomic.Int64 // API requests in progress
-	httpSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		open.Add(1)
-		defer open.Add(-1)
-		api.ServeHTTP(w, r)
-	})}
+	var freshMu sync.Mutex
+	fresh := map[net.Conn]bool{} // connections that have sent no request yet
+	httpSrv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			open.Add(1)
+			defer open.Add(-1)
+			api.ServeHTTP(w, r)
+		}),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			freshMu.Lock()
+			defer freshMu.Unlock()
+			if st == http.StateNew {
+				fresh[c] = true
+			} else {
+				delete(fresh, c)
+			}
+		},
+	}
+	// Shutdown closes idle connections at once but waits 5 s for one
+	// that has sent no request yet, such as a client's spare dial, and
+	// then fails the drain. Such a connection holds no work: close it
+	// with the idle ones.
+	httpSrv.RegisterOnShutdown(func() {
+		freshMu.Lock()
+		defer freshMu.Unlock()
+		for c := range fresh {
+			c.Close()
+		}
+	})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

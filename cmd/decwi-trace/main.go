@@ -54,9 +54,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master seed")
 	cosimQuota := flag.Int64("cosim-quota", 4096, "values per work-item for the cycle-accurate co-simulation pass (0 = skip)")
 	parallel := flag.Bool("parallel", false, "also run the work-stealing parallel host path and attribute its chunk scheduling")
-	shards := flag.Int("shards", 0, "parallel: target work-item chunk count (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "parallel: concurrent scheduler workers (0 = GOMAXPROCS)")
-	chunkWI := flag.Int("chunk", 0, "parallel: work-items per chunk (0 = even split across shards)")
+	chunkWI := flag.Int("chunk", 0, "parallel: work-items per chunk (0 = even split over GOMAXPROCS)")
 	tracePath := flag.String("trace", "decwi-trace.json", "output path for the Chrome trace_event JSON")
 	reportPath := flag.String("report", "", "output path for the stall-attribution report (default: stdout)")
 	budget := flag.Int("events", 1<<16, "span budget of the run trace (spans past it are dropped and counted)")
@@ -70,7 +69,7 @@ func main() {
 	} else {
 		_, err = run(*cfgNum, *scenarios, *sectors, *workItems, *seed,
 			*cosimQuota, *tracePath, *reportPath, *budget,
-			*parallel, *shards, *workers, *chunkWI, mflags)
+			*parallel, *workers, *chunkWI, mflags)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decwi-trace: %v\n", err)
@@ -188,7 +187,7 @@ func recordCounters(rec *telemetry.Recorder) {
 // counters hold everything the artifacts were rendered from.
 func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	cosimQuota int64, tracePath, reportPath string, budget int,
-	parallel bool, shards, workers, chunkWI int, mflags *metricsrv.Flags) (*telemetry.Recorder, error) {
+	parallel bool, workers, chunkWI int, mflags *metricsrv.Flags) (*telemetry.Recorder, error) {
 	if cfgNum < 1 || cfgNum > 4 {
 		return nil, fmt.Errorf("-config must be 1..4, got %d", cfgNum)
 	}
@@ -206,7 +205,7 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	// decwi-trace needs the run trace for its trace artifact, so it
 	// builds its own recorder instead of the metrics-only Flags.Recorder.
 	rec := telemetry.New(budget)
-	stopMetrics, err := mflags.Start("decwi-trace", rec)
+	_, stopMetrics, err := mflags.Start("decwi-trace", rec)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +262,7 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 				WorkItems: workItems, Seed: seed,
 				Telemetry: rec,
 			},
-			Shards: shards, Workers: workers, ChunkWorkItems: chunkWI,
+			Workers: workers, ChunkWorkItems: chunkWI,
 			Trace: rec.Trace(),
 		})
 		if err != nil {

@@ -1,16 +1,73 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/decwi/decwi/internal/serve"
 	"github.com/decwi/decwi/internal/telemetry/flight"
 	"github.com/decwi/decwi/internal/telemetry/metricsrv"
 )
+
+// TestJobModeTrace drives `decwi-trace -job <api>/debug/jobs` against a
+// serve API with the flight recorder on: the listing's newest trace is
+// fetched, validated and rendered to a Chrome trace_event file.
+func TestJobModeTrace(t *testing.T) {
+	sched := serve.New(serve.Config{Executors: 1, Flight: flight.New(8, 2, time.Second)})
+	ts := httptest.NewServer(serve.NewServer(sched).Handler())
+	defer func() {
+		ts.Close()
+		if err := sched.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	resp, err := http.Post(ts.URL+"/v1/generate", "application/json",
+		bytes.NewReader([]byte(`{"config":2,"seed":5,"scenarios":2000,"workers":1}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !st.State.Terminal() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "?wait=10s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tracePath := filepath.Join(t.TempDir(), "job.json")
+	if err := runJob(ts.URL+"/debug/jobs", tracePath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &chrome); err != nil || len(chrome.TraceEvents) == 0 {
+		t.Fatalf("not a Chrome trace_event file (%v): %.200s", err, raw)
+	}
+}
 
 // TestKernelModeTrace drives kernel mode the way
 // `decwi-trace -config 3 -parallel -cosim-quota 256` does: the run
@@ -22,7 +79,7 @@ func TestKernelModeTrace(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	reportPath := filepath.Join(dir, "report.txt")
 	rec, err := run(3, 20000, 2, 0, 1, 256, tracePath, reportPath, 1<<16,
-		true, 0, 0, 0, &metricsrv.Flags{})
+		true, 0, 0, &metricsrv.Flags{})
 	if err != nil {
 		t.Fatal(err)
 	}

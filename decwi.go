@@ -2,6 +2,7 @@ package decwi
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/decwi/decwi/internal/fpga"
@@ -171,10 +172,10 @@ func (r *GenerateResult) Sector(k int) []float32 { return r.par.Sector(k) }
 // Generate runs configuration c of the decoupled work-item engine and
 // returns validated gamma data plus modelled FPGA timing. This is the
 // quickstart entry point: GenerateParallel's scheduler with one worker
-// over one chunk, so its bytes are GenerateParallel's for the same
-// options.
+// over one chunk (an oversized chunk size clamps to all work-items), so
+// its bytes are GenerateParallel's for the same options.
 func Generate(c ConfigID, opt GenerateOptions) (*GenerateResult, error) {
-	par, err := GenerateParallel(c, ParallelOptions{GenerateOptions: opt, Shards: 1, Workers: 1})
+	par, err := GenerateParallel(c, ParallelOptions{GenerateOptions: opt, Workers: 1, ChunkWorkItems: math.MaxInt})
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // single gate between the network and the engine. Nothing may panic.
 // For an accepted spec, the cache key must be stable, Validate must be
 // idempotent, and the scheduling and accounting fields (Workers,
-// Shards, ChunkWorkItems, Tenant, TimeoutMS) must not move the key.
+// ChunkWorkItems, Tenant, TimeoutMS) must not move the key.
 // The seed corpus is testdata/fuzz/FuzzJobSpec.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, risk bool) {
@@ -51,7 +51,6 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		scheduled := spec
 		scheduled.Workers++
-		scheduled.Shards++
 		scheduled.ChunkWorkItems++
 		scheduled.Tenant += "-x"
 		scheduled.TimeoutMS++

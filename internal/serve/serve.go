@@ -119,12 +119,11 @@ type JobSpec struct {
 	StreamOffset uint64 `json:"stream_offset,omitempty"`
 
 	// Scheduling knobs, forwarded to decwi.ParallelOptions. The server
-	// is strict where the library clamps: a remote spec asking for more
-	// shards or bigger chunks than there are work-items is rejected with
-	// 400 instead of silently normalized, so the stored replay tuple is
+	// is strict where the library clamps: a remote spec asking for
+	// bigger chunks than there are work-items is rejected with 400
+	// instead of silently normalized, so the stored replay tuple is
 	// always canonical. Workers is required (≥ 1): admission control
 	// accounts per-job host parallelism explicitly.
-	Shards         int `json:"shards,omitempty"`
 	Workers        int `json:"workers"`
 	ChunkWorkItems int `json:"chunk_work_items,omitempty"`
 
@@ -220,12 +219,6 @@ func (spec *JobSpec) Validate(l Limits) error {
 	if spec.Workers > l.MaxJobWorkers {
 		return fmt.Errorf("workers %d exceeds the per-job cap %d", spec.Workers, l.MaxJobWorkers)
 	}
-	if spec.Shards < 0 {
-		return fmt.Errorf("shards %d must be ≥ 0 (0 selects an even split)", spec.Shards)
-	}
-	if spec.Shards > wi {
-		return fmt.Errorf("shards %d exceeds the %d work-items of config %d (the server does not silently clamp remote specs)", spec.Shards, wi, spec.Config)
-	}
 	if spec.ChunkWorkItems < 0 {
 		return fmt.Errorf("chunk_work_items %d must be ≥ 0 (0 selects an even split)", spec.ChunkWorkItems)
 	}
@@ -298,7 +291,6 @@ func (spec *JobSpec) generateOptions() decwi.ParallelOptions {
 			Seed:         spec.Seed,
 			StreamOffset: spec.StreamOffset,
 		},
-		Shards:         spec.Shards,
 		Workers:        spec.Workers,
 		ChunkWorkItems: spec.ChunkWorkItems,
 	}
@@ -406,7 +398,7 @@ func (r *result) size() int {
 // Validate canonicalizes the defaultable fields (seed 0 → 1, sectors
 // 0 → 1, risk portfolio defaults), so two submissions naming the same
 // effective tuple digest identically. Scheduling fields (Workers,
-// Shards, ChunkWorkItems) are deliberately excluded: the engine's
+// ChunkWorkItems) are deliberately excluded: the engine's
 // sequential-equivalence tentpole proves the bytes are invariant under
 // every scheduling choice, so a 1-worker and a 16-worker submission of
 // the same workload share one cache line. Tenant and TimeoutMS are

@@ -255,8 +255,7 @@ func TestServerValidationErrors(t *testing.T) {
 		{"zero workers", "/v1/generate", func(m map[string]any) { m["workers"] = 0 }, "workers 0"},
 		{"negative workers", "/v1/generate", func(m map[string]any) { m["workers"] = -3 }, "workers -3"},
 		{"workers beyond cap", "/v1/generate", func(m map[string]any) { m["workers"] = 64 }, "per-job cap"},
-		{"shards beyond work-items", "/v1/generate", func(m map[string]any) { m["shards"] = 9 }, "shards 9 exceeds"},
-		{"negative shards", "/v1/generate", func(m map[string]any) { m["shards"] = -1 }, "shards -1"},
+		{"retired shards field", "/v1/generate", func(m map[string]any) { m["shards"] = 2 }, `unknown field "shards"`},
 		{"oversized chunk", "/v1/generate", func(m map[string]any) { m["chunk_work_items"] = 99 }, "chunk_work_items 99"},
 		{"negative chunk", "/v1/generate", func(m map[string]any) { m["chunk_work_items"] = -2 }, "chunk_work_items -2"},
 		{"unknown config", "/v1/generate", func(m map[string]any) { m["config"] = 9 }, "config 9"},

@@ -42,52 +42,32 @@ func (f *Flags) Recorder() *telemetry.Recorder {
 	return telemetry.New(0)
 }
 
-// Start is StartForCLI on the parsed flag values.
-func (f *Flags) Start(prog string, rec *telemetry.Recorder) (stop func() error, err error) {
-	return StartForCLI(prog, f.Addr, f.Linger, rec)
-}
-
-// StartServer is Start exposing the underlying *Server, for CLIs that
-// install hooks on it (SetHealth, SetSLO) after it is already
-// listening. srv is nil when -http was not given (stop is then a
-// no-op), so callers guard their hook wiring on it.
-func (f *Flags) StartServer(prog string, rec *telemetry.Recorder) (srv *Server, stop func() error, err error) {
-	return startForCLI(prog, f.Addr, f.Linger, rec)
-}
-
-// StartForCLI is the shared -http flag plumbing of the cmd/ binaries:
-// when addr is non-empty it binds the observability server for rec,
-// announces the resolved endpoint on stderr (":0" selects an ephemeral
-// port, so the printed address is how a scraper finds the run), and
-// returns a stop function for the end of the run. stop lingers for the
-// given duration first — so a scrape race at the end of a short run
-// (the check.sh smoke step) still lands — then shuts the server down
-// gracefully and joins its goroutine; a run that exits through stop
-// leaks nothing. When addr is empty, stop is a no-op and rec may be
-// nil.
-func StartForCLI(prog, addr string, linger time.Duration, rec *telemetry.Recorder) (stop func() error, err error) {
-	_, stop, err = startForCLI(prog, addr, linger, rec)
-	return stop, err
-}
-
-// startForCLI is the shared implementation behind StartForCLI and
-// Flags.StartServer.
-func startForCLI(prog, addr string, linger time.Duration, rec *telemetry.Recorder) (*Server, func() error, error) {
-	if addr == "" {
+// Start is the shared -http plumbing of the cmd/ binaries. When -http
+// is set it binds the observability server for rec, announces the
+// resolved endpoint on stderr (":0" selects an ephemeral port, so the
+// printed address is how a scraper finds the run), and returns the
+// server for CLIs that install hooks on it (SetHealth, SetSLO) plus a
+// stop function for the end of the run. stop lingers for -http-linger
+// first, so a scrape at the end of a short run still lands, then shuts
+// the server down gracefully and joins its goroutine; a run that exits
+// through stop leaks nothing. Without -http, srv is nil, stop is a
+// no-op and rec may be nil.
+func (f *Flags) Start(prog string, rec *telemetry.Recorder) (srv *Server, stop func() error, err error) {
+	if f.Addr == "" {
 		return nil, func() error { return nil }, nil
 	}
-	srv, err := New(rec)
+	srv, err = New(rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	bound, err := srv.Serve(addr)
+	bound, err := srv.Serve(f.Addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	fmt.Fprintf(os.Stderr, "%s: metrics on http://%s/metrics (also /healthz /snapshot /debug/pprof)\n", prog, bound)
 	return srv, func() error {
-		if linger > 0 {
-			time.Sleep(linger)
+		if f.Linger > 0 {
+			time.Sleep(f.Linger)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -106,9 +106,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleHealthz is the liveness probe. Without a health hook it answers
-// exactly "ok\n" (the contract promcheck -healthz asserts); with one
-// installed, an unhealthy report degrades the probe to 503 so a load
-// balancer or smoke gate sees SLO burn without parsing /snapshot.
+// exactly "ok\n" (the contract TestSmokeServed/Healthz asserts); with
+// one installed, an unhealthy report degrades the probe to 503 so a
+// load balancer or smoke gate sees SLO burn without parsing /snapshot.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	health := s.health

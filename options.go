@@ -62,21 +62,17 @@ func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 }
 
 // normalizeParallel applies normalizeGenerate and then resolves the
-// scheduling knobs against the normalized work-item count: Shards
-// (target chunk count) defaults to GOMAXPROCS and is clamped to
-// [1, WorkItems]; ChunkWorkItems defaults to the even split
-// ceil(WorkItems/Shards); Workers defaults to GOMAXPROCS and is
-// clamped to the resulting chunk count. It returns the normalized
-// options and the chunk count.
+// scheduling knobs against the normalized work-item count:
+// ChunkWorkItems defaults to the even split over GOMAXPROCS chunks (at
+// most WorkItems of them) and is clamped to [1, WorkItems]; Workers
+// defaults to GOMAXPROCS and is clamped to the resulting chunk count.
+// It returns the normalized options and the chunk count.
 //
 // The scheduling knobs are pure execution policy: they decide how the
 // work-item axis is partitioned and claimed, never what any work-item
 // computes, so every return of this function yields bitwise-identical
 // output for the same GenerateOptions.
 func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOptions, int, error) {
-	if opt.Shards < 0 {
-		return opt, 0, fmt.Errorf("decwi: shards %d must be ≥ 0 (0 selects GOMAXPROCS)", opt.Shards)
-	}
 	if opt.Workers < 0 {
 		return opt, 0, fmt.Errorf("decwi: workers %d must be ≥ 0 (0 selects GOMAXPROCS)", opt.Workers)
 	}
@@ -103,8 +99,8 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 			return opt, 0, fmt.Errorf("decwi: substreams %d exceeds the cap %d", opt.IntraItemSubstreams, maxIntraItemSubstreams)
 		case opt.BreakID != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with BreakID %d (delayed-exit overshoot is a whole-work-item contract)", opt.BreakID)
-		case opt.Shards != 0 || opt.ChunkWorkItems != 0:
-			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); Shards/ChunkWorkItems must stay 0")
+		case opt.ChunkWorkItems != 0:
+			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); ChunkWorkItems must stay 0")
 		}
 		chunks := opt.WorkItems * opt.IntraItemSubstreams
 		if opt.Workers == 0 {
@@ -115,14 +111,9 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 		}
 		return opt, chunks, nil
 	}
-	if opt.Shards == 0 {
-		opt.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opt.Shards > opt.WorkItems {
-		opt.Shards = opt.WorkItems
-	}
 	if opt.ChunkWorkItems == 0 {
-		opt.ChunkWorkItems = (opt.WorkItems + opt.Shards - 1) / opt.Shards
+		n := min(runtime.GOMAXPROCS(0), opt.WorkItems)
+		opt.ChunkWorkItems = (opt.WorkItems + n - 1) / n
 	}
 	if opt.ChunkWorkItems > opt.WorkItems {
 		opt.ChunkWorkItems = opt.WorkItems

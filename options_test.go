@@ -65,53 +65,53 @@ func TestNormalizeGenerate(t *testing.T) {
 	}
 }
 
-// TestNormalizeParallel pins the scheduling-knob resolution: GOMAXPROCS
-// defaults, work-item clamps and the chunk-count arithmetic.
+// TestNormalizeParallel pins the scheduling-knob resolution: the even
+// split over GOMAXPROCS shards (clamped to the work-items), the explicit
+// chunk size, its clamp, and the chunk-count arithmetic. Cases that set
+// procs run at that GOMAXPROCS.
 func TestNormalizeParallel(t *testing.T) {
 	k := perf.Config1 // 6 work-items
 	gomax := runtime.GOMAXPROCS(0)
+	split := (6 + min(gomax, 6) - 1) / min(gomax, 6)
 	base := GenerateOptions{Scenarios: 100, Sectors: 1}
 	for _, tc := range []struct {
-		name       string
-		in         ParallelOptions
-		wantShards int
-		wantChunk  int
-		wantN      int // chunk count
-		wantWork   int
-		wantErr    bool
+		name      string
+		procs     int
+		in        ParallelOptions
+		wantChunk int
+		wantN     int // chunk count
+		wantWork  int
+		wantErr   bool
 	}{
 		{
-			name:       "all defaults",
-			in:         ParallelOptions{GenerateOptions: base},
-			wantShards: min(gomax, 6),
-			wantChunk:  (6 + min(gomax, 6) - 1) / min(gomax, 6),
-			wantN:      (6 + (6+min(gomax, 6)-1)/min(gomax, 6) - 1) / ((6 + min(gomax, 6) - 1) / min(gomax, 6)),
-			wantWork:   min(gomax, (6+(6+min(gomax, 6)-1)/min(gomax, 6)-1)/((6+min(gomax, 6)-1)/min(gomax, 6))),
+			name:      "all defaults",
+			in:        ParallelOptions{GenerateOptions: base},
+			wantChunk: split,
+			wantN:     (6 + split - 1) / split,
+			wantWork:  min(gomax, (6+split-1)/split),
 		},
 		{
-			name:       "shards clamp to work-items",
-			in:         ParallelOptions{GenerateOptions: base, Shards: 50, Workers: 2},
-			wantShards: 6, wantChunk: 1, wantN: 6, wantWork: 2,
+			name:      "shards clamp to work-items",
+			procs:     8,
+			in:        ParallelOptions{GenerateOptions: base, Workers: 2},
+			wantChunk: 1, wantN: 6, wantWork: 2,
 		},
 		{
-			name:       "uneven split rounds chunk size up",
-			in:         ParallelOptions{GenerateOptions: base, Shards: 4, Workers: 1},
-			wantShards: 4, wantChunk: 2, wantN: 3, wantWork: 1,
+			name:      "uneven split rounds chunk size up",
+			procs:     4,
+			in:        ParallelOptions{GenerateOptions: base, Workers: 1},
+			wantChunk: 2, wantN: 3, wantWork: 1,
 		},
 		{
-			name:       "explicit chunk size wins over shards",
-			in:         ParallelOptions{GenerateOptions: base, Shards: 2, Workers: 2, ChunkWorkItems: 1},
-			wantShards: 2, wantChunk: 1, wantN: 6, wantWork: 2,
+			name:      "explicit chunk size wins over shards",
+			procs:     2,
+			in:        ParallelOptions{GenerateOptions: base, Workers: 2, ChunkWorkItems: 1},
+			wantChunk: 1, wantN: 6, wantWork: 2,
 		},
 		{
-			name:       "oversized chunk clamps to one chunk",
-			in:         ParallelOptions{GenerateOptions: base, Workers: 4, ChunkWorkItems: 99},
-			wantShards: min(gomax, 6), wantChunk: 6, wantN: 1, wantWork: 1,
-		},
-		{
-			name:    "negative shards rejected",
-			in:      ParallelOptions{GenerateOptions: base, Shards: -1},
-			wantErr: true,
+			name:      "oversized chunk clamps to one chunk",
+			in:        ParallelOptions{GenerateOptions: base, Workers: 4, ChunkWorkItems: 99},
+			wantChunk: 6, wantN: 1, wantWork: 1,
 		},
 		{
 			name:    "negative workers rejected",
@@ -137,6 +137,9 @@ func TestNormalizeParallel(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			got, chunks, err := normalizeParallel(k, tc.in)
 			if tc.wantErr {
 				if err == nil {
@@ -147,11 +150,9 @@ func TestNormalizeParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Shards != tc.wantShards || got.ChunkWorkItems != tc.wantChunk ||
-				chunks != tc.wantN || got.Workers != tc.wantWork {
-				t.Fatalf("shards=%d chunkWI=%d chunks=%d workers=%d, want %d/%d/%d/%d",
-					got.Shards, got.ChunkWorkItems, chunks, got.Workers,
-					tc.wantShards, tc.wantChunk, tc.wantN, tc.wantWork)
+			if got.ChunkWorkItems != tc.wantChunk || chunks != tc.wantN || got.Workers != tc.wantWork {
+				t.Fatalf("chunkWI=%d chunks=%d workers=%d, want %d/%d/%d",
+					got.ChunkWorkItems, chunks, got.Workers, tc.wantChunk, tc.wantN, tc.wantWork)
 			}
 			// The workload half must match normalizeGenerate exactly —
 			// the anti-drift guarantee the helper exists for.

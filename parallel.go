@@ -14,23 +14,20 @@ import (
 
 // ParallelOptions parameterizes GenerateParallel: the GenerateOptions
 // workload plus scheduling knobs. The knobs are pure execution policy —
-// every (Shards, Workers, ChunkWorkItems) choice yields bitwise-identical
+// every (Workers, ChunkWorkItems) choice yields bitwise-identical
 // output for the same GenerateOptions, which is what lets Generate be
 // this scheduler at one worker. Chunks always run the fused pipe:
 // candidate blocks written directly at their device-layout offsets.
 type ParallelOptions struct {
 	GenerateOptions
-	// Shards is the target chunk count the work-item axis is split
-	// into (the unit of work stealing). 0 selects GOMAXPROCS; clamped
-	// to [1, WorkItems]. Ignored when ChunkWorkItems is set.
-	Shards int
 	// Workers caps how many chunks execute concurrently. 0 selects
 	// GOMAXPROCS; clamped to the chunk count.
 	Workers int
-	// ChunkWorkItems overrides the chunk size in work-items; 0 selects
-	// the even split ceil(WorkItems/Shards). Smaller chunks give the
-	// work-stealing cursor more opportunities to absorb rejection-
-	// sampling imbalance at slightly higher claim overhead.
+	// ChunkWorkItems is the chunk size in work-items, the unit of work
+	// stealing; 0 selects the even split ceil(WorkItems/min(GOMAXPROCS,
+	// WorkItems)), and larger values clamp to one chunk. Smaller chunks
+	// give the work-stealing cursor more opportunities to absorb
+	// rejection-sampling imbalance at slightly higher claim overhead.
 	ChunkWorkItems int
 	// IntraItemSubstreams, when > 1, splits every work-item's scenario
 	// quota into that many substream lanes and makes the (work-item,
@@ -42,7 +39,7 @@ type ParallelOptions struct {
 	// scheduling-independent but belongs to a different stream family
 	// than Generate: unlike the other knobs, this one changes the bytes.
 	// 0 and 1 disable the mode and stay byte-identical to Generate.
-	// Incompatible with BreakID > 0 and explicit Shards/ChunkWorkItems
+	// Incompatible with BreakID > 0 and an explicit ChunkWorkItems
 	// (normalizeParallel rejects those).
 	IntraItemSubstreams int
 	// Trace, when non-nil, receives one "chunk[w]" span (w = executing
@@ -114,8 +111,8 @@ var parallelChunkFault func(ctx context.Context, chunk int) error
 // work-items can execute on any worker in any order and land directly
 // at their final device-layout offsets (zero-copy assembly).
 //
-// Output is bitwise-identical for every (Shards, Workers,
-// ChunkWorkItems) choice and any goroutine schedule — Generate is the
+// Output is bitwise-identical for every (Workers, ChunkWorkItems)
+// choice and any goroutine schedule — Generate is the
 // one-worker case — and to Session.EnqueueGamma's Listing 1 dataflow.
 // The scheduling knobs only decide how the work-item axis is
 // partitioned and claimed.

@@ -84,8 +84,7 @@ func TestGenerateParallelSubstreamValidation(t *testing.T) {
 		"break-id": {GenerateOptions: GenerateOptions{
 			Scenarios: 64, Sectors: 1, BreakID: 1,
 		}, IntraItemSubstreams: 2},
-		"explicit shards": {GenerateOptions: good, Shards: 2, IntraItemSubstreams: 2},
-		"explicit chunk":  {GenerateOptions: good, ChunkWorkItems: 1, IntraItemSubstreams: 2},
+		"explicit chunk": {GenerateOptions: good, ChunkWorkItems: 1, IntraItemSubstreams: 2},
 	} {
 		if _, err := GenerateParallel(Config2, opt); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -28,9 +28,9 @@ func bitwiseEqual(t *testing.T, label string, got, want []float32) {
 }
 
 // TestGenerateParallelMatchesGenerate is the acceptance-criteria
-// matrix: for the four Table I configurations, every (Shards, Workers)
-// choice — including more shards than an even split supports and a
-// BreakID > 0 delayed exit — produces output bitwise-identical to the
+// matrix: for the four Table I configurations, every (ChunkWorkItems,
+// Workers) choice — including a chunk larger than the work-item axis
+// and a BreakID > 0 delayed exit — produces output bitwise-identical to the
 // sequential Generate, with identical layout and rejection metadata.
 func TestGenerateParallelMatchesGenerate(t *testing.T) {
 	for _, c := range AllConfigs {
@@ -43,11 +43,11 @@ func TestGenerateParallelMatchesGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 4, 7} {
+		for _, chunk := range []int{1, 2, 3, 9} {
 			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%v/shards=%d/workers=%d", c, shards, workers)
+				name := fmt.Sprintf("%v/chunk=%d/workers=%d", c, chunk, workers)
 				res, err := GenerateParallel(c, ParallelOptions{
-					GenerateOptions: opt, Shards: shards, Workers: workers,
+					GenerateOptions: opt, ChunkWorkItems: chunk, Workers: workers,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -78,7 +78,7 @@ func TestGenerateParallelTinyQuota(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := GenerateParallel(Config4, ParallelOptions{
-			GenerateOptions: opt, Shards: 4, Workers: 4,
+			GenerateOptions: opt, ChunkWorkItems: 2, Workers: 4,
 		})
 		if err != nil {
 			t.Fatalf("scenarios=%d: %v", scenarios, err)
@@ -119,7 +119,7 @@ func TestGenerateParallelProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	prop := func(cfgSel, seed uint64, scen uint16, sectors, shards, workers, chunk uint8) bool {
+	prop := func(cfgSel, seed uint64, scen uint16, sectors, workers, chunk uint8) bool {
 		c := AllConfigs[cfgSel%uint64(len(AllConfigs))]
 		opt := GenerateOptions{
 			Scenarios: int64(scen%4096) + 1,
@@ -150,9 +150,8 @@ func TestGenerateParallelProperty(t *testing.T) {
 		}
 		res, err := GenerateParallel(c, ParallelOptions{
 			GenerateOptions: opt,
-			Shards:          int(shards % 9),
 			Workers:         int(workers % 5),
-			ChunkWorkItems:  int(chunk % 4),
+			ChunkWorkItems:  int(chunk % 10),
 		})
 		if err != nil {
 			t.Logf("GenerateParallel: %v", err)
@@ -309,7 +308,6 @@ func TestGenerateParallelContextCancel(t *testing.T) {
 func TestGenerateParallelValidation(t *testing.T) {
 	good := GenerateOptions{Scenarios: 64, Sectors: 1}
 	for name, opt := range map[string]ParallelOptions{
-		"negative shards":  {GenerateOptions: good, Shards: -1},
 		"negative workers": {GenerateOptions: good, Workers: -2},
 		"negative chunk":   {GenerateOptions: good, ChunkWorkItems: -1},
 		"zero scenarios":   {GenerateOptions: GenerateOptions{Sectors: 1}},

@@ -16,7 +16,7 @@ import (
 func TestGenerateParallelChunkSpans(t *testing.T) {
 	opt := GenerateOptions{Scenarios: 3000, Sectors: 2, Seed: 0xDECA1}
 	plain, err := GenerateParallel(Config2, ParallelOptions{
-		GenerateOptions: opt, Shards: 4, Workers: 2,
+		GenerateOptions: opt, ChunkWorkItems: 2, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestGenerateParallelChunkSpans(t *testing.T) {
 	tr := rec.Start("", "generate")
 	root := tr.Begin("engine-run", 0)
 	traced, err := GenerateParallel(Config2, ParallelOptions{
-		GenerateOptions: opt, Shards: 4, Workers: 2,
+		GenerateOptions: opt, ChunkWorkItems: 2, Workers: 2,
 		Trace: tr, TraceSpan: root,
 	})
 	if err != nil {

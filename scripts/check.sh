@@ -74,13 +74,14 @@ go test -race -count=1 \
 # trees over HTTP, concurrent Submit vs /debug/jobs reads, the SLO
 # burn-rate plane (degradation + recovery), the chunk-span hook in
 # the parallel scheduler, the run trace's span budget and concurrent
-# recording, and decwi-trace's kernel mode (-config 3 -parallel
+# recording, decwi-trace's kernel mode (-config 3 -parallel
 # -cosim-quota 256: a valid run trace, one Chrome process per clock,
-# one span per chunk). Named so a narrowed filter can never drop the
-# tracing plane's consistency proofs.
+# one span per chunk) and its -job mode against a live /debug/jobs
+# listing. Named so a narrowed filter can never drop the tracing
+# plane's consistency proofs.
 echo "== job tracing, flight recorder, run trace & SLO plane under -race"
 go test -race -count=1 \
-    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace' \
+    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace' \
     ./internal/telemetry ./internal/telemetry/flight ./internal/telemetry/slo \
     ./internal/telemetry/metricsrv ./internal/serve ./cmd/decwi-trace .
 
@@ -171,20 +172,16 @@ go test -run '^$' -bench BenchmarkFillUint32 -benchtime 1x ./internal/rng/mt
 go test -run '^$' -bench BenchmarkCycleBlock -benchtime 1x ./internal/rng/gamma
 go test -run '^$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
-# Live metrics smoke: scrape a running decwi-gammagen -http server and
-# validate the exposition with the in-repo checker.
-echo "== live metrics smoke (decwi-gammagen -http + decwi-promcheck)"
-sh scripts/metrics_smoke.sh
-
-# Service smoke: boot decwi-served on ephemeral ports, prove replay
-# determinism over HTTP, run a risk batch with the per-phase breakdown,
-# validate the live metrics plane and the /debug/jobs trace surface,
-# render a job trace to Chrome trace_event form, require a clean
-# SIGTERM drain while a coalesced flight runs (both clients get their
-# results), and prove /healthz degrades under an injected slow
-# executor.
-echo "== service smoke (decwi-served + decwi-loadgen + decwi-promcheck + decwi-trace)"
-sh scripts/serve_smoke.sh
+# Service and metrics smokes: the real decwi-served and decwi-gammagen
+# main() run as child processes of their test binaries on ephemeral
+# ports. They pin HTTP replay to the committed golden digests (fresh
+# and cache-hit), check the traceparent echo, the /debug/jobs span
+# trees, /healthz, the /metrics exposition and /snapshot, require a
+# clean SIGTERM drain while a coalesced flight runs (both clients get
+# their results), and prove /healthz degrades under an injected slow
+# executor. -count=1 so a cached pass cannot stand in for the run.
+echo "== service and metrics smoke (TestSmoke* in cmd/decwi-served and cmd/decwi-gammagen)"
+go test -count=1 -run '^TestSmoke' ./cmd/decwi-served ./cmd/decwi-gammagen
 
 # Tracing non-perturbation: cache-hot HTTP jobs/s with the flight
 # recorder and SLO plane on must hold a median >= 0.90x the tracing-off
