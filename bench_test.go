@@ -454,22 +454,6 @@ func BenchmarkGenerateParallel(b *testing.B) {
 		}
 		b.SetBytes(scenarios * sectors * 4)
 	})
-	b.Run("substreams-4x4", func(b *testing.B) {
-		// The intra-work-item lane grid: 4 work-items × 4 jump-ahead
-		// substream lanes, 16 scheduling units — the configuration that
-		// absorbs a single skewed work-item's rejection streak. Different
-		// stream family, same value count; bytes/sec stays the axis.
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Seed = uint64(i + 1)
-			if _, err := decwi.GenerateParallel(decwi.Config2, decwi.ParallelOptions{
-				GenerateOptions: o, IntraItemSubstreams: 4,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(scenarios * sectors * 4)
-	})
 }
 
 // BenchmarkPortfolioRisk measures the CreditRisk+ application path.

@@ -30,15 +30,15 @@ var goldenVariances = []float64{0.5, 1.39, 4.0}
 type goldenCase struct {
 	name   string
 	config decwi.ConfigID
-	opt    decwi.ParallelOptions
+	opt    decwi.GenerateOptions
 	want   string
 }
 
-func goldenGenerate(sc int64, breakID int) decwi.ParallelOptions {
-	return decwi.ParallelOptions{GenerateOptions: decwi.GenerateOptions{
+func goldenGenerate(sc int64, breakID int) decwi.GenerateOptions {
+	return decwi.GenerateOptions{
 		Scenarios: sc, Sectors: len(goldenVariances), Variances: goldenVariances,
 		Seed: 0x601DE7, BreakID: breakID,
-	}}
+	}
 }
 
 // sectorVariances returns n deterministic variances in [0.4, 4.0).
@@ -53,12 +53,9 @@ func sectorVariances(n int) []float64 {
 func goldenCases() []goldenCase {
 	offset := goldenGenerate(3001, 0)
 	offset.StreamOffset = 4099
-	lanes := goldenGenerate(9001, 0)
-	lanes.IntraItemSubstreams = 4
-	lanes.Workers = 2
-	smallQuota := decwi.ParallelOptions{GenerateOptions: decwi.GenerateOptions{
+	smallQuota := decwi.GenerateOptions{
 		Scenarios: 1024, Sectors: 16, Variances: sectorVariances(16), Seed: 12,
-	}}
+	}
 	return []goldenCase{
 		{"Config1/BreakID0", decwi.Config1, goldenGenerate(3001, 0), "200591d1c87aaca0b240b55af04a394989156695e9c3c3ceb79b7f5941e58b9a"},
 		{"Config1/BreakID2", decwi.Config1, goldenGenerate(3001, 2), "d1aec82ddf479d2e51fe5e76b0282dd815003c016ad24fe38bcf49b6589d0878"},
@@ -70,7 +67,6 @@ func goldenCases() []goldenCase {
 		{"Config4/BreakID2", decwi.Config4, goldenGenerate(3001, 2), "4495e94851e286aee91d314a0c9ee9fa44e4de4438f5d7f6b9ccb3f900bdf28e"},
 		{"Ziggurat", decwi.ExtensionZiggurat, goldenGenerate(3001, 1), "f4a570a1a83818a6f14fb4cb230c7f5b5498cee097d0e61e28f28f40318c2e89"},
 		{"Config2/StreamOffset4099", decwi.Config2, offset, "b9b09cb8dc833bef96a1546201e387713a81f9c9b37cfa7e155efc766250feb0"},
-		{"Config4/IntraItemSubstreams4", decwi.Config4, lanes, "286e9fe414b56ea83485fda99dfd27953adc01cb39a6c56cccc214eda2a9d6a4"},
 		{"Config3/SmallQuota1024x16", decwi.Config3, smallQuota, "97707450d519f9d4e5e089c6df8049a5ed5d7999e9afb616588c3f263e2cdd12"},
 	}
 }
@@ -94,8 +90,7 @@ func sha256Float64(v ...float64) string {
 }
 
 // TestGoldenDigests checks every entry point against the committed
-// table. The substream case runs through GenerateParallel, which alone
-// offers it. Every other case must match its digest through Generate,
+// table. Every case must match its digest through Generate,
 // through GenerateParallel at Workers 1, 2 and 4, and through
 // Session.EnqueueGamma — Listing 1's streamed dataflow read back with
 // device-level combining. The 3001-scenario cases leave each work-item
@@ -115,27 +110,19 @@ func TestGoldenDigests(t *testing.T) {
 					t.Fatalf("%s: sha256 of %d values = %s, golden %s", path, len(values), got, tc.want)
 				}
 			}
-			if tc.opt.IntraItemSubstreams > 1 {
-				res, err := decwi.GenerateParallel(tc.config, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("GenerateParallel", res.Values)
-				return
-			}
-			res, err := decwi.Generate(tc.config, tc.opt.GenerateOptions)
+			res, err := decwi.Generate(tc.config, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("Generate", res.Values)
 			for _, workers := range []int{1, 2, 4} {
-				par, err := decwi.GenerateParallel(tc.config, decwi.ParallelOptions{GenerateOptions: tc.opt.GenerateOptions, Workers: workers})
+				par, err := decwi.GenerateParallel(tc.config, decwi.ParallelOptions{GenerateOptions: tc.opt, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("GenerateParallel Workers=%d", workers), par.Values)
 			}
-			kr, err := sess.EnqueueGamma(tc.config, tc.opt.GenerateOptions, false)
+			kr, err := sess.EnqueueGamma(tc.config, tc.opt, false)
 			if err != nil {
 				t.Fatal(err)
 			}

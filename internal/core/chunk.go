@@ -78,7 +78,7 @@ func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, s
 	// one from a previous run's recorder, and with telemetry off this
 	// detaches it.
 	e.instrumentTrips(gen)
-	e.seekStreams(gen, 0)
+	e.seekStreams(gen)
 	defer putGenerator(cfg.Transform, cfg.MTParams, gen)
 
 	off := e.offsets[wid]

@@ -255,7 +255,7 @@ func (e *Engine) Run() (*RunResult, error) {
 		gen := gamma.NewGenerator(cfg.Transform, cfg.MTParams,
 			gamma.MustFromVariance(cfg.variance(0)), wiSeeds[wid])
 		e.instrumentTrips(gen)
-		e.seekStreams(gen, 0)
+		e.seekStreams(gen)
 
 		procs = append(procs,
 			hls.Process{
@@ -310,6 +310,15 @@ func (e *Engine) instrumentTrips(gen *gamma.Generator) {
 	gen.InstrumentTrips(e.cfg.Telemetry.Histogram(
 		"rng.gamma.trips["+transformSlug(e.cfg.Transform)+"]", "trips",
 		"pipeline iterations per accepted gamma output (nested rejection-loop trip count)"))
+}
+
+// seekStreams positions a freshly (re)seeded generator at the
+// configured stream offset with the O(log n) jump. The word-by-word walk
+// (AdvanceStreams) stays as the test oracle it is checked against.
+func (e *Engine) seekStreams(gen *gamma.Generator) {
+	if off := e.cfg.StreamOffset; off != 0 {
+		gen.JumpStreams(off)
+	}
 }
 
 // blockCycles is the largest attempts-per-batch of the block compute

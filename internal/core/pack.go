@@ -16,9 +16,9 @@
 //     combining, Section III-E-2).
 //
 // Run executes that structure as the hardware model. The host's one
-// generation path is RunChunk (and RunItemPart for substream lanes): the
-// same gammaRNG body, writing each candidate block straight into the
-// device-layout buffer with no streams, bitwise-identical to Run.
+// generation path is RunChunk: the same gammaRNG body, writing each
+// candidate block straight into the device-layout buffer with no
+// streams, bitwise-identical to Run.
 //
 // The engine is *functional*: it produces the actual gamma data the
 // validation layer (Fig. 6) and the CreditRisk+ application consume.

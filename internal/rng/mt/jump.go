@@ -1,8 +1,7 @@
 package mt
 
-// jump.go — O(log n) stream seek (Core.Jump), checkpoint position
-// tracking (Core.Offset) and ThundeRiNG-style output decorrelation
-// (Core.Decorrelate).
+// jump.go — O(log n) stream seek (Core.Jump) and checkpoint position
+// tracking (Core.Offset).
 //
 // The jump polynomial for a parameter set is derived at first use and
 // cached process-wide:
@@ -41,33 +40,6 @@ import (
 // Jump(offset). Jump(n) itself adds n, Advance adds 1, FillUint32 adds
 // len(dst), and Seed/SeedRef reset the counter to zero.
 func (c *Core) Offset() uint64 { return c.offset }
-
-// Decorrelate attaches (key != 0) or removes (key == 0) a stateless
-// output scrambler: every produced word is XORed with a SplitMix-style
-// hash of (key, stream position). Distinct keys turn one seeded
-// recurrence into decorrelated substreams in the manner of ThundeRiNG's
-// per-stream output decorrelators — the underlying state walk is shared,
-// so Jump, checkpointing and the block fill path all compose with it.
-// The scrambler is position-keyed, not state-keyed, so gated re-reads
-// (Next with enable=false) remain stable. Seed and SeedRef detach any
-// scrambler.
-func (c *Core) Decorrelate(key uint64) {
-	c.scramble = key
-	c.haveCached = false
-}
-
-// ScrambleKey returns the active decorrelation key (0 when detached).
-func (c *Core) ScrambleKey() uint64 { return c.scramble }
-
-// scramble32 hashes (key, position) to a 32-bit mask with a SplitMix64
-// finalizer. Stateless by construction: word i of a scrambled stream
-// depends only on (key, i), never on how the stream was reached.
-func scramble32(key, pos uint64) uint32 {
-	z := pos*0x9E3779B97F4A7C15 + key
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return uint32((z ^ z>>31) >> 32)
-}
 
 // smallJumpFactor bounds the regime where stepping sequentially beats
 // setting up the polynomial machinery.
@@ -143,7 +115,7 @@ func xorWords(dst, src []uint32) {
 
 // jumpTables holds the precomputed jump modulus p(x) = x·φ(x) for one
 // parameter set, plus a small memo of x^n mod p for repeated jump
-// distances (substream strides hit the same n across work-items).
+// distances (every work-item jumps the same StreamOffset).
 type jumpTables struct {
 	mod fpoly
 	dm  int // degree of mod = deg φ + 1

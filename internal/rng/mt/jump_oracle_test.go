@@ -3,8 +3,6 @@ package mt
 import (
 	"math/bits"
 	"testing"
-
-	"github.com/decwi/decwi/internal/rng"
 )
 
 // An independent oracle for Jump on MT521: one step of the twister is
@@ -127,7 +125,7 @@ func oracleTemper(p Params, y uint32) uint32 {
 
 // TestJumpMatrixOracleMT521: Jump(n) lands on T^n·v — the same state
 // words and the same next output words — at n = 10⁹, at 1, 2 and 3
-// substream strides, and at the distances the stepping tests reach.
+// times 2⁴⁴, and at the distances the stepping tests reach.
 func TestJumpMatrixOracleMT521(t *testing.T) {
 	p := MT521Params
 	step := mt521Step(p)
@@ -136,8 +134,8 @@ func TestJumpMatrixOracleMT521(t *testing.T) {
 	for k := 1; k < 47; k++ {
 		pow = append(pow, pow[k-1].mul(pow[k-1]))
 	}
-	for _, n := range []uint64{1_000_000_000, rng.SubstreamStride, 2 * rng.SubstreamStride,
-		3 * rng.SubstreamStride, 9999, 123456} {
+	const far uint64 = 1 << 44
+	for _, n := range []uint64{1_000_000_000, far, 2 * far, 3 * far, 9999, 123456} {
 		if bits.Len64(n) > len(pow) {
 			t.Fatalf("n = %d needs more than %d squarings", n, len(pow))
 		}

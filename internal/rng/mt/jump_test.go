@@ -235,75 +235,6 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDecorrelateScramble verifies the decorrelation layer: position
-// keying (gated re-reads stable, fill == one-word path), key-0 identity,
-// reseed detach, and that distinct keys produce distinct streams.
-func TestDecorrelateScramble(t *testing.T) {
-	base := NewMT521(31337)
-	plain := make([]uint32, 300)
-	base.FillUint32(plain)
-
-	scrOne := NewMT521(31337)
-	scrOne.Decorrelate(0xABCDEF)
-	oneWord := make([]uint32, 300)
-	for i := range oneWord {
-		if i%7 == 3 {
-			_ = scrOne.Next(false) // gated re-read must not disturb position keying
-		}
-		oneWord[i] = scrOne.Uint32()
-	}
-
-	scrFill := NewMT521(31337)
-	scrFill.Decorrelate(0xABCDEF)
-	scrFill.Peek() // pending cache must carry the scramble into the fill
-	filled := make([]uint32, 300)
-	scrFill.FillUint32(filled)
-
-	distinct := 0
-	for i := range plain {
-		if oneWord[i] != filled[i] {
-			t.Fatalf("scrambled fill diverges from one-word path at %d: %#x != %#x", i, filled[i], oneWord[i])
-		}
-		if oneWord[i] != plain[i] {
-			distinct++
-		}
-		if oneWord[i]^scramble32(0xABCDEF, uint64(i)) != plain[i] {
-			t.Fatalf("scramble at %d is not the documented position-keyed XOR", i)
-		}
-	}
-	if distinct < 290 {
-		t.Fatalf("scrambled stream nearly equals plain stream (%d/300 words differ)", distinct)
-	}
-
-	// Jump composes: scrambled words after a jump match scrambled words
-	// after sequential stepping.
-	j := NewMT521(31337)
-	j.Decorrelate(0xABCDEF)
-	j.Jump(200)
-	if got, want := j.Uint32(), oneWord[200]; got != want {
-		t.Fatalf("scrambled word after Jump(200) = %#x, want %#x", got, want)
-	}
-
-	// Reseed detaches.
-	scrOne.Seed(31337)
-	if scrOne.ScrambleKey() != 0 {
-		t.Fatalf("Seed left scramble key %#x attached", scrOne.ScrambleKey())
-	}
-
-	// Distinct keys give distinct streams.
-	k2 := NewMT521(31337)
-	k2.Decorrelate(0xABCDF0)
-	same := 0
-	for i := 0; i < 300; i++ {
-		if k2.Uint32() == oneWord[i] {
-			same++
-		}
-	}
-	if same > 3 {
-		t.Fatalf("streams under different keys coincide at %d/300 positions", same)
-	}
-}
-
 func BenchmarkJumpMT19937_1e9(b *testing.B) {
 	c := NewMT19937(1)
 	b.ReportAllocs()
@@ -329,17 +260,5 @@ func BenchmarkSequentialAdvanceMT19937(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Advance()
-	}
-}
-
-func BenchmarkScrambledFill(b *testing.B) {
-	c := NewMT19937(1)
-	c.Decorrelate(0x1234)
-	buf := make([]uint32, 4096)
-	b.SetBytes(int64(len(buf) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.FillUint32(buf)
 	}
 }

@@ -79,7 +79,7 @@ var MT521Params = Params{
 }
 
 // Core is a one-word-at-a-time Mersenne-Twister engine. It implements
-// rng.Source32, rng.Peeker32 and rng.Seeder. The zero value is not usable;
+// rng.Source32 and rng.Peeker32. The zero value is not usable;
 // construct with New or the MT19937/MT521 helpers.
 type Core struct {
 	p          Params
@@ -95,9 +95,6 @@ type Core struct {
 	// what Jump fast-forwards and what checkpoint/resume round-trips
 	// (see jump.go).
 	offset uint64
-	// scramble, when nonzero, is the key of the stateless per-position
-	// output scrambler applied on top of tempering (Decorrelate).
-	scramble uint64
 }
 
 // New returns a Core with the given parameters, seeded with seed.
@@ -134,7 +131,6 @@ func (c *Core) Seed(seed uint64) {
 	}
 	c.idx = 0
 	c.haveCached = false
-	c.scramble = 0 // before the discard, so the fill does not scramble words it throws away
 	// Discard one full state block so that closely related seeds
 	// decorrelate before the first word is consumed. The words go
 	// through the bulk fill into a stack buffer: the state it leaves is
@@ -143,9 +139,9 @@ func (c *Core) Seed(seed uint64) {
 	for left := c.p.N; left > 0; left -= len(discard) {
 		c.FillUint32(discard[:min(left, len(discard))])
 	}
-	// A reseeded core starts a canonical stream: position zero, no
-	// scrambler. This keeps pooled generators (core.getGenerator) clean —
-	// Jump/Decorrelate on one run can never leak into the next.
+	// A reseeded core starts a canonical stream at position zero. This
+	// keeps pooled generators (core.getGenerator) clean — a Jump on one
+	// run can never leak into the next.
 	c.offset = 0
 }
 
@@ -160,7 +156,6 @@ func (c *Core) SeedRef(s uint32) {
 	c.idx = 0
 	c.haveCached = false
 	c.offset = 0
-	c.scramble = 0
 }
 
 // twist computes the next state word at the current index without storing
@@ -190,9 +185,6 @@ func (c *Core) temper(x uint32) uint32 {
 func (c *Core) Peek() uint32 {
 	if !c.haveCached {
 		c.cached = c.temper(c.twist())
-		if c.scramble != 0 {
-			c.cached ^= scramble32(c.scramble, c.offset)
-		}
 		c.haveCached = true
 	}
 	return c.cached
@@ -261,7 +253,7 @@ const (
 func (c *Core) FillUint32(dst []uint32) {
 	k := 0
 	if len(dst) > 0 && c.haveCached {
-		dst[0] = c.Uint32() // the cached word, already scrambled by Peek
+		dst[0] = c.Uint32() // the cached word
 		k = 1
 	}
 	switch c.kernel {
@@ -274,16 +266,6 @@ func (c *Core) FillUint32(dst []uint32) {
 	}
 	for ; k < len(dst); k++ {
 		dst[k] = c.Uint32()
-	}
-}
-
-// scrambleRun applies the Decorrelate scrambler to words a block kernel
-// wrote for stream positions off, off+1, ….
-func (c *Core) scrambleRun(w []uint32, off uint64) {
-	if c.scramble != 0 {
-		for j := range w {
-			w[j] ^= scramble32(c.scramble, off+uint64(j))
-		}
 	}
 }
 
@@ -316,7 +298,6 @@ func (c *Core) fillMT19937(dst []uint32) {
 		}
 	}
 	c.idx = i
-	c.scrambleRun(dst, c.offset)
 	c.offset += uint64(len(dst))
 }
 
@@ -338,7 +319,6 @@ func (c *Core) fillMT521(dst []uint32) {
 		k++
 	}
 	c.idx = i
-	c.scrambleRun(dst, c.offset)
 	c.offset += uint64(len(dst))
 }
 
@@ -414,7 +394,7 @@ func (c *Core) Params() Params { return c.p }
 func (c *Core) Clone() *Core {
 	n := &Core{p: c.p, idx: c.idx, upperMask: c.upperMask, lowerMask: c.lowerMask,
 		haveCached: c.haveCached, cached: c.cached, kernel: c.kernel,
-		offset: c.offset, scramble: c.scramble}
+		offset: c.offset}
 	n.state = append([]uint32(nil), c.state...)
 	return n
 }

@@ -44,14 +44,6 @@ type GatedSource32 interface {
 	Next(enable bool) uint32
 }
 
-// Seeder is implemented by generators that can be re-seeded in place,
-// which the experiment harness uses to give each decoupled work-item an
-// independent stream (the paper follows Matsumoto-Nishimura dynamic
-// creation; we derive per-work-item seeds from a SplitMix64 sequence).
-type Seeder interface {
-	Seed(seed uint64)
-}
-
 // NormalSource produces standard normal variates together with a validity
 // flag. Rejection-based transforms (Marsaglia-Bray) return ok=false on the
 // cycles in which the candidate is rejected; transform-based ones (ICDF)

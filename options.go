@@ -8,11 +8,6 @@ import (
 	"github.com/decwi/decwi/internal/perf"
 )
 
-// maxIntraItemSubstreams bounds the substream fan-out per work-item:
-// lanes beyond this add scheduling units without useful skew absorption
-// and each costs a generator seek.
-const maxIntraItemSubstreams = 1024
-
 // This file is the single place the facade's option defaulting lives.
 // GenerateParallel (and Generate through it) and Session.EnqueueGamma
 // normalize through the same helpers, so the entry points cannot drift
@@ -79,9 +74,6 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 	if opt.ChunkWorkItems < 0 {
 		return opt, 0, fmt.Errorf("decwi: chunk size %d must be ≥ 0 (0 selects an even split)", opt.ChunkWorkItems)
 	}
-	if opt.IntraItemSubstreams < 0 {
-		return opt, 0, fmt.Errorf("decwi: substreams %d must be ≥ 0 (0/1 disable)", opt.IntraItemSubstreams)
-	}
 	g, err := normalizeGenerate(k, opt.GenerateOptions)
 	if err != nil {
 		return opt, 0, err
@@ -89,27 +81,6 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 	opt.GenerateOptions = g
 	if opt.WorkItems < 1 {
 		return opt, 0, fmt.Errorf("decwi: work-items %d must be ≥ 1", opt.WorkItems)
-	}
-	if opt.IntraItemSubstreams > 1 {
-		// The substream lane path deliberately rejects every option whose
-		// semantics are defined per whole work-item instead of silently
-		// diverging from them.
-		switch {
-		case opt.IntraItemSubstreams > maxIntraItemSubstreams:
-			return opt, 0, fmt.Errorf("decwi: substreams %d exceeds the cap %d", opt.IntraItemSubstreams, maxIntraItemSubstreams)
-		case opt.BreakID != 0:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with BreakID %d (delayed-exit overshoot is a whole-work-item contract)", opt.BreakID)
-		case opt.ChunkWorkItems != 0:
-			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); ChunkWorkItems must stay 0")
-		}
-		chunks := opt.WorkItems * opt.IntraItemSubstreams
-		if opt.Workers == 0 {
-			opt.Workers = runtime.GOMAXPROCS(0)
-		}
-		if opt.Workers > chunks {
-			opt.Workers = chunks
-		}
-		return opt, chunks, nil
 	}
 	if opt.ChunkWorkItems == 0 {
 		n := min(runtime.GOMAXPROCS(0), opt.WorkItems)

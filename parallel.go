@@ -29,19 +29,6 @@ type ParallelOptions struct {
 	// give the work-stealing cursor more opportunities to absorb
 	// rejection-sampling imbalance at slightly higher claim overhead.
 	ChunkWorkItems int
-	// IntraItemSubstreams, when > 1, splits every work-item's scenario
-	// quota into that many substream lanes and makes the (work-item,
-	// lane) pair the scheduling unit — sharding *inside* a skewed
-	// work-item's rejection loop, below the paper's work-item axis. Each
-	// lane runs on the work-item's own seed jumped lane·SubstreamStride
-	// words ahead (O(log n) via mt.Core.Jump) with a per-lane
-	// decorrelation key, so the output is fully deterministic and
-	// scheduling-independent but belongs to a different stream family
-	// than Generate: unlike the other knobs, this one changes the bytes.
-	// 0 and 1 disable the mode and stay byte-identical to Generate.
-	// Incompatible with BreakID > 0 and an explicit ChunkWorkItems
-	// (normalizeParallel rejects those).
-	IntraItemSubstreams int
 	// Trace, when non-nil, receives one "chunk[w]" span (w = executing
 	// worker, on track "engine worker w") per executed chunk, parented
 	// under TraceSpan — the serve path's flight recorder links one job's
@@ -148,17 +135,9 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	}
 	wi := opt.WorkItems
 	chunkWI := opt.ChunkWorkItems
-	subs := opt.IntraItemSubstreams
 	offsets := eng.BlockOffsets()
 	values := make([]float32, offsets[wi])
 	stats := make([]core.WorkItemStats, wi)
-	var unitStats []core.WorkItemStats
-	if subs > 1 {
-		// Substream lanes of one work-item share a stats[wid] entry on the
-		// default path; give each scheduling unit its own slot instead so
-		// concurrent lanes never race on one record.
-		unitStats = make([]core.WorkItemStats, chunks)
-	}
 
 	rec := opt.Telemetry
 	cChunks := rec.Counter("parallel.chunks", "events",
@@ -174,9 +153,6 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	// chunkDesc names a chunk's work for its error message and its trace
 	// detail; formatted only when one of those is built.
 	chunkDesc := func(chunk int) string {
-		if subs > 1 {
-			return fmt.Sprintf("work-item %d substream %d/%d", chunk/subs, chunk%subs, subs)
-		}
 		lo := chunk * chunkWI
 		return fmt.Sprintf("work-items [%d,%d)", lo, min(lo+chunkWI, wi))
 	}
@@ -185,13 +161,12 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	defer cancel()
 
 	var (
-		cursor    atomic.Int64
-		steals    atomic.Int64
-		firstErr  atomic.Value // error
-		errOnce   sync.Once
-		chunkDur  = make([]int64, chunks) // wall ns per completed chunk, -1 sentinel otherwise
-		wg        sync.WaitGroup
-		workerSum = make([]int64, opt.Workers) // busy ns per worker
+		cursor   atomic.Int64
+		steals   atomic.Int64
+		firstErr atomic.Value // error
+		errOnce  sync.Once
+		chunkDur = make([]int64, chunks) // wall ns per completed chunk, -1 sentinel otherwise
+		wg       sync.WaitGroup
 	)
 	for i := range chunkDur {
 		// A chunk the cursor claimed but that never ran to success (the
@@ -210,8 +185,8 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			gBusy := rec.Gauge(fmt.Sprintf("parallel.worker-busy-us[%d]", w), "us",
-				"accumulated chunk-execution time of this scheduler worker, updated live per chunk")
+			cBusy := rec.Counter(fmt.Sprintf("parallel.worker-busy[%d]", w), "ns",
+				"wall time this scheduler worker spent executing chunks")
 			var spanName, track string
 			if opt.Trace != nil {
 				spanName, track = fmt.Sprintf("chunk[%d]", w), fmt.Sprintf("engine worker %d", w)
@@ -227,12 +202,8 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 				start := time.Now()
 				err := parallelChunkFaultErr(ctx, chunk)
 				if err == nil {
-					if subs > 1 {
-						err = eng.RunItemPart(ctx, values, chunk/subs, chunk%subs, subs, &unitStats[chunk])
-					} else {
-						lo := chunk * chunkWI
-						err = eng.RunChunk(ctx, values, lo, min(lo+chunkWI, wi), stats)
-					}
+					lo := chunk * chunkWI
+					err = eng.RunChunk(ctx, values, lo, min(lo+chunkWI, wi), stats)
 				}
 				elapsed := time.Since(start).Nanoseconds()
 				gActive.Add(-1)
@@ -247,8 +218,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 				if err == nil {
 					chunkDur[chunk] = elapsed
 				}
-				workerSum[w] += elapsed
-				gBusy.Set(workerSum[w] / 1000)
+				cBusy.Add(elapsed)
 				hChunkUS.Record(elapsed / 1000)
 				if stolen {
 					steals.Add(1)
@@ -276,19 +246,13 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	}
 	wg.Wait()
 
-	// Publish scheduler telemetry before the error returns so an aborted
-	// run still records worker busy-time and a sane (completed-chunks-
-	// only) skew instead of vanishing or reporting a claimed-but-never-
-	// executed chunk as a 1 ns outlier.
+	// Publish the skew before the error returns so an aborted run still
+	// records a sane (completed-chunks-only) statistic instead of
+	// vanishing or reporting a claimed-but-never-executed chunk as a 1 ns
+	// outlier.
 	imbalance := chunkImbalance(chunkDur)
-	if rec.Enabled() {
-		for w, ns := range workerSum {
-			rec.Counter(fmt.Sprintf("parallel.worker-busy[%d]", w), "ns",
-				"wall time this scheduler worker spent executing chunks").Add(ns)
-		}
-		rec.Counter("parallel.imbalance-x1000", "events",
-			"max/min chunk wall-time ratio ×1000 — the skew work stealing absorbed").Set(int64(imbalance * 1000))
-	}
+	rec.Counter("parallel.imbalance-x1000", "events",
+		"max/min chunk wall-time ratio ×1000 — the skew work stealing absorbed").Set(int64(imbalance * 1000))
 
 	if err, _ := firstErr.Load().(error); err != nil {
 		return nil, err
@@ -300,10 +264,6 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		return nil, fmt.Errorf("decwi: parallel generation cancelled: %w", err)
 	}
 
-	rateStats := stats
-	if subs > 1 {
-		rateStats = unitStats
-	}
 	return &ParallelResult{
 		Values:         values,
 		BlockOffsets:   offsets,
@@ -312,7 +272,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		Workers:        opt.Workers,
 		Steals:         int(steals.Load()),
 		ChunkImbalance: imbalance,
-		RejectionRate:  core.CombineStats(rateStats),
+		RejectionRate:  core.CombineStats(stats),
 		sectors:        opt.Sectors,
 		burstRNs:       eng.Config().BurstRNs,
 	}, nil

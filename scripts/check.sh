@@ -44,11 +44,11 @@ go test -race -run 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|T
 # writes candidate blocks straight into the shared device buffer, and
 # the gamma→loss pipe batches the creditrisk sector draws, so their
 # bitwise-equivalence proofs (streamed Run vs fused RunChunk, the
-# SimulateMC pipe against its golden digests, lane block phase vs gated
-# walk) must also hold with full synchronization checking.
+# SimulateMC pipe against its golden digests) must also hold with full
+# synchronization checking.
 echo "== fused-pipe & gamma→loss pipe equivalence under -race"
 go test -race -count=1 \
-    -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestRunItemPartQuotaSweep|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
+    -run 'TestFused|TestPropertyFused|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
     ./internal/core ./internal/creditrisk ./internal/rng/gamma
 
 # Serve admission lanes under the race detector: cache semantics
@@ -88,12 +88,13 @@ go test -race -count=1 \
 # Jump-ahead correctness under the race detector: the property suite
 # (Jump(a+b) == Jump(a);Jump(b), Jump ≡ n×Advance, golden vectors, the
 # independent F2 transition-matrix oracle for MT521) plus
-# the stream-seek and substream equivalences. Named so a narrowed filter
-# can never drop the tentpole's bitwise-exactness proof.
-echo "== jump-ahead & substream equivalence under -race"
+# checkpoint/resume and the stream-offset equivalences. Named so a
+# narrowed filter can never drop the stream seek's bitwise-exactness
+# proof.
+echo "== jump-ahead & stream-offset equivalence under -race"
 go test -race -count=1 \
-    -run 'TestJump|TestOffset|TestCheckpoint|TestDecorrelate|TestStreamOffset|TestRunItemPart|TestSubstream' \
-    ./internal/rng/mt ./internal/rng ./internal/rng/gamma ./internal/core
+    -run 'TestJump|TestOffset|TestCheckpointResume|TestStreamOffset' \
+    ./internal/rng/mt ./internal/rng/gamma ./internal/core
 
 # Allocation gates (meaningful only without -race, whose instrumentation
 # allocates): the steady-state block loops must not allocate at all, and
