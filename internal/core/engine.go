@@ -515,11 +515,13 @@ func (b *blockPhase) block(n int64, keep bool) int64 {
 	return int64(produced)
 }
 
-// recordWICounters publishes the per-work-item cycle attribution the
-// stall report ranks: total pipeline cycles, transform-level and
+// recordWICounters adds the per-work-item cycle attribution the stall
+// report ranks: total pipeline cycles, transform-level and
 // Marsaglia-Tsang-level rejection, and the gated Mersenne-Twister feed
 // stream hold counts (see gamma.Generator.NormalValid for the
-// derivation). No-op when telemetry is off.
+// derivation). The generator is (re)seeded for this work-item, so its
+// totals are this run's and a recorder shared by many runs sums them.
+// No-op when telemetry is off.
 func (e *Engine) recordWICounters(wid int, gen *gamma.Generator) {
 	rec := e.cfg.Telemetry
 	if rec == nil {
@@ -529,17 +531,17 @@ func (e *Engine) recordWICounters(wid int, gen *gamma.Generator) {
 	accepted := int64(gen.Accepted())
 	nvalid := int64(gen.NormalValid())
 	rec.Counter(fmt.Sprintf("engine.cycles[%d]", wid), "cycles",
-		"total pipeline iterations").Set(cycles)
+		"total pipeline iterations").Add(cycles)
 	rec.Counter(fmt.Sprintf("engine.accepted[%d]", wid), "cycles",
-		"iterations producing a valid gamma value").Set(accepted)
+		"iterations producing a valid gamma value").Add(accepted)
 	rec.Counter(fmt.Sprintf("rejection.normal-transform[%d]", wid), "cycles",
-		"uniform-to-normal transform rejection (invalid candidates)").Set(cycles - nvalid)
+		"uniform-to-normal transform rejection (invalid candidates)").Add(cycles - nvalid)
 	rec.Counter(fmt.Sprintf("rejection.gamma-loop[%d]", wid), "cycles",
-		"gamma rejection loop (Marsaglia-Tsang MAINLOOP retries)").Set(nvalid - accepted)
+		"gamma rejection loop (Marsaglia-Tsang MAINLOOP retries)").Add(nvalid - accepted)
 	rec.Counter(fmt.Sprintf("mtfeed.mt1-hold[%d]", wid), "cycles",
-		"Mersenne-Twister feed stream MT1 held (rejection uniform gated)").Set(cycles - nvalid)
+		"Mersenne-Twister feed stream MT1 held (rejection uniform gated)").Add(cycles - nvalid)
 	rec.Counter(fmt.Sprintf("mtfeed.mt2-hold[%d]", wid), "cycles",
-		"Mersenne-Twister feed stream MT2 held (correction uniform gated)").Set(cycles - accepted)
+		"Mersenne-Twister feed stream MT2 held (correction uniform gated)").Add(cycles - accepted)
 }
 
 // transfer is Listing 4: read the stream, pack into 512-bit words, fill

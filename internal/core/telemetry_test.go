@@ -94,28 +94,28 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 // block path runs inside a CycleBlock, so the word count must equal the
 // work-item's whole consumption — the always-enabled MT0 draws of every
 // cycle, one MT1 word per valid normal and one MT2 word per acceptance.
+// The engine runs twice on one recorder, as a server's jobs share one:
+// the engine cycle counters must add up over both runs the way the
+// block counters do, or the identity breaks.
 func TestTelemetryBlockCounters(t *testing.T) {
-	run := func() map[string]*telemetry.Counter {
-		rec := telemetry.New(1 << 12)
-		eng, err := NewEngine(Config{
-			Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
-			WorkItems: 2, Scenarios: 4000, Sectors: 2,
-			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	rec := telemetry.New(1 << 12)
+	eng, err := NewEngine(Config{
+		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
+		WorkItems: 2, Scenarios: 4000, Sectors: 2,
+		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		byName := map[string]*telemetry.Counter{}
-		for _, c := range rec.Counters() {
-			byName[c.Name()] = c
-		}
-		return byName
 	}
-
-	block := run()
+	block := map[string]*telemetry.Counter{}
+	for _, c := range rec.Counters() {
+		block[c.Name()] = c
+	}
 	for wid := 0; wid < 2; wid++ {
 		fills := block[fmt.Sprintf("rng.gamma[%d].block-fills", wid)]
 		words := block[fmt.Sprintf("rng.gamma[%d].block-words", wid)]
@@ -127,7 +127,7 @@ func TestTelemetryBlockCounters(t *testing.T) {
 		accepted := block[fmt.Sprintf("engine.accepted[%d]", wid)].Value()
 		nvalid := cycles - block[fmt.Sprintf("rejection.normal-transform[%d]", wid)].Value()
 		if want := cycles*perAttempt + nvalid + accepted; words.Value() != want {
-			t.Fatalf("work-item %d: block-words %d, want the run's whole consumption %d (%d cycles, %d valid normals, %d accepted)",
+			t.Fatalf("work-item %d: block-words %d, want the runs' whole consumption %d (%d cycles, %d valid normals, %d accepted)",
 				wid, words.Value(), want, cycles, nvalid, accepted)
 		}
 	}

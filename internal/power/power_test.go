@@ -1,9 +1,7 @@
 package power
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -208,71 +206,5 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkSynthesizeTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = SynthesizeTrace(78, 3825*time.Millisecond, 150*time.Second)
-	}
-}
-
-// TestTraceCSVRoundTrip: serialize → parse preserves samples, markers and
-// the derived energy.
-func TestTraceCSVRoundTrip(t *testing.T) {
-	tr, err := SynthesizeTrace(45, 701*time.Millisecond, 150*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Samples) != len(tr.Samples) {
-		t.Fatalf("samples %d vs %d", len(back.Samples), len(tr.Samples))
-	}
-	if back.KernelStart != tr.KernelStart || back.WindowStart != tr.WindowStart ||
-		back.WindowEnd != tr.WindowEnd || back.KernelRuntime != tr.KernelRuntime {
-		t.Fatal("markers lost in round trip")
-	}
-	e1, err := tr.DynamicEnergyPerInvocation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := back.DynamicEnergyPerInvocation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e1-e2) > 1e-9 {
-		t.Fatalf("energy changed through CSV: %g vs %g", e1, e2)
-	}
-}
-
-// TestParseCSVErrors covers malformed meter logs.
-func TestParseCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"bad columns":   "1,2,3\n",
-		"bad timestamp": "x,204\n",
-		"bad wattage":   "1,y\n",
-		"non-monotone":  "1,204\n1,205\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected parse error", name)
-		}
-	}
-	// A bare meter log without markers still parses.
-	tr, err := ParseCSV(strings.NewReader("0,204\n1,205.5\n2,206\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Samples) != 3 || tr.Samples[1].W != 205.5 {
-		t.Fatalf("parsed %+v", tr.Samples)
-	}
-	j, err := tr.Integrate(0, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-(204.75+205.75)) > 1e-9 {
-		t.Fatalf("integral %g", j)
 	}
 }

@@ -101,12 +101,11 @@ type Config struct {
 	SLOLatency time.Duration
 	// SLOTarget is the objective success ratio (default 0.99);
 	// SLOShortWindow/SLOLongWindow are the multi-window burn-rate
-	// windows (defaults 5m and 1h); SLOBurnThreshold is the rate both
-	// windows must reach for Degraded (default 1.0).
-	SLOTarget        float64
-	SLOShortWindow   time.Duration
-	SLOLongWindow    time.Duration
-	SLOBurnThreshold float64
+	// windows (defaults 5m and 1h). Both windows must burn at 1.0 or
+	// more for Degraded.
+	SLOTarget      float64
+	SLOShortWindow time.Duration
+	SLOLongWindow  time.Duration
 	// ExecDelay injects a fixed pause before every engine run — the
 	// fault hook behind decwi-served -inject-exec-delay, used to drive
 	// the SLO plane into degradation on demand. 0 in production.
@@ -153,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLOLongWindow == 0 {
 		c.SLOLongWindow = time.Hour
-	}
-	if c.SLOBurnThreshold == 0 {
-		c.SLOBurnThreshold = 1.0
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -511,11 +507,10 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.SLOLatency > 0 {
 		s.slo = slo.New(slo.Config{
-			Name:          "serve-latency",
-			Target:        cfg.SLOTarget,
-			ShortWindow:   cfg.SLOShortWindow,
-			LongWindow:    cfg.SLOLongWindow,
-			BurnThreshold: cfg.SLOBurnThreshold,
+			Name:        "serve-latency",
+			Target:      cfg.SLOTarget,
+			ShortWindow: cfg.SLOShortWindow,
+			LongWindow:  cfg.SLOLongWindow,
 		})
 	}
 	s.base, s.abort = context.WithCancel(context.Background())

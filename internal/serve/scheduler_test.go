@@ -5,11 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/metricsrv"
 )
 
 // genSpec is a minimal valid generate spec (Config2, 6 work-items).
@@ -501,5 +507,71 @@ func TestSchedulerGenerateJob(t *testing.T) {
 	}
 	if st.SHA256 == "" || st.Chunks < 1 || st.RejectionRate <= 0 {
 		t.Fatalf("missing result metadata: %+v", st)
+	}
+}
+
+// TestSchedulerScrapeCountersOnlyAdd: every job a scheduler runs
+// records into its one recorder, so a small job after a large one must
+// move no counter back. Jobs of different sizes run one after another
+// with a /snapshot and a /metrics scrape after each: every snapshot
+// passes CheckSnapshot (which refuses a negative delta) and no /metrics
+// counter series reads less than at the scrape before.
+func TestSchedulerScrapeCountersOnlyAdd(t *testing.T) {
+	rec := telemetry.New(0)
+	s := New(Config{Executors: 1, Telemetry: rec})
+	defer s.Drain(context.Background())
+	msrv, err := metricsrv.New(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(path string) string {
+		t.Helper()
+		w := httptest.NewRecorder()
+		msrv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, w.Code)
+		}
+		return w.Body.String()
+	}
+
+	prev := map[string]float64{}
+	for i, n := range []int64{60000, 600, 600, 6000} {
+		j, err := s.Submit(JobSpec{Kind: KindGenerate, Config: 2, Scenarios: n, Workers: 2, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st.State != StateDone {
+			t.Fatalf("job %d ended %s (%s)", i, st.State, st.Error)
+		}
+		if _, _, _, err := metricsrv.CheckSnapshot([]byte(scrape("/snapshot"))); err != nil {
+			t.Fatalf("after job %d (%d scenarios): %v", i, n, err)
+		}
+		body := scrape("/metrics")
+		if _, _, _, err := metricsrv.CheckExposition(body); err != nil {
+			t.Fatalf("after job %d (%d scenarios): %v", i, n, err)
+		}
+		counter := map[string]bool{} // family → declared a counter
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+				counter[f[2]] = f[3] == "counter"
+				continue
+			}
+			sp := strings.LastIndexByte(line, ' ')
+			series := line[:sp]
+			if line[0] == '#' || !counter[strings.SplitN(series, "{", 2)[0]] {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[sp+1:], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			if v < prev[series] {
+				t.Errorf("after job %d (%d scenarios): counter %s went from %v to %v", i, n, series, prev[series], v)
+			}
+			prev[series] = v
+		}
+	}
+	if _, ok := prev[`decwi_engine_cycles{instance="0"}`]; !ok {
+		t.Fatalf("/metrics carried no engine cycle counter; saw %d counter series", len(prev))
 	}
 }

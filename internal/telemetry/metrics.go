@@ -30,10 +30,8 @@ import (
 // up and down (FIFO occupancy, workers active, queue depth). A nil
 // *Gauge swallows everything.
 type Gauge struct {
-	name string
-	unit string
-	desc string
-	v    atomic.Int64
+	header
+	v atomic.Int64
 }
 
 // Set overwrites the level.
@@ -120,9 +118,7 @@ func histogramBucket(v int64) int {
 // bucket array plus count/sum/max, giving O(1) lock-free Record and a
 // percentile snapshot. A nil *Histogram swallows everything.
 type Histogram struct {
-	name string
-	unit string
-	desc string
+	header
 
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -298,68 +294,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P90 = s.Quantile(0.90)
 	s.P99 = s.Quantile(0.99)
 	return s
-}
-
-// Gauge returns the named gauge, creating it with the given unit and
-// description on first use. Returns nil — the no-op gauge — on a nil
-// recorder.
-func (r *Recorder) Gauge(name, unit, desc string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, unit: unit, desc: desc}
-	r.gauges[name] = g
-	r.gorder = append(r.gorder, name)
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// unit and description on first use. Returns nil — the no-op histogram
-// — on a nil recorder.
-func (r *Recorder) Histogram(name, unit, desc string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.hmu.Lock()
-	defer r.hmu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{name: name, unit: unit, desc: desc}
-	r.hists[name] = h
-	r.horder = append(r.horder, name)
-	return h
-}
-
-// Gauges returns the registered gauges in creation order.
-func (r *Recorder) Gauges() []*Gauge {
-	if r == nil {
-		return nil
-	}
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	out := make([]*Gauge, 0, len(r.gorder))
-	for _, name := range r.gorder {
-		out = append(out, r.gauges[name])
-	}
-	return out
-}
-
-// Histograms returns the registered histograms in creation order.
-func (r *Recorder) Histograms() []*Histogram {
-	if r == nil {
-		return nil
-	}
-	r.hmu.Lock()
-	defer r.hmu.Unlock()
-	out := make([]*Histogram, 0, len(r.horder))
-	for _, name := range r.horder {
-		out = append(out, r.hists[name])
-	}
-	return out
 }

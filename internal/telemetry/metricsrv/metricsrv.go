@@ -13,7 +13,8 @@
 //	/snapshot      JSON dump of the instruments, including per-histogram
 //	               p50/p90/p99/max and the delta of every counter since
 //	               the previous /snapshot scrape (long runs watch rates,
-//	               not lifetime totals).
+//	               not lifetime totals; counters only add, so a delta is
+//	               never negative).
 //	/debug/pprof/  the standard net/http/pprof handlers (CPU, heap,
 //	               goroutine, ...), mounted on this server's private mux
 //	               — not the process-global DefaultServeMux.

@@ -16,9 +16,9 @@ import (
 
 // populate registers one instrument of every type with known values.
 func populate(rec *telemetry.Recorder) {
-	rec.Counter("engine.cycles[0]", "cycles", "total pipeline iterations").Set(1000)
-	rec.Counter("engine.cycles[1]", "cycles", "total pipeline iterations").Set(1200)
-	rec.Counter("parallel.chunks", "events", "chunks executed").Set(8)
+	rec.Counter("engine.cycles[0]", "cycles", "total pipeline iterations").Add(1000)
+	rec.Counter("engine.cycles[1]", "cycles", "total pipeline iterations").Add(1200)
+	rec.Counter("parallel.chunks", "events", "chunks executed").Add(8)
 	rec.Gauge("stream.gamma[0].occupancy", "values", "FIFO occupancy").Set(17)
 	h := rec.Histogram("parallel.chunk-service-us", "us", "chunk service time")
 	for _, v := range []int64{3, 5, 9, 200, 7000} {

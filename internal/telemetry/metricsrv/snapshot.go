@@ -18,9 +18,10 @@ import (
 // minimum coverage, mirroring CheckExposition.
 //
 // Delta semantics: the server computes each counter's delta against the
-// previous /snapshot scrape, so a negative delta means a "counter" went
-// backwards — either corruption or a Set-style counter mutating between
-// scrapes, both of which the smoke gates must catch.
+// previous /snapshot scrape. Counters only add (telemetry.Counter has no
+// Set), so a negative delta means a counter went backwards — corruption,
+// or a per-run value written where every run's sum belongs — which the
+// smoke gates must catch.
 func CheckSnapshot(body []byte) (counters, gauges, histograms int, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()

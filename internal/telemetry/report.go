@@ -77,10 +77,7 @@ func (r *Recorder) StallReport() string {
 
 	// Scheduler counters get their own section below; keep them out of
 	// the generic listings.
-	schedulerNames := map[string]bool{
-		"parallel.chunks": true, "parallel.steals": true,
-		"parallel.imbalance-x1000": true,
-	}
+	schedulerNames := map[string]bool{"parallel.chunks": true, "parallel.steals": true}
 	var cycleGroups, nsGroups, otherGroups []*reportGroup
 	for _, g := range groups {
 		switch {
@@ -171,9 +168,6 @@ func (r *Recorder) StallReport() string {
 		}
 		fmt.Fprintf(&b, "  chunks executed: %d   stolen: %d (%.1f%%)\n",
 			g.total, steals, 100*float64(steals)/float64(g.total))
-		if im, ok := groups["parallel.imbalance-x1000"]; ok {
-			fmt.Fprintf(&b, "  chunk wall-time imbalance (max/min): %.2fx\n", float64(im.total)/1000)
-		}
 		// Per-worker busy spread: the residual skew work stealing could
 		// not absorb (the scheduler's analogue of a stalled pipeline).
 		var busyMin, busyMax int64 = -1, 0

@@ -25,6 +25,10 @@ import (
 	"time"
 )
 
+// burnThreshold is the rate at or above which BOTH windows must burn
+// for Degraded: consuming budget faster than sustainable.
+const burnThreshold = 1.0
+
 // Config parameterizes a Tracker. Zero fields select defaults.
 type Config struct {
 	// Name labels the objective in Status and logs.
@@ -37,10 +41,6 @@ type Config struct {
 	// long filters blips.
 	ShortWindow time.Duration
 	LongWindow  time.Duration
-	// BurnThreshold is the rate at or above which BOTH windows must
-	// burn for Degraded (default 1.0 — consuming budget faster than
-	// sustainable).
-	BurnThreshold float64
 
 	// now is the injectable clock (tests); nil selects time.Now.
 	now func() time.Time
@@ -61,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LongWindow < c.ShortWindow {
 		c.LongWindow = c.ShortWindow
-	}
-	if c.BurnThreshold == 0 {
-		c.BurnThreshold = 1.0
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -150,11 +147,11 @@ func (t *Tracker) Evaluate(good, bad int64) Status {
 	cur := t.samples[len(t.samples)-1]
 	st.BurnShort = t.burnLocked(cur, now.Add(-t.cfg.ShortWindow))
 	st.BurnLong = t.burnLocked(cur, horizon)
-	if st.BurnShort >= t.cfg.BurnThreshold && st.BurnLong >= t.cfg.BurnThreshold {
+	if st.BurnShort >= burnThreshold && st.BurnLong >= burnThreshold {
 		st.Degraded = true
 		st.Reason = fmt.Sprintf("%s burn rate %.2fx over %s and %.2fx over %s (threshold %.2fx, target %.3f)",
 			t.cfg.Name, st.BurnShort, t.cfg.ShortWindow, st.BurnLong, t.cfg.LongWindow,
-			t.cfg.BurnThreshold, t.cfg.Target)
+			burnThreshold, t.cfg.Target)
 	}
 	return st
 }

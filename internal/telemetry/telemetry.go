@@ -13,12 +13,18 @@
 //     hot paths pay one predictable nil-check branch and nothing else.
 //     A nil *Recorder (and the nil *Counter / *Gauge / *Histogram
 //     handles it gives out) IS the no-op implementation.
-//  2. Bounded memory when enabled. Counters are a flat registry of
-//     atomic int64s; a recorder built with New(n), n > 0, carries a run
-//     trace (a flight.Trace) that keeps at most n spans and counts the
-//     rest as dropped. New(0) carries none, so the kernel path records
-//     no span at all.
-//  3. One span model. The run trace's spans carry their own track and
+//  2. Bounded memory when enabled. One registry holds every counter,
+//     gauge and histogram under one name each, and a name has one kind;
+//     a recorder built with New(n), n > 0, carries a run trace (a
+//     flight.Trace) that keeps at most n spans and counts the rest as
+//     dropped. New(0) carries none, so the kernel path records no span
+//     at all.
+//  3. Counters only add. A server hands one recorder to every job it
+//     runs, so a counter holds the sum over all of them and never goes
+//     backwards between scrapes; a per-run figure (a work-item's cycle
+//     totals, a run's chunk imbalance) is added, or kept on the run's
+//     own result. Gauges are the levels that may be Set.
+//  4. One span model. The run trace's spans carry their own track and
 //     clock (wall, simulated cycles, simulated device time) and render
 //     through flight's Chrome exporter, the same one a serve-path job
 //     trace uses; report.go renders the plain-text stall-attribution
@@ -26,20 +32,37 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
-// Counter is a named atomic counter. Handles are obtained once from
+// header is what every instrument carries beside its value: the name it
+// is registered under, its unit ("cycles", "ns", "events", "values",
+// "us", ...) and the human description the stall report and /metrics
+// print.
+type header struct {
+	name, unit, desc string
+}
+
+// head gives the registry access to an instrument's header.
+func (h *header) head() *header { return h }
+
+// instrument is any of Counter, Gauge and Histogram.
+type instrument interface{ head() *header }
+
+// Counter is a named atomic counter that only adds: it has no Set and
+// every caller adds a non-negative amount, so a value read at one scrape
+// never exceeds the value read at the next, a counter shared by many
+// runs (one recorder per server) holds their sum, and per-run figures
+// belong on the run's own result. Handles are obtained once from
 // Recorder.Counter and then Add'ed on hot paths; a nil *Counter
 // swallows everything.
 type Counter struct {
-	name string
-	unit string // "cycles", "ns", "events", "values"
-	desc string // human attribution line for the stall report
-	v    atomic.Int64
+	header
+	v atomic.Int64
 }
 
 // Add increments the counter by d.
@@ -48,14 +71,6 @@ func (c *Counter) Add(d int64) {
 		return
 	}
 	c.v.Add(d)
-}
-
-// Set overwrites the counter (used for end-of-run absolute values).
-func (c *Counter) Set(v int64) {
-	if c == nil {
-		return
-	}
-	c.v.Store(v)
 }
 
 // Value returns the current count (0 on nil).
@@ -90,23 +105,17 @@ func (c *Counter) Desc() string {
 	return c.desc
 }
 
-// Recorder owns the counter, gauge and histogram registries and the
-// optional run trace. All methods are safe for concurrent use and
-// tolerate a nil receiver, which is the disabled mode.
+// Recorder is the instrument registry plus the optional run trace: one
+// mutex and one name→instrument map hold every counter, gauge and
+// histogram, so a name has exactly one kind. All methods are safe for
+// concurrent use and tolerate a nil receiver, which is the disabled
+// mode.
 type Recorder struct {
 	trace *flight.Trace
 
-	cmu      sync.Mutex
-	counters map[string]*Counter
-	corder   []string
-
-	gmu    sync.Mutex
-	gauges map[string]*Gauge
-	gorder []string
-
-	hmu    sync.Mutex
-	hists  map[string]*Histogram
-	horder []string
+	mu     sync.Mutex
+	byName map[string]instrument
+	order  []instrument // creation order
 }
 
 // New returns an enabled recorder whose run trace keeps at most n
@@ -115,20 +124,12 @@ type Recorder struct {
 // records no span. A nil *Recorder is the no-op recorder; there is
 // deliberately no constructor for it.
 func New(n int) *Recorder {
-	r := &Recorder{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	r := &Recorder{byName: make(map[string]instrument)}
 	if n > 0 {
 		r.trace = flight.NewTrace("run", n)
 	}
 	return r
 }
-
-// Enabled reports whether r records anything: true for every non-nil
-// recorder, metrics-only ones included.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Trace returns the run trace the kernel path records its spans into
 // (nil on a nil or metrics-only recorder).
@@ -139,6 +140,45 @@ func (r *Recorder) Trace() *flight.Trace {
 	return r.trace
 }
 
+// register returns the instrument registered under name, creating it
+// with the given unit and description on first use (later calls keep
+// the first unit and description). Asking for a name already
+// registered as another kind panics: that is a programming error no
+// run could recover from.
+func register[T any, P interface {
+	*T
+	instrument
+}](r *Recorder, name, unit, desc string) P {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if in, ok := r.byName[name]; ok {
+		p, ok := in.(P)
+		if !ok {
+			panic(fmt.Sprintf("telemetry: %q is registered as a %T, not a %T", name, in, P(nil)))
+		}
+		return p
+	}
+	p := P(new(T))
+	*p.head() = header{name: name, unit: unit, desc: desc}
+	r.byName[name] = p
+	r.order = append(r.order, p)
+	return p
+}
+
+// list returns the registered instruments of one kind in creation
+// order.
+func list[P instrument](r *Recorder) []P {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := []P{}
+	for _, in := range r.order {
+		if p, ok := in.(P); ok {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Counter returns the named counter, creating it with the given unit
 // and attribution description on first use. Returns nil — the no-op
 // counter — on a nil recorder.
@@ -146,15 +186,25 @@ func (r *Recorder) Counter(name, unit, desc string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	return register[Counter](r, name, unit, desc)
+}
+
+// Gauge returns the named gauge, creating it on first use (nil on a nil
+// recorder).
+func (r *Recorder) Gauge(name, unit, desc string) *Gauge {
+	if r == nil {
+		return nil
 	}
-	c := &Counter{name: name, unit: unit, desc: desc}
-	r.counters[name] = c
-	r.corder = append(r.corder, name)
-	return c
+	return register[Gauge](r, name, unit, desc)
+}
+
+// Histogram returns the named histogram, creating it on first use (nil
+// on a nil recorder).
+func (r *Recorder) Histogram(name, unit, desc string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	return register[Histogram](r, name, unit, desc)
 }
 
 // Counters returns the registered counters in creation order.
@@ -162,11 +212,21 @@ func (r *Recorder) Counters() []*Counter {
 	if r == nil {
 		return nil
 	}
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	out := make([]*Counter, 0, len(r.corder))
-	for _, name := range r.corder {
-		out = append(out, r.counters[name])
+	return list[*Counter](r)
+}
+
+// Gauges returns the registered gauges in creation order.
+func (r *Recorder) Gauges() []*Gauge {
+	if r == nil {
+		return nil
 	}
-	return out
+	return list[*Gauge](r)
+}
+
+// Histograms returns the registered histograms in creation order.
+func (r *Recorder) Histograms() []*Histogram {
+	if r == nil {
+		return nil
+	}
+	return list[*Histogram](r)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,15 +166,9 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		steals   atomic.Int64
 		firstErr atomic.Value // error
 		errOnce  sync.Once
-		chunkDur = make([]int64, chunks) // wall ns per completed chunk, -1 sentinel otherwise
+		chunkDur = make([]int64, chunks) // wall ns per chunk
 		wg       sync.WaitGroup
 	)
-	for i := range chunkDur {
-		// A chunk the cursor claimed but that never ran to success (the
-		// run was cancelled or the chunk failed) must not enter the skew
-		// statistic as a zero-duration outlier.
-		chunkDur[i] = -1
-	}
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr.Store(err)
@@ -215,9 +210,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 					opt.Trace.Put(flight.Span{Parent: opt.TraceSpan, Track: track, Name: spanName,
 						Detail: detail, Arg: int64(chunk), StartUS: tsStart, EndUS: opt.Trace.Now()})
 				}
-				if err == nil {
-					chunkDur[chunk] = elapsed
-				}
+				chunkDur[chunk] = elapsed
 				cBusy.Add(elapsed)
 				hChunkUS.Record(elapsed / 1000)
 				if stolen {
@@ -246,14 +239,6 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	}
 	wg.Wait()
 
-	// Publish the skew before the error returns so an aborted run still
-	// records a sane (completed-chunks-only) statistic instead of
-	// vanishing or reporting a claimed-but-never-executed chunk as a 1 ns
-	// outlier.
-	imbalance := chunkImbalance(chunkDur)
-	rec.Counter("parallel.imbalance-x1000", "events",
-		"max/min chunk wall-time ratio ×1000 — the skew work stealing absorbed").Set(int64(imbalance * 1000))
-
 	if err, _ := firstErr.Load().(error); err != nil {
 		return nil, err
 	}
@@ -271,7 +256,7 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		Chunks:         chunks,
 		Workers:        opt.Workers,
 		Steals:         int(steals.Load()),
-		ChunkImbalance: imbalance,
+		ChunkImbalance: chunkImbalance(chunkDur),
 		RejectionRate:  core.CombineStats(stats),
 		sectors:        opt.Sectors,
 		burstRNs:       eng.Config().BurstRNs,
@@ -287,33 +272,13 @@ func parallelChunkFaultErr(ctx context.Context, chunk int) error {
 }
 
 // chunkImbalance returns the max/min chunk wall-time ratio, the
-// scheduler-level skew statistic. Negative entries are the "never ran
-// to completion" sentinel (the cursor claimed the chunk but the run
-// aborted first) and are excluded — counting them as zero-duration
-// used to explode the reported imbalance on every aborted run. With
-// fewer than two completed chunks there is no skew to report: 1.
-// Completed sub-resolution (0 ns) chunks clamp to 1 ns so tiny
-// workloads do not divide by zero.
+// scheduler-level skew statistic. It reads only a run that returns a
+// result, so every chunk ran to completion. With fewer than two chunks
+// there is no skew to report: 1. Sub-resolution (0 ns) chunks clamp to
+// 1 ns so tiny workloads do not divide by zero.
 func chunkImbalance(durs []int64) float64 {
-	var min, max int64
-	n := 0
-	for _, d := range durs {
-		if d < 0 {
-			continue
-		}
-		if d < 1 {
-			d = 1
-		}
-		if n == 0 || d < min {
-			min = d
-		}
-		if n == 0 || d > max {
-			max = d
-		}
-		n++
-	}
-	if n < 2 {
+	if len(durs) < 2 {
 		return 1
 	}
-	return float64(max) / float64(min)
+	return float64(max(slices.Max(durs), 1)) / float64(max(slices.Min(durs), 1))
 }

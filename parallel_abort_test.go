@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"github.com/decwi/decwi/internal/telemetry"
 )
 
 // TestGenerateParallelCancellationClassified: an external cancellation
@@ -74,44 +72,8 @@ func TestGenerateParallelInjectedCtxErrorStaysFailure(t *testing.T) {
 	}
 }
 
-// TestGenerateParallelAbortedImbalance: a run aborted after one
-// completed chunk must report imbalance 1 — claimed-but-never-executed
-// chunks used to enter the skew statistic as 1 ns outliers, exploding
-// parallel.imbalance-x1000 on every aborted run.
-func TestGenerateParallelAbortedImbalance(t *testing.T) {
-	rec := telemetry.New(0)
-	var claims atomic.Int64
-	parallelChunkFault = func(_ context.Context, chunk int) error {
-		if claims.Add(1) == 2 {
-			return fmt.Errorf("injected fault in chunk %d", chunk)
-		}
-		return nil
-	}
-	defer func() { parallelChunkFault = nil }()
-
-	_, err := GenerateParallel(Config3, ParallelOptions{
-		GenerateOptions: GenerateOptions{
-			Scenarios: 4000, Sectors: 2, Seed: 9, Telemetry: rec,
-		},
-		Workers: 1, ChunkWorkItems: 1,
-	})
-	if err == nil || !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("faulted run returned %v, want injected fault", err)
-	}
-	for _, c := range rec.Counters() {
-		if c.Name() == "parallel.imbalance-x1000" {
-			if got := c.Value(); got != 1000 {
-				t.Fatalf("aborted run reports imbalance ×1000 = %d, want 1000 (one completed chunk)", got)
-			}
-			return
-		}
-	}
-	t.Fatal("aborted run published no parallel.imbalance-x1000 counter")
-}
-
-// TestChunkImbalance: unit coverage of the skew statistic — the -1
-// "never completed" sentinel is excluded, fewer than two completed
-// chunks mean no skew, and completed 0 ns chunks clamp to 1 ns.
+// TestChunkImbalance: unit coverage of the skew statistic — fewer than
+// two chunks mean no skew, and 0 ns chunks clamp to 1 ns.
 func TestChunkImbalance(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -120,10 +82,7 @@ func TestChunkImbalance(t *testing.T) {
 	}{
 		{"empty", nil, 1},
 		{"single", []int64{50}, 1},
-		{"all sentinels", []int64{-1, -1, -1}, 1},
-		{"one completed among sentinels", []int64{-1, 40, -1}, 1},
 		{"plain ratio", []int64{100, 400}, 4},
-		{"sentinel excluded", []int64{100, -1, 400, -1}, 4},
 		{"zero clamps", []int64{0, 5}, 5},
 	} {
 		if got := chunkImbalance(tc.durs); got != tc.want {

@@ -343,8 +343,8 @@ func TestGenerateParallelDefaultsMatchGenerate(t *testing.T) {
 	}
 }
 
-// TestGenerateParallelTelemetry: the scheduler surfaces its chunk,
-// steal and imbalance accounting through the recorder, and the chunk
+// TestGenerateParallelTelemetry: the scheduler surfaces its chunk and
+// steal accounting through the recorder, and the chunk
 // spans it records into the run trace cover every chunk exactly once.
 func TestGenerateParallelTelemetry(t *testing.T) {
 	rec := telemetry.New(1 << 16)
@@ -367,9 +367,6 @@ func TestGenerateParallelTelemetry(t *testing.T) {
 	}
 	if got := counters["parallel.steals"]; got != int64(res.Steals) {
 		t.Errorf("parallel.steals = %d, result reports %d", got, res.Steals)
-	}
-	if _, ok := counters["parallel.imbalance-x1000"]; !ok {
-		t.Error("parallel.imbalance-x1000 counter missing")
 	}
 	if res.ChunkImbalance < 1 {
 		t.Errorf("chunk imbalance %v < 1", res.ChunkImbalance)
@@ -450,9 +447,6 @@ func TestGenerateParallelMetricsOnlyRecorder(t *testing.T) {
 	}
 	if got := counters["parallel.chunks"]; got != int64(res.Chunks) || got == 0 {
 		t.Errorf("parallel.chunks = %d, result reports %d chunks", got, res.Chunks)
-	}
-	if _, ok := counters["parallel.imbalance-x1000"]; !ok {
-		t.Error("parallel.imbalance-x1000 counter missing")
 	}
 	var busy, words int64
 	for name, v := range counters {

@@ -77,13 +77,16 @@ go test -race -count=1 \
 # recording, decwi-trace's kernel mode (-config 3 -parallel
 # -cosim-quota 256: a valid run trace, one Chrome process per clock,
 # one span per chunk) and its -job mode against a live /debug/jobs
-# listing. Named so a narrowed filter can never drop the tracing
-# plane's consistency proofs.
-echo "== job tracing, flight recorder, run trace & SLO plane under -race"
+# listing; and the add-only counters: one name has one kind in the
+# registry, the engine's cycle counters add up over two runs on one
+# recorder, and no counter moves back between scrapes of a scheduler
+# running jobs of different sizes. Named so a narrowed filter can never
+# drop the tracing plane's consistency proofs.
+echo "== job tracing, flight recorder, run trace, add-only counters & SLO plane under -race"
 go test -race -count=1 \
-    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace' \
+    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace|TestRegistryOneKindPerName|TestTelemetryBlockCounters|TestSchedulerScrapeCountersOnlyAdd' \
     ./internal/telemetry ./internal/telemetry/flight ./internal/telemetry/slo \
-    ./internal/telemetry/metricsrv ./internal/serve ./cmd/decwi-trace .
+    ./internal/telemetry/metricsrv ./internal/serve ./internal/core ./cmd/decwi-trace .
 
 # Jump-ahead correctness under the race detector: the property suite
 # (Jump(a+b) == Jump(a);Jump(b), Jump ≡ n×Advance, golden vectors, the
