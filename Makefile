@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz bench-smoke bce-check smoke trace-overhead trace clean
+.PHONY: check fmt-check vet build cross test race fuzz bench-smoke bce-check smoke trace-overhead trace clean
 
-check: fmt-check vet build race fuzz bce-check bench-smoke smoke trace-overhead
+check: fmt-check vet build cross race fuzz bce-check bench-smoke smoke trace-overhead
 
 # Formatting gate: every tracked Go file must be gofmt-clean.
 fmt-check:
@@ -17,6 +17,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Portable path: internal/rng/mt's AVX2 assembly is amd64-only, so the
+# pure-Go path is vetted and built for arm64 and 386 (no emulator needed).
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/rng/mt
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -33,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckTraceJSON$$' -fuzztime 5s ./internal/telemetry/flight
 	$(GO) test -run '^$$' -fuzz '^FuzzPoissonLane$$' -fuzztime 5s ./internal/creditrisk
 	$(GO) test -run '^$$' -fuzz '^FuzzFinishLane$$' -fuzztime 5s ./internal/rng/gamma
+	$(GO) test -run '^$$' -fuzz '^FuzzFillUint32$$' -fuzztime 5s ./internal/rng/mt
 
 # Bounds-check-elimination gate: the marked kernel regions in the RNG
 # packages must compile with zero IsInBounds/IsSliceInBounds checks

@@ -169,3 +169,52 @@ func TestKernelModeTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestStallReportSharesStableUnderParallel runs kernel mode on Config2
+// with and without -parallel, which adds a second engine pass to the
+// same recorder. Every cycle share in the two reports must be equal:
+// the engine-derived groups double along with the pipeline cycles, and
+// the co-simulation's groups are shares of its own clock total, which
+// the extra engine pass does not touch.
+func TestStallReportSharesStableUnderParallel(t *testing.T) {
+	shares := func(parallel bool) map[string]string {
+		dir := t.TempDir()
+		reportPath := filepath.Join(dir, "report.txt")
+		if _, err := run(2, 20000, 2, 0, 1, 256, filepath.Join(dir, "trace.json"), reportPath, 1<<16,
+			parallel, 0, 0, &metricsrv.Flags{}); err != nil {
+			t.Fatal(err)
+		}
+		report, err := os.ReadFile(reportPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A ranked cycle row ends in its share; the next line names its
+		// group: "     [cosim.channel-busy, 1 instance(s)]".
+		out := map[string]string{}
+		lines := strings.Split(string(report), "\n")
+		for i := 1; i < len(lines); i++ {
+			prev := strings.Fields(lines[i-1])
+			name, ok := strings.CutPrefix(strings.TrimSpace(lines[i]), "[")
+			if !ok || len(prev) == 0 || !strings.HasSuffix(prev[len(prev)-1], "%") {
+				continue
+			}
+			name, _, _ = strings.Cut(name, ",")
+			out[name] = prev[len(prev)-1]
+		}
+		return out
+	}
+	seq, par := shares(false), shares(true)
+	for _, name := range []string{"cosim.channel-busy", "cosim.fifo-stall", "mtfeed.mt1-hold", "rejection.normal-transform"} {
+		if _, ok := seq[name]; !ok {
+			t.Errorf("report has no share for %s: %v", name, seq)
+		}
+	}
+	if len(seq) != len(par) {
+		t.Errorf("%d cycle shares without -parallel, %d with: %v vs %v", len(seq), len(par), seq, par)
+	}
+	for name, s := range seq {
+		if par[name] != s {
+			t.Errorf("%s: share %s without -parallel, %s with", name, s, par[name])
+		}
+	}
+}

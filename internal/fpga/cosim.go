@@ -157,6 +157,7 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 	wiSeeds := rng.StreamSeeds(cfg.Seed, cfg.WorkItems)
 	rec := cfg.Telemetry
 	tr := rec.Trace()
+	cCycles := rec.Counter("cosim.cycles", "cycles", "co-simulation clock cycles")
 	cBusy := rec.Counter("cosim.channel-busy", "cycles", "memory channel occupied by bursts")
 	cBursts := rec.Counter("cosim.bursts", "events", "bursts granted by the channel arbiter")
 	cValues := rec.Counter("cosim.burst-values", "values",
@@ -307,6 +308,7 @@ func RunCoSim(cfg CoSimConfig) (CoSimResult, error) {
 	}
 
 	res.Cycles = cycle
+	cCycles.Add(cycle)
 	sec := float64(cycle) / cfg.Mem.ClockHz
 	res.EffectiveBandwidthGBs = float64(totalValues*4) / (sec * 1e9)
 	return res, nil

@@ -1,6 +1,8 @@
 package mt
 
 import (
+	"encoding/binary"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -18,25 +20,57 @@ func mt19937TemperU12() Params {
 	return p
 }
 
+// fillKernels are the two FillUint32 datapaths of the Table I sets: the
+// AVX2 kernels of fill_amd64.s and the Go lanes of mt.go.
+var fillKernels = []struct {
+	name string
+	avx2 bool
+}{{"avx2", true}, {"go", false}}
+
+// setAVX2 points the fills at one datapath and returns a func that
+// restores the previous one.
+func setAVX2(on bool) (restore func()) {
+	old := useAVX2
+	useAVX2 = on
+	return func() { useAVX2 = old }
+}
+
+// forEachKernel runs f once per fill datapath, as the subtests "avx2"
+// and "go"; the "avx2" case skips on a CPU without AVX2.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, k := range fillKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if k.avx2 && !cpuHasAVX2() {
+				t.Skip("CPU lacks AVX2")
+			}
+			t.Cleanup(setAVX2(k.avx2))
+			f(t)
+		})
+	}
+}
+
 // TestFillUint32MatchesScalar cross-checks the block fill against the
 // one-word path over several state wrap-arounds and at chunk sizes that
 // straddle every segment boundary of the block regeneration.
 func TestFillUint32MatchesScalar(t *testing.T) {
 	for _, tc := range fillParams {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, chunk := range []int{1, 2, 3, tc.p.N - tc.p.M, tc.p.N - 1, tc.p.N, tc.p.N + 1, 3*tc.p.N + 7} {
-				blk := New(tc.p, 12345)
-				ref := blk.Clone()
-				buf := make([]uint32, chunk)
-				for total := 0; total < 4*tc.p.N; total += chunk {
-					blk.FillUint32(buf)
-					for i, got := range buf {
-						if want := ref.Uint32(); got != want {
-							t.Fatalf("chunk %d, word %d: fill %#x != scalar %#x", chunk, total+i, got, want)
+			forEachKernel(t, func(t *testing.T) {
+				for _, chunk := range []int{1, 2, 3, 8, 9, 16, 17, 18, 34, tc.p.N - tc.p.M, tc.p.N - 1, tc.p.N, tc.p.N + 1, 3*tc.p.N + 7} {
+					blk := New(tc.p, 12345)
+					ref := blk.Clone()
+					buf := make([]uint32, chunk)
+					for total := 0; total < 4*tc.p.N; total += chunk {
+						blk.FillUint32(buf)
+						for i, got := range buf {
+							if want := ref.Uint32(); got != want {
+								t.Fatalf("chunk %d, word %d: fill %#x != scalar %#x", chunk, total+i, got, want)
+							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -45,19 +79,21 @@ func TestFillUint32MatchesScalar(t *testing.T) {
 // computed-but-unconsumed word from the gated path) is emitted as the
 // first word of a subsequent fill.
 func TestFillUint32DrainsPeekCache(t *testing.T) {
-	c := NewMT521(9)
-	ref := c.Clone()
-	peeked := c.Peek() // populates the cache without consuming
-	buf := make([]uint32, 40)
-	c.FillUint32(buf)
-	if buf[0] != peeked {
-		t.Fatalf("fill did not drain the Peek cache: got %#x, peeked %#x", buf[0], peeked)
-	}
-	for i, got := range buf {
-		if want := ref.Uint32(); got != want {
-			t.Fatalf("word %d after cached fill: %#x != %#x", i, got, want)
+	forEachKernel(t, func(t *testing.T) {
+		c := NewMT521(9)
+		ref := c.Clone()
+		peeked := c.Peek() // populates the cache without consuming
+		buf := make([]uint32, 40)
+		c.FillUint32(buf)
+		if buf[0] != peeked {
+			t.Fatalf("fill did not drain the Peek cache: got %#x, peeked %#x", buf[0], peeked)
 		}
-	}
+		for i, got := range buf {
+			if want := ref.Uint32(); got != want {
+				t.Fatalf("word %d after cached fill: %#x != %#x", i, got, want)
+			}
+		}
+	})
 }
 
 // TestGatedReReadAfterFill is the regression required by the block-path
@@ -67,30 +103,32 @@ func TestFillUint32DrainsPeekCache(t *testing.T) {
 func TestGatedReReadAfterFill(t *testing.T) {
 	for _, tc := range fillParams {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.p, 77)
-			ref := c.Clone()
-			buf := make([]uint32, tc.p.N+5)
-			c.FillUint32(buf)
-			for range buf {
-				ref.Uint32()
-			}
-			want := ref.Peek()
-			for i := 0; i < 4; i++ {
-				if got := c.Next(false); got != want {
-					t.Fatalf("disabled cycle %d after fill: got %#x, want held word %#x", i, got, want)
+			forEachKernel(t, func(t *testing.T) {
+				c := New(tc.p, 77)
+				ref := c.Clone()
+				buf := make([]uint32, tc.p.N+5)
+				c.FillUint32(buf)
+				for range buf {
+					ref.Uint32()
 				}
-			}
-			// The held word is finally consumed, then the streams stay in
-			// lockstep.
-			if got := c.Next(true); got != want {
-				t.Fatalf("enabled cycle consumed %#x, want %#x", got, want)
-			}
-			ref.Advance()
-			for i := 0; i < 100; i++ {
-				if got, w := c.Uint32(), ref.Uint32(); got != w {
-					t.Fatalf("word %d after gated re-read: %#x != %#x", i, got, w)
+				want := ref.Peek()
+				for i := 0; i < 4; i++ {
+					if got := c.Next(false); got != want {
+						t.Fatalf("disabled cycle %d after fill: got %#x, want held word %#x", i, got, want)
+					}
 				}
-			}
+				// The held word is finally consumed, then the streams stay
+				// in lockstep.
+				if got := c.Next(true); got != want {
+					t.Fatalf("enabled cycle consumed %#x, want %#x", got, want)
+				}
+				ref.Advance()
+				for i := 0; i < 100; i++ {
+					if got, w := c.Uint32(), ref.Uint32(); got != w {
+						t.Fatalf("word %d after gated re-read: %#x != %#x", i, got, w)
+					}
+				}
+			})
 		})
 	}
 }
@@ -136,11 +174,54 @@ func TestPropertyFillInterleaving(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
+			forEachKernel(t, func(t *testing.T) {
+				if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
 	}
+}
+
+// FuzzFillUint32 checks the block fill against the one-word Uint32
+// oracle on both Table I sets and both fill datapaths: it consumes pre
+// words one at a time, which sets the state index the first fill starts
+// from, then fills the lengths lens encodes (little-endian uint16 pairs,
+// each taken modulo 1300, so a fill can span two MT19937 blocks). The
+// committed seeds start at the MT19937 segment edges 226, 227, 623, 624
+// and 625 and at the MT521 block edges 16, 17, 18, 33 and 34.
+func FuzzFillUint32(f *testing.F) {
+	f.Add(uint64(1), uint16(0), []byte{8, 0, 17, 0, 0x70, 0x02})
+	f.Fuzz(func(t *testing.T, seed uint64, pre uint16, lens []byte) {
+		if len(lens) > 64 {
+			lens = lens[:64]
+		}
+		for _, p := range []Params{MT19937Params, MT521Params} {
+			for _, k := range fillKernels {
+				if k.avx2 && !cpuHasAVX2() {
+					continue
+				}
+				t.Cleanup(setAVX2(k.avx2))
+				blk := New(p, seed)
+				ref := New(p, seed)
+				for i := 0; i < int(pre)%2048; i++ {
+					if blk.Uint32() != ref.Uint32() {
+						t.Fatalf("N=%d: one-word streams differ", p.N)
+					}
+				}
+				var buf [1300]uint32
+				for i := 0; i+1 < len(lens); i += 2 {
+					n := int(binary.LittleEndian.Uint16(lens[i:])) % len(buf)
+					blk.FillUint32(buf[:n])
+					for j, got := range buf[:n] {
+						if want := ref.Uint32(); got != want {
+							t.Fatalf("N=%d %s: fill %d word %d = %#x, Uint32 gives %#x", p.N, k.name, i/2, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestFillUint32ZeroAlloc gates the block fill's no-allocation contract.
@@ -215,14 +296,38 @@ func BenchmarkSeed(b *testing.B) {
 	}
 }
 
+// BenchmarkFillUint32 times FillUint32 per parameter set, datapath and
+// fill length: 1, 9, 128 and 256 words are the lengths the engine's
+// per-block fills issue, 4096 the bulk rate. Every core starts at state
+// index 5, off any segment or block boundary. The non-Table-I set takes
+// the one-word fallback and has only the "go" datapath.
+//
+//	go test -run '^$' -bench BenchmarkFillUint32 ./internal/rng/mt
 func BenchmarkFillUint32(b *testing.B) {
 	for _, tc := range fillParams {
 		b.Run(tc.name, func(b *testing.B) {
-			c := New(tc.p, 1)
-			buf := make([]uint32, 4096)
-			b.SetBytes(4 * int64(len(buf)))
-			for i := 0; i < b.N; i++ {
-				c.FillUint32(buf)
+			kernels := fillKernels
+			if tc.p != MT19937Params && tc.p != MT521Params {
+				kernels = fillKernels[1:]
+			}
+			for _, k := range kernels {
+				b.Run(k.name, func(b *testing.B) {
+					if k.avx2 && !cpuHasAVX2() {
+						b.Skip("CPU lacks AVX2")
+					}
+					b.Cleanup(setAVX2(k.avx2))
+					for _, n := range []int{1, 9, 128, 256, 4096} {
+						b.Run(strconv.Itoa(n), func(b *testing.B) {
+							c := New(tc.p, 1)
+							c.FillUint32(make([]uint32, 5))
+							buf := make([]uint32, n)
+							b.SetBytes(4 * int64(n))
+							for i := 0; i < b.N; i++ {
+								c.FillUint32(buf)
+							}
+						})
+					}
+				})
 			}
 		})
 	}

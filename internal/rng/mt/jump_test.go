@@ -94,31 +94,33 @@ func TestJumpInterleavesWithConsumers(t *testing.T) {
 	for _, ps := range jumpParamSets {
 		ps := ps
 		t.Run(ps.name, func(t *testing.T) {
-			jumped := New(ps.p, 1234)
-			stepped := jumped.Clone()
-			buf1 := make([]uint32, 37)
-			buf2 := make([]uint32, 37)
+			forEachKernel(t, func(t *testing.T) {
+				jumped := New(ps.p, 1234)
+				stepped := jumped.Clone()
+				buf1 := make([]uint32, 37)
+				buf2 := make([]uint32, 37)
 
-			jumped.FillUint32(buf1)
-			stepped.FillUint32(buf2)
-			n := uint64(5*ps.p.N + 3)
-			jumped.Jump(n)
-			for i := uint64(0); i < n; i++ {
-				stepped.Advance()
-			}
-			if got, want := jumped.Next(false), stepped.Next(false); got != want {
-				t.Fatalf("gated read after jump: %#x != %#x", got, want)
-			}
-			jumped.FillUint32(buf1)
-			stepped.FillUint32(buf2)
-			for i := range buf1 {
-				if buf1[i] != buf2[i] {
-					t.Fatalf("block word %d after jump: %#x != %#x", i, buf1[i], buf2[i])
+				jumped.FillUint32(buf1)
+				stepped.FillUint32(buf2)
+				n := uint64(5*ps.p.N + 3)
+				jumped.Jump(n)
+				for i := uint64(0); i < n; i++ {
+					stepped.Advance()
 				}
-			}
-			if !statesEqual(jumped, stepped) {
-				t.Fatalf("states diverged after interleaved jump")
-			}
+				if got, want := jumped.Next(false), stepped.Next(false); got != want {
+					t.Fatalf("gated read after jump: %#x != %#x", got, want)
+				}
+				jumped.FillUint32(buf1)
+				stepped.FillUint32(buf2)
+				for i := range buf1 {
+					if buf1[i] != buf2[i] {
+						t.Fatalf("block word %d after jump: %#x != %#x", i, buf1[i], buf2[i])
+					}
+				}
+				if !statesEqual(jumped, stepped) {
+					t.Fatalf("states diverged after interleaved jump")
+				}
+			})
 		})
 	}
 }
@@ -184,55 +186,59 @@ func TestJumpFarDistance(t *testing.T) {
 // TestOffsetCounter verifies the checkpoint counter across every
 // consumption path and its reset on reseed.
 func TestOffsetCounter(t *testing.T) {
-	c := NewMT521(77)
-	if c.Offset() != 0 {
-		t.Fatalf("fresh core offset = %d", c.Offset())
-	}
-	c.Uint32()
-	c.Peek() // non-consuming
-	_ = c.Next(false)
-	c.Advance()
-	buf := make([]uint32, 29)
-	c.FillUint32(buf) // drains the pending Peek cache word as buf[0]
-	if got := c.Offset(); got != 2+29 {
-		t.Fatalf("offset after mixed consumption = %d, want 31", got)
-	}
-	c.Jump(1000)
-	if got := c.Offset(); got != 31+1000 {
-		t.Fatalf("offset after jump = %d, want 1031", got)
-	}
-	clone := c.Clone()
-	if clone.Offset() != c.Offset() {
-		t.Fatalf("clone offset = %d, want %d", clone.Offset(), c.Offset())
-	}
-	c.Seed(5)
-	if c.Offset() != 0 {
-		t.Fatalf("offset after reseed = %d", c.Offset())
-	}
-	c.SeedRef(5489)
-	if c.Offset() != 0 {
-		t.Fatalf("offset after SeedRef = %d", c.Offset())
-	}
+	forEachKernel(t, func(t *testing.T) {
+		c := NewMT521(77)
+		if c.Offset() != 0 {
+			t.Fatalf("fresh core offset = %d", c.Offset())
+		}
+		c.Uint32()
+		c.Peek() // non-consuming
+		_ = c.Next(false)
+		c.Advance()
+		buf := make([]uint32, 29)
+		c.FillUint32(buf) // drains the pending Peek cache word as buf[0]
+		if got := c.Offset(); got != 2+29 {
+			t.Fatalf("offset after mixed consumption = %d, want 31", got)
+		}
+		c.Jump(1000)
+		if got := c.Offset(); got != 31+1000 {
+			t.Fatalf("offset after jump = %d, want 1031", got)
+		}
+		clone := c.Clone()
+		if clone.Offset() != c.Offset() {
+			t.Fatalf("clone offset = %d, want %d", clone.Offset(), c.Offset())
+		}
+		c.Seed(5)
+		if c.Offset() != 0 {
+			t.Fatalf("offset after reseed = %d", c.Offset())
+		}
+		c.SeedRef(5489)
+		if c.Offset() != 0 {
+			t.Fatalf("offset after SeedRef = %d", c.Offset())
+		}
+	})
 }
 
 // TestCheckpointResume round-trips a stream through the (seed, offset)
 // pair: a fresh core seeded identically and jumped to Offset() must
 // continue the stream bitwise.
 func TestCheckpointResume(t *testing.T) {
-	for _, ps := range jumpParamSets {
-		orig := New(ps.p, 0xFEEDFACE)
-		buf := make([]uint32, 777)
-		orig.FillUint32(buf)
-		orig.Uint32()
+	forEachKernel(t, func(t *testing.T) {
+		for _, ps := range jumpParamSets {
+			orig := New(ps.p, 0xFEEDFACE)
+			buf := make([]uint32, 777)
+			orig.FillUint32(buf)
+			orig.Uint32()
 
-		resumed := New(ps.p, 0xFEEDFACE)
-		resumed.Jump(orig.Offset())
-		for i := 0; i < 256; i++ {
-			if a, b := orig.Uint32(), resumed.Uint32(); a != b {
-				t.Fatalf("%s: resumed stream diverges at word %d: %#x != %#x", ps.name, i, a, b)
+			resumed := New(ps.p, 0xFEEDFACE)
+			resumed.Jump(orig.Offset())
+			for i := 0; i < 256; i++ {
+				if a, b := orig.Uint32(), resumed.Uint32(); a != b {
+					t.Fatalf("%s: resumed stream diverges at word %d: %#x != %#x", ps.name, i, a, b)
+				}
 			}
 		}
-	}
+	})
 }
 
 func BenchmarkJumpMT19937_1e9(b *testing.B) {

@@ -343,10 +343,16 @@ func twist19937(cur, nxt, tap uint32) (x, out uint32) {
 // is cur shifted by one, and in segment 2 tap aliases state words
 // freshly written earlier in the same pass; the strictly increasing
 // write order keeps both reads correct, exactly as in the scalar
-// formulation. The loop runs as 8-wide unrolled lanes over len-pinned
-// subslices so the compiler eliminates every bounds check
-// (scripts/bce_check.sh).
+// formulation. With AVX2 the multiple-of-8 head runs in fillSegAVX2
+// (fill_amd64.s), which keeps that order eight lanes at a time. The Go
+// loop runs as 8-wide unrolled lanes over len-pinned subslices so the
+// compiler eliminates every bounds check (scripts/bce_check.sh); it
+// finishes the tail, and is the whole kernel without AVX2.
 func fillSeg(o, cur, nxt, tap []uint32) {
+	if n := len(o) &^ 7; useAVX2 && n > 0 && len(cur) >= n && len(nxt) >= n && len(tap) >= n {
+		fillSegAVX2(&o[0], &cur[0], &nxt[0], &tap[0], n)
+		o, cur, nxt, tap = o[n:], cur[n:], nxt[n:], tap[n:]
+	}
 	// bce:begin fillSeg twist+temper lanes
 	// The redundant slice-length terms in the loop condition and the tail
 	// guard are what let the prove pass drop every bounds check: each
@@ -414,13 +420,20 @@ func twist521(cur, nxt, tap uint32) (x, out uint32) {
 // twist+temper datapath is branch-free straight-line code with zero
 // bounds checks (scripts/bce_check.sh) — the small-state analogue of
 // fillSeg. Write order is strictly increasing, so the wrapped taps read
-// the fresh words exactly as the recurrence demands.
+// the fresh words exactly as the recurrence demands. With AVX2, words
+// 0–15 run as two 8-lane vectors in fill521AVX2 (fill_amd64.s) and
+// word 16 as one twist521 step.
 func fill521(o, st []uint32) {
 	if len(o) < 17 || len(st) < 17 {
 		return
 	}
 	o = o[:17:17]
 	st = st[:17:17]
+	if useAVX2 {
+		fill521AVX2(&o[0], &st[0])
+		st[16], o[16] = twist521(st[16], st[0], st[7])
+		return
+	}
 	// bce:begin fill521 twist+temper block
 	st[0], o[0] = twist521(st[0], st[1], st[8])
 	st[1], o[1] = twist521(st[1], st[2], st[9])

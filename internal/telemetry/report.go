@@ -16,8 +16,11 @@ import (
 //
 // Naming conventions the report understands:
 //
-//   - unit "cycles": simulated-clock attribution; ranked against the
-//     "engine.cycles" group (total pipeline iterations) when present.
+//   - unit "cycles": simulated-clock attribution. "cosim.*" groups are
+//     ranked against the co-simulation's own total, "cosim.cycles";
+//     every other group against "engine.cycles" (total pipeline
+//     iterations). The two clocks count different workloads, so a
+//     share of one is never taken against the other's total.
 //   - unit "ns": wall-clock blocking time measured around blocking
 //     stream operations; ranked separately (the functional engine runs
 //     on goroutines, so wall time is a proxy, not a cycle count).
@@ -78,15 +81,19 @@ func (r *Recorder) StallReport() string {
 	// Scheduler counters get their own section below; keep them out of
 	// the generic listings.
 	schedulerNames := map[string]bool{"parallel.chunks": true, "parallel.steals": true}
-	var cycleGroups, nsGroups, otherGroups []*reportGroup
+	// The totals feed the header and the shares, not the rankings.
+	totals := map[string]bool{"engine.cycles": true, "engine.accepted": true, "cosim.cycles": true}
+	var cycleGroups, cosimGroups, nsGroups, otherGroups []*reportGroup
 	for _, g := range groups {
 		switch {
-		case schedulerNames[g.name]:
-		case g.unit == "cycles" && g.name != "engine.cycles" && g.name != "engine.accepted":
+		case schedulerNames[g.name] || totals[g.name]:
+		case g.unit == "cycles" && strings.HasPrefix(g.name, "cosim."):
+			cosimGroups = append(cosimGroups, g)
+		case g.unit == "cycles":
 			cycleGroups = append(cycleGroups, g)
 		case g.unit == "ns":
 			nsGroups = append(nsGroups, g)
-		case g.name != "engine.cycles" && g.name != "engine.accepted":
+		default:
 			otherGroups = append(otherGroups, g)
 		}
 	}
@@ -99,6 +106,7 @@ func (r *Recorder) StallReport() string {
 		})
 	}
 	rank(cycleGroups)
+	rank(cosimGroups)
 	rank(nsGroups)
 	rank(otherGroups)
 
@@ -124,13 +132,13 @@ func (r *Recorder) StallReport() string {
 	}
 	fmt.Fprintf(&b, "\n")
 
-	if len(cycleGroups) > 0 {
-		fmt.Fprintf(&b, "Cycle attribution (ranked, share of pipeline cycles)\n")
+	cycleTable := func(title string, gs []*reportGroup, total int64) {
+		fmt.Fprintf(&b, "%s\n", title)
 		fmt.Fprintf(&b, "%-4s %-44s %14s %8s\n", "rank", "source", "cycles", "share")
-		for i, g := range cycleGroups {
+		for i, g := range gs {
 			share := "-"
-			if totalCycles > 0 {
-				share = fmt.Sprintf("%5.1f%%", 100*float64(g.total)/float64(totalCycles))
+			if total > 0 {
+				share = fmt.Sprintf("%5.1f%%", 100*float64(g.total)/float64(total))
 			}
 			label := g.desc
 			if label == "" {
@@ -142,6 +150,17 @@ func (r *Recorder) StallReport() string {
 			}
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if len(cycleGroups) > 0 {
+		cycleTable("Cycle attribution (ranked, share of pipeline cycles)", cycleGroups, totalCycles)
+	}
+	if len(cosimGroups) > 0 {
+		var cosimCycles int64
+		if g, ok := groups["cosim.cycles"]; ok {
+			cosimCycles = g.total
+		}
+		cycleTable(fmt.Sprintf("Co-simulation cycle attribution (ranked, share of %d co-simulation cycles)", cosimCycles),
+			cosimGroups, cosimCycles)
 	}
 
 	if len(nsGroups) > 0 {

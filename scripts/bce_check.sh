@@ -1,7 +1,7 @@
 #!/bin/sh
 # Bounds-check-elimination gate for the hot kernels.
 #
-# The unrolled lane kernels (mt fillSeg / fill521, normal PolarFill /
+# The unrolled Go lane kernels (mt fillSeg / fill521, normal PolarFill /
 # radii / ICDFFPGAFill, gamma candidateBlockDense / logTest /
 # FinishBlock) are written in the len-pinned
 # subslice idiom precisely so the compiler's prove pass can discharge every
@@ -12,7 +12,10 @@
 # a marked region (lines between "// bce:begin <name>" and
 # "// bce:end" in the kernel sources). Checks outside the marked
 # regions (setup code, guarded tails, APIs with caller-shaped slices)
-# are expected and ignored.
+# are expected and ignored. The AVX2 assembly lanes of fillSeg and
+# fill521 (internal/rng/mt/fill_amd64.s) are not Go and sit outside this
+# gate; the Go lanes keep their markers, since they are the fallback
+# off AVX2 and finish every fill's tail.
 #
 # Usage: scripts/bce_check.sh
 set -eu

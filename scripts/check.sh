@@ -23,11 +23,22 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# Bounds-check-elimination gate: the marked lane kernels (mt fillSeg /
+# Portable path: internal/rng/mt carries AVX2 assembly for amd64 and a
+# pure-Go stub elsewhere. Vetting and building for arm64 and 386 proves,
+# without an emulator, that the non-assembly path always compiles.
+echo "== cross-build the portable path (GOARCH=arm64 vet, GOARCH=arm64 and 386 build)"
+GOARCH=arm64 go vet ./internal/rng/mt
+GOARCH=arm64 go build ./...
+GOARCH=386 go build ./...
+
+# Bounds-check-elimination gate: the marked Go lane kernels (mt fillSeg /
 # fill521, normal PolarFill / radii / ICDFFPGAFill, gamma
 # candidateBlockDense / logTest / FinishBlock) must compile
 # with zero surviving IsInBounds/IsSliceInBounds checks — the fused
-# pipe's single-core throughput depends on it.
+# pipe's single-core throughput depends on it. The AVX2 assembly lanes
+# of fillSeg and fill521 (internal/rng/mt/fill_amd64.s) have no bounds
+# checks to eliminate and sit outside the gate; the Go lanes beside
+# them, the fallback and the tail, stay checked.
 echo "== bounds-check elimination in marked kernel regions"
 sh scripts/bce_check.sh
 
@@ -80,11 +91,13 @@ go test -race -count=1 \
 # listing; and the add-only counters: one name has one kind in the
 # registry, the engine's cycle counters add up over two runs on one
 # recorder, and no counter moves back between scrapes of a scheduler
-# running jobs of different sizes. Named so a narrowed filter can never
-# drop the tracing plane's consistency proofs.
+# running jobs of different sizes; and decwi-trace's stall report ranks
+# the co-simulation's cycle groups against its own clock, so their
+# shares do not move when -parallel adds an engine pass. Named so a
+# narrowed filter can never drop the tracing plane's consistency proofs.
 echo "== job tracing, flight recorder, run trace, add-only counters & SLO plane under -race"
 go test -race -count=1 \
-    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace|TestRegistryOneKindPerName|TestTelemetryBlockCounters|TestSchedulerScrapeCountersOnlyAdd' \
+    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace|TestRegistryOneKindPerName|TestTelemetryBlockCounters|TestSchedulerScrapeCountersOnlyAdd|TestStallReportSharesStableUnderParallel' \
     ./internal/telemetry ./internal/telemetry/flight ./internal/telemetry/slo \
     ./internal/telemetry/metricsrv ./internal/serve ./internal/core ./cmd/decwi-trace .
 
@@ -116,10 +129,12 @@ go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 # result entries), traceparent parsing (the id
 # is "" or 32 lowercase hex), the /debug/jobs/{id} validator (no
 # panic), the CreditRisk+ Poisson lane (same counts and stream
-# position as the one-word Knuth oracle) and the certified finish lane
-# (FinishBlock equals Finish bit for bit). The committed seed corpora
-# under testdata/fuzz/ also run as plain tests in every go test.
-echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzResultCache, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane, FuzzFinishLane; 5s each)"
+# position as the one-word Knuth oracle), the certified finish lane
+# (FinishBlock equals Finish bit for bit) and the twister fills (any
+# start index and run of fill lengths gives the one-word Uint32
+# stream, on the AVX2 kernels and on the Go lanes). The committed seed
+# corpora under testdata/fuzz/ also run as plain tests in every go test.
+echo "== fuzz (FuzzJobSpec, FuzzWaitParam, FuzzResultCache, FuzzTraceIDFrom, FuzzCheckTraceJSON, FuzzPoissonLane, FuzzFinishLane, FuzzFillUint32; 5s each)"
 go test -run '^$' -fuzz '^FuzzJobSpec$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzWaitParam$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzResultCache$' -fuzztime 5s ./internal/serve
@@ -127,6 +142,7 @@ go test -run '^$' -fuzz '^FuzzTraceIDFrom$' -fuzztime 5s ./internal/telemetry/fl
 go test -run '^$' -fuzz '^FuzzCheckTraceJSON$' -fuzztime 5s ./internal/telemetry/flight
 go test -run '^$' -fuzz '^FuzzPoissonLane$' -fuzztime 5s ./internal/creditrisk
 go test -run '^$' -fuzz '^FuzzFinishLane$' -fuzztime 5s ./internal/rng/gamma
+go test -run '^$' -fuzz '^FuzzFillUint32$' -fuzztime 5s ./internal/rng/mt
 
 # Parallel-equivalence suite under both a single-core and a multicore
 # scheduler: GOMAXPROCS=1 exercises the sequential claim order,
