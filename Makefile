@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build cross test race fuzz bench-smoke bce-check smoke trace-overhead trace clean
+.PHONY: check fmt-check vet build bench-vet unlinked cross test race fuzz bench-smoke bce-check smoke trace-overhead trace clean
 
-check: fmt-check vet build cross race fuzz bce-check bench-smoke smoke trace-overhead
+check: fmt-check vet build bench-vet unlinked cross race fuzz bce-check bench-smoke smoke trace-overhead
 
 # Formatting gate: every tracked Go file must be gofmt-clean.
 fmt-check:
@@ -17,6 +17,16 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The bench module imports internal/* directly: vetting compiles it, so
+# a deletion it depends on fails here rather than in the benchmark.
+bench-vet:
+	cd bench && $(GO) vet ./...
+
+# Every function declared outside cmd/, examples/ and bench/ must be
+# linked into a shipped binary or be allowlisted test support.
+unlinked:
+	sh scripts/unlinked.sh
 
 # Portable path: internal/rng/mt's AVX2 assembly is amd64-only, so the
 # pure-Go path is vetted and built for arm64 and 386 (no emulator needed).

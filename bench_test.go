@@ -14,7 +14,6 @@ import (
 	decwi "github.com/decwi/decwi"
 	"github.com/decwi/decwi/internal/core"
 	"github.com/decwi/decwi/internal/fpga"
-	"github.com/decwi/decwi/internal/hls"
 	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/mt"
@@ -176,22 +175,6 @@ func BenchmarkEquation1(b *testing.B) {
 }
 
 // --- Ablation benches (DESIGN.md "Key design decisions") ---
-
-// BenchmarkAblationCounterDelay quantifies decision 1: the delayed-
-// counter loop exit keeps II=1; the direct dependency forces II=2 and
-// doubles steady-state cycles.
-func BenchmarkAblationCounterDelay(b *testing.B) {
-	const latency = 2
-	for i := 0; i < b.N; i++ {
-		direct := hls.ScheduleII([]hls.Dependence{hls.DirectCounterDependence(latency)})
-		delayed := hls.ScheduleII([]hls.Dependence{hls.DelayedCounterDependence(latency, 0)})
-		ld, _ := hls.NewPipelinedLoop("direct", 48, direct)
-		lv, _ := hls.NewPipelinedLoop("delayed", 48, delayed)
-		if i == 0 {
-			b.ReportMetric(float64(ld.Cycles(1_000_000))/float64(lv.Cycles(1_000_000)), "II2/II1-cycles")
-		}
-	}
-}
 
 // BenchmarkAblationGatedMT quantifies decision 2: the gated free-running
 // Mersenne-Twister versus a stall-on-reject variant that must re-draw

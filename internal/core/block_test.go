@@ -88,7 +88,7 @@ var quotaSweep = []int64{1, 2, 3, 7, 64, 127, 128, 129, 255, 256, 257, 511, 513}
 
 // sweepTransforms is every uniform-to-normal stage the engine offers.
 var sweepTransforms = []normal.Kind{
-	normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.BoxMuller, normal.Ziggurat,
+	normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.Ziggurat,
 }
 
 // TestBlockComputeQuotaSweep crosses every quota of quotaSweep with

@@ -117,8 +117,8 @@ func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, s
 }
 
 // CombineStats computes the output-weighted combined rejection rate over
-// a stats slice — the same Eq. (1) r that RunResult.CombinedRejectionRate
-// reports, so chunked and monolithic runs agree on metadata too.
+// a stats slice — the r that enters Eq. (1) — so chunked and monolithic
+// runs agree on metadata too.
 func CombineStats(stats []WorkItemStats) float64 {
 	var cyc, acc uint64
 	for _, s := range stats {

@@ -59,9 +59,9 @@ func TestRunChunkEquivalence(t *testing.T) {
 							chunks, w, g.Cycles, g.Accepted, g.Overshoot, s.Cycles, s.Accepted, s.Overshoot)
 					}
 				}
-				if want.CombinedRejectionRate() != CombineStats(stats) {
+				if CombineStats(want.PerWI) != CombineStats(stats) {
 					t.Fatalf("chunks %v: rejection rate diverges: %v vs %v",
-						chunks, want.CombinedRejectionRate(), CombineStats(stats))
+						chunks, CombineStats(want.PerWI), CombineStats(stats))
 				}
 			}
 		})
@@ -203,15 +203,14 @@ func TestEngineLayoutAccessorsCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := e.BlockOffsets()
-	per := e.WorkItemQuotas()
-	if len(off) != 4 || len(per) != 3 {
-		t.Fatalf("layout sizes: offsets %d quotas %d", len(off), len(per))
+	if len(off) != 4 {
+		t.Fatalf("layout size: offsets %d", len(off))
 	}
-	if off[3] != 200 || per[0]+per[1]+per[2] != 100 {
-		t.Fatalf("layout values: offsets %v quotas %v", off, per)
+	if off[3] != 200 || off[1]-off[0] != 68 {
+		t.Fatalf("layout values: offsets %v", off)
 	}
-	off[0], per[0] = 999, 999
-	if e.BlockOffsets()[0] == 999 || e.WorkItemQuotas()[0] == 999 {
+	off[0] = 999
+	if e.BlockOffsets()[0] == 999 {
 		t.Fatal("layout accessors expose internal slices")
 	}
 }

@@ -177,12 +177,22 @@ func TestEnginePerSectorVariances(t *testing.T) {
 		Seed:           5,
 	})
 	for sec, v := range vs {
-		m := stats.ComputeMoments(stats.Float32To64(res.SectorValues(sec)))
-		if math.Abs(m.Mean-1) > 0.05 {
-			t.Errorf("sector %d mean %f", sec, m.Mean)
+		xs := res.SectorValues(sec)
+		var mean, variance float64
+		for _, x := range xs {
+			mean += float64(x)
 		}
-		if math.Abs(m.Variance-v)/v > 0.10 {
-			t.Errorf("sector %d variance %f want %f", sec, m.Variance, v)
+		mean /= float64(len(xs))
+		for _, x := range xs {
+			d := float64(x) - mean
+			variance += d * d
+		}
+		variance /= float64(len(xs))
+		if math.Abs(mean-1) > 0.05 {
+			t.Errorf("sector %d mean %f", sec, mean)
+		}
+		if math.Abs(variance-v)/v > 0.10 {
+			t.Errorf("sector %d variance %f want %f", sec, variance, v)
 		}
 	}
 }
@@ -219,7 +229,7 @@ func TestEngineRejectionTelemetry(t *testing.T) {
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 2, Scenarios: 40000, Sectors: 2, SectorVariance: 1.39, Seed: 6,
 	})
-	if r := res.CombinedRejectionRate(); math.Abs(r-0.303) > 0.03 {
+	if r := CombineStats(res.PerWI); math.Abs(r-0.303) > 0.03 {
 		t.Fatalf("combined rejection rate %f, expected ≈0.303", r)
 	}
 	for _, s := range res.PerWI {
@@ -333,4 +343,23 @@ func BenchmarkEngineRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// At returns the value for (workItem, sector, scenarioIndex) from the
+// device layout.
+func (r *RunResult) At(wid, sector int, scenario int64) float32 {
+	limitMain := (r.BlockOffsets[wid+1] - r.BlockOffsets[wid]) / int64(r.cfg.Sectors)
+	return r.Data[r.BlockOffsets[wid]+int64(sector)*limitMain+scenario]
+}
+
+// SectorValues gathers every value of one sector across all work-items —
+// the per-sector marginal the Fig. 6 validation histograms.
+func (r *RunResult) SectorValues(sector int) []float32 {
+	out := make([]float32, 0, r.cfg.Scenarios)
+	for w := 0; w < r.cfg.WorkItems; w++ {
+		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.cfg.Sectors)
+		start := r.BlockOffsets[w] + int64(sector)*limitMain
+		out = append(out, r.Data[start:start+limitMain]...)
+	}
+	return out
 }

@@ -197,10 +197,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Config returns the normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// WorkItemQuotas returns a copy of the per-work-item output quotas
-// (earlier work-items absorb the Scenarios remainder).
-func (e *Engine) WorkItemQuotas() []int64 { return append([]int64(nil), e.per...) }
-
 // BlockOffsets returns a copy of the device-layout block offsets:
 // work-item w's output occupies [BlockOffsets[w], BlockOffsets[w+1]) of
 // the result buffer, sector-major inside the block.
@@ -625,39 +621,6 @@ func errTruncated(err error) error {
 		return err
 	}
 	return hls.ErrStreamClosed
-}
-
-// At returns the value for (workItem, sector, scenarioIndex) from the
-// device layout.
-func (r *RunResult) At(wid, sector int, scenario int64) float32 {
-	limitMain := (r.BlockOffsets[wid+1] - r.BlockOffsets[wid]) / int64(r.cfg.Sectors)
-	return r.Data[r.BlockOffsets[wid]+int64(sector)*limitMain+scenario]
-}
-
-// SectorValues gathers every value of one sector across all work-items —
-// the per-sector marginal the Fig. 6 validation histograms.
-func (r *RunResult) SectorValues(sector int) []float32 {
-	out := make([]float32, 0, r.cfg.Scenarios)
-	for w := 0; w < r.cfg.WorkItems; w++ {
-		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.cfg.Sectors)
-		start := r.BlockOffsets[w] + int64(sector)*limitMain
-		out = append(out, r.Data[start:start+limitMain]...)
-	}
-	return out
-}
-
-// CombinedRejectionRate returns the output-weighted mean rejection rate
-// across work-items — the r that enters Eq. (1).
-func (r *RunResult) CombinedRejectionRate() float64 {
-	var cyc, acc uint64
-	for _, s := range r.PerWI {
-		cyc += s.Cycles
-		acc += s.Accepted
-	}
-	if acc == 0 {
-		return 0
-	}
-	return float64(cyc-acc) / float64(acc)
 }
 
 // MaxWorkItemCycles returns the largest per-work-item cycle count — the

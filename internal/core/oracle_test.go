@@ -4,21 +4,22 @@ import (
 	"context"
 	"testing"
 
-	"github.com/decwi/decwi/internal/hls"
 	"github.com/decwi/decwi/internal/rng/gamma"
 )
 
 // gatedSector is one sector of Listing 2's MAINLOOP verbatim: one
 // CycleStep per trip, the counter<limitMain write guard, and the delayed
-// exit read through breakID+1 register stages. It returns the outputs
+// exit read through breakID+1 register stages (prevCounter, shifted by
+// UpdateRegUI at the top of each trip). It returns the outputs
 // written, the trips spent and the trip index at which the quota was
 // reached (-1 if never). It is the scalar oracle blockPhase.sector must
 // reproduce trip for trip.
 func gatedSector(gen *gamma.Generator, breakID int, limitMain, limitMax int64, emit func(float32)) (counter, trips, quotaAt int64) {
 	quotaAt = -1
-	reg := hls.NewRegDelay(breakID)
-	for ; trips < limitMax && int64(reg.Delayed()) < limitMain; trips++ {
-		reg.Update(uint32(counter))
+	prev := make([]int64, breakID+1)
+	for ; trips < limitMax && prev[breakID] < limitMain; trips++ {
+		copy(prev[1:], prev)
+		prev[0] = counter
 		if r := gen.CycleStep(); r.Valid && counter < limitMain {
 			emit(r.Gamma)
 			counter++

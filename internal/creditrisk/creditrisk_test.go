@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -61,9 +62,6 @@ func TestAnalyticMoments(t *testing.T) {
 	}
 	if m := p.SectorPolyExposure(0); math.Abs(m-10) > 1e-12 {
 		t.Fatalf("sector exposure %g", m)
-	}
-	if vs := p.SectorVariances(); len(vs) != 2 || vs[0] != 1.39 {
-		t.Fatalf("variances %v", vs)
 	}
 }
 
@@ -482,4 +480,34 @@ func TestSimulateMCPipeEquivalence(t *testing.T) {
 			t.Fatalf("scenarios=%d: digest %s, golden %s", tc.scenarios, got, tc.want)
 		}
 	}
+}
+
+// PaperSectors returns the Section IV-B setup: numSectors sectors at the
+// representative variance v = 1.39.
+func PaperSectors(numSectors int) []Sector {
+	out := make([]Sector, numSectors)
+	for k := range out {
+		out[k] = Sector{Name: fmt.Sprintf("S%d", k), Variance: 1.39}
+	}
+	return out
+}
+
+// Mean returns the mean loss of the (truncated) distribution.
+func (d *LossDistribution) Mean() float64 {
+	var m float64
+	for n, p := range d.PMF {
+		m += float64(n) * p
+	}
+	return m * d.Unit
+}
+
+// Variance returns the variance of the (truncated) distribution.
+func (d *LossDistribution) Variance() float64 {
+	mean := d.Mean() / d.Unit
+	var v float64
+	for n, p := range d.PMF {
+		dlt := float64(n) - mean
+		v += dlt * dlt * p
+	}
+	return v * d.Unit * d.Unit
 }

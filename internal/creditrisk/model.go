@@ -87,16 +87,6 @@ func (p *Portfolio) Validate() error {
 	return nil
 }
 
-// SectorVariances returns the v_k vector in sector order — the per-sector
-// parameterization handed to the gamma kernels.
-func (p *Portfolio) SectorVariances() []float64 {
-	out := make([]float64, len(p.Sectors))
-	for k, s := range p.Sectors {
-		out[k] = s.Variance
-	}
-	return out
-}
-
 // ExpectedLoss returns E[L] = Σ_i p_i·e_i (sector factors have unit
 // mean, so conditioning drops out).
 func (p *Portfolio) ExpectedLoss() float64 {
@@ -185,14 +175,4 @@ func UniformPortfolio(sectors []Sector, n int, pd, exposure float64) (*Portfolio
 		return nil, err
 	}
 	return p, nil
-}
-
-// PaperSectors returns the Section IV-B setup: numSectors sectors at the
-// representative variance v = 1.39.
-func PaperSectors(numSectors int) []Sector {
-	out := make([]Sector, numSectors)
-	for k := range out {
-		out[k] = Sector{Name: fmt.Sprintf("S%d", k), Variance: 1.39}
-	}
-	return out
 }

@@ -158,26 +158,6 @@ func (d *LossDistribution) Mass() float64 {
 	return s
 }
 
-// Mean returns the mean loss of the (truncated) distribution.
-func (d *LossDistribution) Mean() float64 {
-	var m float64
-	for n, p := range d.PMF {
-		m += float64(n) * p
-	}
-	return m * d.Unit
-}
-
-// Variance returns the variance of the (truncated) distribution.
-func (d *LossDistribution) Variance() float64 {
-	mean := d.Mean() / d.Unit
-	var v float64
-	for n, p := range d.PMF {
-		dlt := float64(n) - mean
-		v += dlt * dlt * p
-	}
-	return v * d.Unit * d.Unit
-}
-
 // Quantile returns the smallest loss x with P[L ≤ x] ≥ q.
 func (d *LossDistribution) Quantile(q float64) (float64, error) {
 	if !(q > 0 && q < 1) {

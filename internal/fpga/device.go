@@ -16,7 +16,8 @@ type Device struct {
 	// one iteration through MT → transform → Marsaglia-Tsang → correct).
 	PipelineDepth int
 	// II is the achieved initiation interval (1 with the delayed-counter
-	// workaround of Listing 2, 2 without it — see hls.ScheduleII).
+	// workaround of Listing 2, 2 without it — see TestScheduleII in
+	// internal/hls).
 	II int
 }
 

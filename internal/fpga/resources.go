@@ -118,11 +118,7 @@ func WorkItemCost(transform normal.Kind, mtp mt.Params) Resources {
 		}
 		return Resources{Slices: 5200, DSPs: 64, BRAMs: 27}
 	default:
-		// Box-Muller baseline: sine/cosine cores dominate.
-		if bigMT {
-			return Resources{Slices: 8900, DSPs: 160, BRAMs: 24}
-		}
-		return Resources{Slices: 8778, DSPs: 160, BRAMs: 24}
+		panic("fpga: unknown transform kind")
 	}
 }
 

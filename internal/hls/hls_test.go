@@ -10,13 +10,32 @@ import (
 	"github.com/decwi/decwi/internal/rng"
 )
 
+// put and get move one value through the stream: a one-value burst is
+// the per-cycle handshake of Listing 1.
+func put[T any](s *Stream[T], v T) { s.WriteBurst([]T{v}) }
+
+func get[T any](s *Stream[T]) (T, error) {
+	var v [1]T
+	_, err := s.ReadBurst(v[:])
+	return v[0], err
+}
+
+func mustGet[T any](t *testing.T, s *Stream[T]) T {
+	t.Helper()
+	v, err := get(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestStreamFIFOOrder(t *testing.T) {
 	s := NewStream[int]("fifo", 8)
 	for i := 0; i < 8; i++ {
-		s.Write(i)
+		put(s, i)
 	}
 	for i := 0; i < 8; i++ {
-		v, err := s.Read()
+		v, err := get(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,14 +50,14 @@ func TestStreamBlockingHandshake(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		// Second write must block until the consumer reads.
-		s.Write(1)
-		s.Write(2)
+		put(s, 1)
+		put(s, 2)
 		close(done)
 	}()
-	if v := s.MustRead(); v != 1 {
+	if v := mustGet(t, s); v != 1 {
 		t.Fatalf("got %d", v)
 	}
-	if v := s.MustRead(); v != 2 {
+	if v := mustGet(t, s); v != 2 {
 		t.Fatalf("got %d", v)
 	}
 	<-done
@@ -53,13 +72,13 @@ func TestStreamBlockingHandshake(t *testing.T) {
 
 func TestStreamCloseSemantics(t *testing.T) {
 	s := NewStream[int]("close", 4)
-	s.Write(7)
+	put(s, 7)
 	s.Close()
 	s.Close() // idempotent
-	if v, err := s.Read(); err != nil || v != 7 {
+	if v, err := get(s); err != nil || v != 7 {
 		t.Fatalf("drain failed: %v %v", v, err)
 	}
-	if _, err := s.Read(); !errors.Is(err, ErrStreamClosed) {
+	if _, err := get(s); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("want ErrStreamClosed, got %v", err)
 	}
 	defer func() {
@@ -67,28 +86,21 @@ func TestStreamCloseSemantics(t *testing.T) {
 			t.Fatal("write after close must panic")
 		}
 	}()
-	s.Write(8)
-}
-
-func TestStreamTryRead(t *testing.T) {
-	s := NewStream[string]("try", 2)
-	if _, ok := s.TryRead(); ok {
-		t.Fatal("TryRead on empty stream should fail")
-	}
-	s.Write("a")
-	if v, ok := s.TryRead(); !ok || v != "a" {
-		t.Fatalf("TryRead got %q %v", v, ok)
-	}
-	s.Close()
-	if _, ok := s.TryRead(); ok {
-		t.Fatal("TryRead on closed drained stream should fail")
-	}
+	put(s, 8)
 }
 
 func TestStreamDepthClamp(t *testing.T) {
 	s := NewStream[int]("d", 0)
-	if s.Depth() != 1 {
-		t.Fatalf("depth %d, want clamp to 1", s.Depth())
+	go func() {
+		defer s.Close()
+		s.WriteBurst([]int{1, 2, 3})
+	}()
+	got := make([]int, 3)
+	if n, err := s.ReadBurst(got); n != 3 || err != nil {
+		t.Fatalf("ReadBurst n=%d err=%v", n, err)
+	}
+	if _, _, hw := s.Stats(); hw != 1 {
+		t.Fatalf("high water %d, want depth clamped to 1", hw)
 	}
 	if s.Name() != "d" {
 		t.Fatalf("name %q", s.Name())
@@ -290,14 +302,14 @@ func TestDataflowRunsConcurrently(t *testing.T) {
 	err := Dataflow([]Process{
 		{Name: "producer", Run: func() error {
 			for i := 1; i <= 1000; i++ {
-				s.Write(i)
+				put(s, i)
 			}
 			s.Close()
 			return nil
 		}},
 		{Name: "consumer", Run: func() error {
 			for {
-				v, err := s.Read()
+				v, err := get(s)
 				if errors.Is(err, ErrStreamClosed) {
 					return nil
 				}
@@ -353,25 +365,26 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-func BenchmarkStreamWriteRead(b *testing.B) {
-	s := NewStream[float32]("bench", 64)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			s.Write(float32(i))
-		}
-		s.Close()
-	}()
-	for {
-		if _, err := s.Read(); err != nil {
-			break
-		}
-	}
-}
-
 func BenchmarkSimulateDynamicExit(b *testing.B) {
 	src := rng.NewSplitMix64(1)
 	for i := 0; i < b.N; i++ {
 		_, _ = SimulateDynamicExit(1000, 1<<30, 0,
 			func(int64) bool { return src.Uint32()%4 != 0 }, nil)
+	}
+}
+
+// BenchmarkAblationCounterDelay quantifies DESIGN.md's decision 1: the
+// delayed-counter loop exit keeps II=1; the direct dependency forces
+// II=2 and doubles steady-state cycles.
+func BenchmarkAblationCounterDelay(b *testing.B) {
+	const latency = 2
+	for i := 0; i < b.N; i++ {
+		direct := ScheduleII([]Dependence{DirectCounterDependence(latency)})
+		delayed := ScheduleII([]Dependence{DelayedCounterDependence(latency, 0)})
+		ld, _ := NewPipelinedLoop("direct", 48, direct)
+		lv, _ := NewPipelinedLoop("delayed", 48, delayed)
+		if i == 0 {
+			b.ReportMetric(float64(ld.Cycles(1_000_000))/float64(lv.Cycles(1_000_000)), "II2/II1-cycles")
+		}
 	}
 }

@@ -1,18 +1,17 @@
 // Package hls models the high-level-synthesis constructs the paper's FPGA
 // design is built from (Xilinx Vivado HLS via SDAccel, Section II-A):
 //
-//   - Stream: a bounded blocking FIFO equivalent to hls::stream, the
+//   - Stream: a bounded blocking FIFO standing in for hls::stream, the
 //     single-producer/single-consumer channel that the DATAFLOW pragma
 //     requires between the GammaRNG and Transfer processes (Listing 1).
-//   - RegDelay: the completely partitioned delay-register array of
-//     Listing 2 (`prevCounter[breakId]` updated by `UpdateRegUI`), which
-//     breaks the loop-carried dependency on the output counter.
-//   - Dependence/ScheduleII: the initiation-interval arithmetic an HLS
-//     scheduler performs over loop-carried dependencies — this is where
-//     the paper's II=1 claim is made checkable.
-//   - PipelinedLoop: latency/II → total cycle count for a pipelined loop.
+//     Values move in bursts (WriteBurst/ReadBurst), the granularity of
+//     the 512-bit-word transfers.
 //   - Dataflow: a process network runner (goroutines joined with error
 //     collection), standing in for `#pragma HLS DATAFLOW`.
+//
+// The Listing 2 cycle models (initiation-interval scheduling, the
+// delay-register array, the delayed loop exit) live in this package's
+// tests; the engine's block phase in internal/core runs the loop itself.
 package hls
 
 import (
@@ -25,39 +24,35 @@ import (
 	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
-// ErrStreamClosed is returned by Read after the producer closed the
-// stream and the buffer drained, and by Write on a closed stream.
+// ErrStreamClosed is returned by ReadBurst once the producer closed the
+// stream and the buffer drained, and wrapped by the panic of a
+// WriteBurst on a closed stream.
 var ErrStreamClosed = errors.New("hls: stream closed")
 
 // Stream is a bounded blocking FIFO — the software analogue of
 // hls::stream<T>. Like its hardware counterpart it is intended for a
-// single producer and a single consumer; unlike a raw Go channel it
-// supports non-blocking probes (Empty/Full/TryRead) that the cycle-level
-// simulations use, and records high-water occupancy so tests can verify
-// the interleaving claims of Fig. 3.
+// single producer and a single consumer. It records high-water occupancy
+// so tests can verify the interleaving claims of Fig. 3.
 //
-// Transport granularity: Write/Read move one value per operation (the
-// per-cycle handshake of Listing 1); WriteBurst/ReadBurst move slices
-// through the same FIFO in chunked copies, amortizing synchronization
-// over whole 512-bit-word batches. The two APIs share one FIFO, so
-// mixing them preserves order, and the value sequence a consumer
-// observes is identical either way (the engine's batched-vs-per-value
-// equivalence test pins this).
+// Transport granularity: WriteBurst/ReadBurst move slices through the
+// FIFO in chunked copies, amortizing synchronization over whole
+// 512-bit-word batches; a one-value slice is the per-cycle handshake of
+// Listing 1.
 //
 // Close/drain contract (the dataflow shutdown protocol): the producer —
 // and only the producer — calls Close when it will write no more
 // values, including on its error paths (typically via defer). The
-// consumer keeps Reading; once the FIFO drains, every further Read
+// consumer keeps reading; once the FIFO drains, every further ReadBurst
 // fails immediately and deterministically with ErrStreamClosed — it
 // never blocks. A producer that returns without closing leaves the
 // consumer blocked forever, which Dataflow cannot detect; the close
 // obligation is therefore part of the producer's contract, not an
 // optimization. See TestStreamCloseDrainDeterministic.
 //
-// A Write racing a Close is a contract violation (only the producer may
+// A write racing a Close is a contract violation (only the producer may
 // close), but it must fail loudly, not corrupt the FIFO: every enqueue
-// happens under the same lock that Close takes, so a racing Write either
-// completes before the close or panics with an error wrapping
+// happens under the same lock that Close takes, so a racing WriteBurst
+// either completes before the close or panics with an error wrapping
 // ErrStreamClosed — never a raw runtime panic. See
 // TestStreamWriteCloseRaceStress.
 type Stream[T any] struct {
@@ -102,10 +97,9 @@ type streamProbe struct {
 	occupancy *telemetry.Gauge
 	blockUS   *telemetry.Histogram
 	starveUS  *telemetry.Histogram
-	// sampleMask thins the per-value push/pop instants: one is
-	// recorded when count&sampleMask == 0; burst operations record one
-	// instant per crossed sampling window (block/starve spans are
-	// always recorded).
+	// sampleMask thins the push/pop instants: a burst records one
+	// instant per crossed window of sampleMask+1 values (block/starve
+	// spans are always recorded).
 	sampleMask uint64
 }
 
@@ -168,28 +162,6 @@ func NewStream[T any](name string, depth int) *Stream[T] {
 // Name returns the diagnostic name.
 func (s *Stream[T]) Name() string { return s.name }
 
-// Depth returns the FIFO capacity.
-func (s *Stream[T]) Depth() int { return len(s.buf) }
-
-// enqueue appends v to the ring. Caller holds mu and guarantees space.
-func (s *Stream[T]) enqueue(v T) {
-	s.buf[(s.head+s.count)%len(s.buf)] = v
-	s.count++
-	s.writes++
-	if s.count > s.highWater {
-		s.highWater = s.count
-	}
-}
-
-// dequeue removes the oldest value. Caller holds mu and guarantees count>0.
-func (s *Stream[T]) dequeue() T {
-	v := s.buf[s.head]
-	s.head = (s.head + 1) % len(s.buf)
-	s.count--
-	s.reads++
-	return v
-}
-
 // closedPanic panics with the documented write-after-close error.
 // Caller must NOT hold mu.
 func (s *Stream[T]) closedPanic() {
@@ -242,32 +214,6 @@ func (s *Stream[T]) waitNotEmpty(p *streamProbe) {
 	}
 }
 
-// Write blocks until there is space, then enqueues v. Writing to a
-// closed stream panics with an error wrapping ErrStreamClosed (a design
-// error, as in HLS) — including when the close lands while the write is
-// blocked on a full FIFO.
-func (s *Stream[T]) Write(v T) {
-	p := s.probe
-	s.mu.Lock()
-	s.waitNotFull(p)
-	if s.closed {
-		s.mu.Unlock()
-		s.closedPanic()
-	}
-	s.enqueue(v)
-	n := s.writes
-	occ := s.count
-	s.notEmpty.Signal()
-	s.mu.Unlock()
-	if p != nil {
-		p.occupancy.Set(int64(occ))
-		p.pushes.Add(1)
-		if n&p.sampleMask == 0 {
-			p.instant("stream.push", n)
-		}
-	}
-}
-
 // WriteBurst enqueues every value of vs in order, blocking as needed.
 // The transfer is chunked: each chunk is one copy into the ring under a
 // single lock acquisition, so a burst costs O(len/chunk) synchronization
@@ -275,8 +221,8 @@ func (s *Stream[T]) Write(v T) {
 // reuse vs immediately. Bursts larger than the FIFO depth are legal and
 // drain incrementally against the consumer.
 //
-// Like Write, a WriteBurst on a closed stream — or one interrupted by a
-// close mid-burst — panics with an error wrapping ErrStreamClosed;
+// A WriteBurst on a closed stream — or one interrupted by a close
+// mid-burst — panics with an error wrapping ErrStreamClosed;
 // values enqueued before the close remain readable by the consumer.
 func (s *Stream[T]) WriteBurst(vs []T) {
 	if len(vs) == 0 {
@@ -318,50 +264,21 @@ func (s *Stream[T]) WriteBurst(vs []T) {
 		p.pushes.Add(int64(len(vs)))
 		p.burstValues.Add(int64(len(vs)))
 		p.burstOps.Add(1)
-		// One sampled instant per crossed sampling window, so burst and
-		// per-value transports produce comparable trace densities.
+		// One sampled instant per crossed sampling window, so the trace
+		// density does not depend on the burst size.
 		if win := p.sampleMask + 1; after/win != before/win {
 			p.instant("stream.push", after)
 		}
 	}
 }
 
-// Read blocks until a value is available and returns it. After Close,
-// the buffered values drain in order and every subsequent Read fails
-// immediately — never blocks — with an error wrapping ErrStreamClosed.
-// Check with errors.Is; the failure is the consumer's deterministic
-// end-of-stream signal.
-func (s *Stream[T]) Read() (T, error) {
-	p := s.probe
-	s.mu.Lock()
-	s.waitNotEmpty(p)
-	if s.count == 0 { // closed and drained
-		s.mu.Unlock()
-		var zero T
-		return zero, fmt.Errorf("%w: read on drained stream %q", ErrStreamClosed, s.name)
-	}
-	v := s.dequeue()
-	n := s.reads
-	occ := s.count
-	s.notFull.Signal()
-	s.mu.Unlock()
-	if p != nil {
-		p.occupancy.Set(int64(occ))
-		p.pops.Add(1)
-		if n&p.sampleMask == 0 {
-			p.instant("stream.pop", n)
-		}
-	}
-	return v, nil
-}
-
 // ReadBurst fills dst from the FIFO in order, blocking until either dst
 // is full or the stream is closed and drained. It returns the number of
 // values read; n < len(dst) happens only on a closed-and-drained
 // stream. When the stream closes before any value could be read, it
-// returns (0, err) with err wrapping ErrStreamClosed — the batched
-// equivalent of Read's end-of-stream signal. Like WriteBurst, each
-// chunk moves under one lock acquisition.
+// returns (0, err) with err wrapping ErrStreamClosed, the consumer's
+// deterministic end-of-stream signal (check with errors.Is). Like
+// WriteBurst, each chunk moves under one lock acquisition.
 func (s *Stream[T]) ReadBurst(dst []T) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -408,46 +325,13 @@ func (s *Stream[T]) ReadBurst(dst []T) (int, error) {
 	return read, nil
 }
 
-// MustRead is Read for contexts where closure is a programming error.
-func (s *Stream[T]) MustRead() T {
-	v, err := s.Read()
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRead returns a value if one is immediately available. A false
-// result means either "momentarily empty" or "closed and drained"; a
-// consumer polling with TryRead distinguishes the two with Closed()
-// (closed-and-empty will never become readable again). A closed stream
-// still holding buffered values keeps yielding them.
-func (s *Stream[T]) TryRead() (T, bool) {
-	p := s.probe
-	s.mu.Lock()
-	if s.count == 0 {
-		s.mu.Unlock()
-		var zero T
-		return zero, false
-	}
-	v := s.dequeue()
-	occ := s.count
-	s.notFull.Signal()
-	s.mu.Unlock()
-	if p != nil {
-		p.occupancy.Set(int64(occ))
-		p.pops.Add(1)
-	}
-	return v, true
-}
-
 // Close marks the producer side finished; the consumer can drain the
-// remaining values, after which Read fails with ErrStreamClosed instead
-// of blocking. Closing twice is a no-op. Producers must Close on every
-// exit path (use defer), or the consumer side of the dataflow network
-// deadlocks waiting for data that will never arrive. Close wakes every
-// blocked Read (which drains or fails) and every blocked Write (which
-// panics with ErrStreamClosed — see the race note on Stream).
+// remaining values, after which ReadBurst fails with ErrStreamClosed
+// instead of blocking. Closing twice is a no-op. Producers must Close on
+// every exit path (use defer), or the consumer side of the dataflow
+// network deadlocks waiting for data that will never arrive. Close wakes every
+// blocked ReadBurst (which drains or fails) and every blocked WriteBurst
+// (which panics with ErrStreamClosed — see the race note on Stream).
 func (s *Stream[T]) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -458,32 +342,11 @@ func (s *Stream[T]) Close() {
 	}
 }
 
-// Closed reports whether the producer has closed the stream (values may
-// still be buffered; see Len).
-func (s *Stream[T]) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Len returns the current FIFO occupancy.
 func (s *Stream[T]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
-}
-
-// Empty reports whether the FIFO holds no values — hls::stream::empty.
-func (s *Stream[T]) Empty() bool { return s.Len() == 0 }
-
-// Full reports whether the FIFO is at capacity — hls::stream::full. A
-// closed stream still reports Full while its buffered values await the
-// consumer; it can never refill, so Full goes false permanently once
-// the consumer drains below capacity.
-func (s *Stream[T]) Full() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count == len(s.buf)
 }
 
 // Stats returns (writes, reads, high-water occupancy).
@@ -492,38 +355,3 @@ func (s *Stream[T]) Stats() (writes, reads uint64, highWater int) {
 	defer s.mu.Unlock()
 	return s.writes, s.reads, s.highWater
 }
-
-// RegDelay is the completely partitioned delay register array of
-// Listing 2: a shift register of BreakID+1 stages. Each Update call
-// models one `UpdateRegUI(breakId, counter, prevCounter)` invocation at
-// the top of the pipelined loop: the current counter enters stage 0 and
-// the oldest value becomes readable at index BreakID. Reading the counter
-// through the delay line lengthens the loop-carried dependency distance,
-// which is exactly what restores II=1 (see ScheduleII).
-type RegDelay struct {
-	regs []uint32
-}
-
-// NewRegDelay builds a delay line with breakID+1 stages, initialized to
-// zero (matching the `unsigned int prevCounter[breakId+1]` array whose
-// contents start below any loop limit).
-func NewRegDelay(breakID int) *RegDelay {
-	if breakID < 0 {
-		breakID = 0
-	}
-	return &RegDelay{regs: make([]uint32, breakID+1)}
-}
-
-// Update shifts the line and inserts the current value at stage 0.
-func (r *RegDelay) Update(current uint32) {
-	copy(r.regs[1:], r.regs[:len(r.regs)-1])
-	r.regs[0] = current
-}
-
-// Delayed returns the value at the last stage — `prevCounter[breakId]` —
-// i.e. the counter as it was len(regs) iterations ago (one iteration ago
-// for breakID = 0, since Update runs before the loop test uses it).
-func (r *RegDelay) Delayed() uint32 { return r.regs[len(r.regs)-1] }
-
-// Stages returns the number of delay stages (BreakID+1).
-func (r *RegDelay) Stages() int { return len(r.regs) }

@@ -56,20 +56,20 @@ func TestStreamBurstFIFOOrder(t *testing.T) {
 	}
 }
 
-// TestStreamBurstMixedWithPerValue: the burst and per-value APIs share
-// one FIFO; interleaving them preserves order.
+// TestStreamBurstMixedWithPerValue: one-value bursts (the per-cycle
+// handshake) interleaved with longer bursts on one FIFO preserve order.
 func TestStreamBurstMixedWithPerValue(t *testing.T) {
 	s := NewStream[int]("mix", 8)
 	go func() {
 		defer s.Close()
-		s.Write(0)
+		put(s, 0)
 		s.WriteBurst([]int{1, 2, 3})
-		s.Write(4)
+		put(s, 4)
 		s.WriteBurst([]int{5, 6, 7, 8, 9})
 	}()
 	for i := 0; i < 3; i++ {
-		if v := s.MustRead(); v != i {
-			t.Fatalf("per-value read %d got %d", i, v)
+		if v := mustGet(t, s); v != i {
+			t.Fatalf("one-value read %d got %d", i, v)
 		}
 	}
 	dst := make([]int, 7)
@@ -109,7 +109,7 @@ func TestStreamReadBurstShortOnClose(t *testing.T) {
 }
 
 // TestStreamWriteBurstAfterClosePanics: the batched write path honours
-// the same write-after-close design-error panic as Write.
+// the write-after-close design-error panic.
 func TestStreamWriteBurstAfterClosePanics(t *testing.T) {
 	s := NewStream[int]("wbc", 4)
 	s.Close()
@@ -123,59 +123,49 @@ func TestStreamWriteBurstAfterClosePanics(t *testing.T) {
 	s.WriteBurst([]int{1, 2})
 }
 
-// TestStreamProbesAfterCloseWithPartialBurst pins the probe semantics
-// the polling consumers rely on: after Close with a partially filled
-// FIFO, Full/Empty/TryRead keep reporting the buffered values until the
-// drain, and only then flip to the terminal closed-and-empty state.
+// TestStreamProbesAfterCloseWithPartialBurst pins what a consumer sees
+// after Close with a partially filled FIFO: Len keeps reporting the
+// buffered values, they drain in order, and only then does the stream
+// reach the terminal closed-and-empty state.
 func TestStreamProbesAfterCloseWithPartialBurst(t *testing.T) {
 	s := NewStream[int]("probe", 8)
 	s.WriteBurst([]int{10, 11, 12}) // partial burst: 3 of 8
 	s.Close()
 
-	if s.Full() {
-		t.Fatal("Full() = true with 3 of 8 slots used")
-	}
-	if s.Empty() {
-		t.Fatal("Empty() = true while the FIFO still holds a partial burst")
-	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 	if got := s.Len(); got != 3 {
 		t.Fatalf("Len() = %d, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
-		v, ok := s.TryRead()
-		if !ok || v != 10+i {
-			t.Fatalf("TryRead %d = (%d, %v), want (%d, true)", i, v, ok, 10+i)
+		if v := mustGet(t, s); v != 10+i {
+			t.Fatalf("read %d = %d, want %d", i, v, 10+i)
 		}
 	}
-	if _, ok := s.TryRead(); ok {
-		t.Fatal("TryRead on closed-and-drained stream returned true")
+	if _, err := get(s); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("read on closed-and-drained stream: err = %v, want ErrStreamClosed", err)
 	}
-	if !s.Empty() || s.Full() {
-		t.Fatalf("drained probes: Empty=%v Full=%v, want true/false", s.Empty(), s.Full())
+	if got := s.Len(); got != 0 {
+		t.Fatalf("drained Len() = %d, want 0", got)
 	}
 }
 
-// TestStreamFullProbe: a full FIFO reports Full until the consumer
-// makes space, including across a Close.
+// TestStreamFullProbe: a full FIFO reports its capacity in Len until the
+// consumer makes space, including across a Close.
 func TestStreamFullProbe(t *testing.T) {
 	s := NewStream[int]("full", 2)
-	if s.Full() {
-		t.Fatal("Full() on empty stream")
+	if s.Len() != 0 {
+		t.Fatal("Len() on empty stream")
 	}
 	s.WriteBurst([]int{1, 2})
-	if !s.Full() {
-		t.Fatal("Full() = false at capacity")
+	if s.Len() != 2 {
+		t.Fatal("Len() below capacity after a full burst")
 	}
 	s.Close()
-	if !s.Full() {
-		t.Fatal("Full() must keep reporting buffered capacity after Close")
+	if s.Len() != 2 {
+		t.Fatal("Len() must keep reporting buffered capacity after Close")
 	}
-	s.MustRead()
-	if s.Full() {
-		t.Fatal("Full() after drain below capacity")
+	mustGet(t, s)
+	if s.Len() != 1 {
+		t.Fatal("Len() after one read")
 	}
 }
 
@@ -191,7 +181,7 @@ func TestStreamWriteCloseRaceStress(t *testing.T) {
 		wg.Add(3)
 		start := make(chan struct{})
 
-		// Producer: per-value and burst writes; a panic must wrap
+		// Producer: one-value and longer bursts; a panic must wrap
 		// ErrStreamClosed.
 		go func() {
 			defer wg.Done()
@@ -206,7 +196,7 @@ func TestStreamWriteCloseRaceStress(t *testing.T) {
 			<-start
 			for i := 0; ; i++ {
 				if i%2 == 0 {
-					s.Write(i)
+					put(s, i)
 				} else {
 					s.WriteBurst([]int{i, i + 1, i + 2})
 				}
@@ -240,9 +230,9 @@ func TestStreamWriteCloseRaceStress(t *testing.T) {
 	}
 }
 
-// TestStreamBurstTelemetryBulkCounters: the batched path bulk-increments
-// the same push/pop counters the per-value path maintains, plus the
-// burst-size accounting pair, and never desynchronizes from Stats.
+// TestStreamBurstTelemetryBulkCounters: bursts bulk-increment the
+// push/pop counters and the burst-size accounting pair, and never
+// desynchronize from Stats, whatever the burst size.
 func TestStreamBurstTelemetryBulkCounters(t *testing.T) {
 	rec := telemetry.New(1 << 10)
 	s := NewStream[float32]("tb", 32)
@@ -259,7 +249,7 @@ func TestStreamBurstTelemetryBulkCounters(t *testing.T) {
 			s.WriteBurst(buf)
 		}
 		for i := total - total%16; i < total; i++ {
-			s.Write(float32(i)) // per-value tail on the same stream
+			put(s, float32(i)) // one-value tail on the same stream
 		}
 	}()
 	dst := make([]float32, 16)
@@ -292,8 +282,9 @@ func TestStreamBurstTelemetryBulkCounters(t *testing.T) {
 }
 
 // BenchmarkBatchedStream is the transport-level proof of the burst win:
-// the same number of float32 values moved per-value versus in
-// WordRNs-sized (16) and 4-word (64) batches through a depth-64 stream.
+// the same number of float32 values moved in one-value bursts (the
+// per-cycle handshake) versus WordRNs-sized (16) and 4-word (64) bursts
+// through a depth-64 stream.
 func BenchmarkBatchedStream(b *testing.B) {
 	const depth = 64
 	run := func(b *testing.B, batch int) {
@@ -301,12 +292,6 @@ func BenchmarkBatchedStream(b *testing.B) {
 		s := NewStream[float32]("bench", depth)
 		go func() {
 			defer s.Close()
-			if batch == 1 {
-				for i := 0; i < b.N; i++ {
-					s.Write(float32(i))
-				}
-				return
-			}
 			buf := make([]float32, batch)
 			for i := 0; i < b.N; i += batch {
 				n := batch
@@ -316,23 +301,15 @@ func BenchmarkBatchedStream(b *testing.B) {
 				s.WriteBurst(buf[:n])
 			}
 		}()
-		if batch == 1 {
-			for {
-				if _, err := s.Read(); err != nil {
-					break
-				}
-			}
-		} else {
-			dst := make([]float32, batch)
-			for {
-				if _, err := s.ReadBurst(dst); err != nil {
-					break
-				}
+		dst := make([]float32, batch)
+		for {
+			if _, err := s.ReadBurst(dst); err != nil {
+				break
 			}
 		}
 		b.SetBytes(4)
 	}
-	b.Run("per-value", func(b *testing.B) { run(b, 1) })
+	b.Run("burst1", func(b *testing.B) { run(b, 1) })
 	b.Run("burst16", func(b *testing.B) { run(b, 16) })
 	b.Run("burst64", func(b *testing.B) { run(b, 64) })
 }

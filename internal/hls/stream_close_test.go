@@ -9,40 +9,40 @@ import (
 
 // TestStreamCloseDrainDeterministic pins the close/drain contract the
 // Stream doc promises: after the producer closes, buffered values drain
-// in order, and every Read past the drain fails immediately and forever
+// in order, and every read past the drain fails immediately and forever
 // with ErrStreamClosed — it never blocks.
 func TestStreamCloseDrainDeterministic(t *testing.T) {
 	s := NewStream[int]("drain", 8)
 	for i := 0; i < 5; i++ {
-		s.Write(i)
+		put(s, i)
 	}
 	s.Close()
 
 	// Buffered values drain in FIFO order after close.
 	for i := 0; i < 5; i++ {
-		v, err := s.Read()
+		v, err := get(s)
 		if err != nil {
-			t.Fatalf("Read %d after close: unexpected error %v", i, err)
+			t.Fatalf("read %d after close: unexpected error %v", i, err)
 		}
 		if v != i {
-			t.Fatalf("Read %d after close = %d, want %d", i, v, i)
+			t.Fatalf("read %d after close = %d, want %d", i, v, i)
 		}
 	}
 
-	// Once drained, Read fails deterministically — and keeps failing.
+	// Once drained, a read fails deterministically — and keeps failing.
 	for i := 0; i < 3; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := s.Read()
+			_, err := get(s)
 			done <- err
 		}()
 		select {
 		case err := <-done:
 			if !errors.Is(err, ErrStreamClosed) {
-				t.Fatalf("Read on drained stream: err = %v, want ErrStreamClosed", err)
+				t.Fatalf("read on drained stream: err = %v, want ErrStreamClosed", err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("Read on closed-and-drained stream blocked instead of failing")
+			t.Fatal("read on closed-and-drained stream blocked instead of failing")
 		}
 	}
 }
@@ -51,20 +51,20 @@ func TestStreamCloseSignalsBlockedReader(t *testing.T) {
 	s := NewStream[int]("wake", 4)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Read()
+		_, err := get(s)
 		errc <- err
 	}()
 	// Give the reader time to block on the empty FIFO, then close: the
-	// blocked Read must wake up with ErrStreamClosed, not hang.
+	// blocked read must wake up with ErrStreamClosed, not hang.
 	time.Sleep(10 * time.Millisecond)
 	s.Close()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrStreamClosed) {
-			t.Fatalf("blocked Read woken by Close: err = %v, want ErrStreamClosed", err)
+			t.Fatalf("blocked read woken by Close: err = %v, want ErrStreamClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not wake a blocked Read")
+		t.Fatal("Close did not wake a blocked read")
 	}
 }
 
@@ -74,62 +74,22 @@ func TestStreamWriteAfterClosePanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Write after Close did not panic")
+			t.Fatal("write after Close did not panic")
 		}
 		err, ok := r.(error)
 		if !ok || !errors.Is(err, ErrStreamClosed) {
-			t.Fatalf("Write-after-close panic = %v, want error wrapping ErrStreamClosed", r)
+			t.Fatalf("write-after-close panic = %v, want error wrapping ErrStreamClosed", r)
 		}
 	}()
-	s.Write(1)
-}
-
-func TestStreamMustReadPanicsAfterDrain(t *testing.T) {
-	s := NewStream[int]("must", 2)
-	s.Write(7)
-	s.Close()
-	if got := s.MustRead(); got != 7 {
-		t.Fatalf("MustRead = %d, want 7", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRead on drained stream did not panic")
-		}
-	}()
-	s.MustRead()
+	put(s, 1)
 }
 
 func TestStreamDoubleCloseNoOp(t *testing.T) {
 	s := NewStream[int]("dbl", 2)
 	s.Close()
 	s.Close() // must not panic
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
-}
-
-// TestStreamTryReadClosedDisambiguation exercises the documented polling
-// pattern: TryRead's false result means "retry" until Closed() reports
-// the stream will never become readable again.
-func TestStreamTryReadClosedDisambiguation(t *testing.T) {
-	s := NewStream[int]("try", 4)
-	s.Write(42)
-
-	if _, ok := s.TryRead(); !ok {
-		t.Fatal("TryRead on non-empty stream returned false")
-	}
-	if _, ok := s.TryRead(); ok {
-		t.Fatal("TryRead on empty stream returned true")
-	}
-	if s.Closed() {
-		t.Fatal("Closed() = true before Close")
-	}
-	s.Close()
-	if _, ok := s.TryRead(); ok {
-		t.Fatal("TryRead on closed-and-drained stream returned true")
-	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close — poller cannot terminate")
+	if _, err := get(s); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("read after double close: err = %v, want ErrStreamClosed", err)
 	}
 }
 
@@ -146,13 +106,13 @@ func TestStreamProducerConsumerShutdown(t *testing.T) {
 		defer wg.Done()
 		defer s.Close()
 		for i := 0; i < n; i++ {
-			s.Write(i)
+			put(s, i)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for {
-			v, err := s.Read()
+			v, err := get(s)
 			if err != nil {
 				if !errors.Is(err, ErrStreamClosed) {
 					t.Errorf("consumer error %v, want ErrStreamClosed", err)

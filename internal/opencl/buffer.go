@@ -57,29 +57,8 @@ func (b *Buffer) SubBuffer(name string, offset, size int64) (*Buffer, error) {
 	return &Buffer{name: name, flags: b.flags, data: b.data[offset : offset+size], parent: b, offset: offset}, nil
 }
 
-// Bytes exposes the raw storage to kernel closures (device-side access).
-func (b *Buffer) Bytes() []byte { return b.data }
-
 // Float32Len returns the capacity in float32 elements.
 func (b *Buffer) Float32Len() int64 { return b.Size() / 4 }
-
-// Float32At reads element i of the buffer viewed as []float32
-// (little-endian, matching the device layout).
-func (b *Buffer) Float32At(i int64) (float32, error) {
-	if i < 0 || i*4+4 > b.Size() {
-		return 0, fmt.Errorf("opencl: float32 index %d outside buffer %q", i, b.name)
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b.data[i*4:])), nil
-}
-
-// SetFloat32 writes element i.
-func (b *Buffer) SetFloat32(i int64, v float32) error {
-	if i < 0 || i*4+4 > b.Size() {
-		return fmt.Errorf("opencl: float32 index %d outside buffer %q", i, b.name)
-	}
-	binary.LittleEndian.PutUint32(b.data[i*4:], math.Float32bits(v))
-	return nil
-}
 
 // WriteFloat32s bulk-writes a float32 slice starting at element offset —
 // the device-side store path used by kernel closures. The encode runs

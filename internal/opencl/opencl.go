@@ -1,7 +1,7 @@
 // Package opencl is a miniature OpenCL-style host runtime: platforms,
-// devices, contexts, buffers, kernels, in-order command queues and
-// events. It models the host-side mechanics the paper depends on —
-// asynchronous kernel enqueues whose cl_events the host waits on
+// devices, buffers, kernels, in-order command queues and events. It
+// models the host-side mechanics the paper depends on — asynchronous
+// kernel enqueues whose cl_events the host waits on
 // (Section IV-F's measurement procedure), device buffers read back over
 // PCIe, and the two buffer-combining strategies of Section III-E — while
 // the kernels themselves are Go closures wired to the simulation
@@ -32,22 +32,6 @@ const (
 	// DeviceFPGA is an FPGA board programmed through SDAccel.
 	DeviceFPGA
 )
-
-// String names the kind.
-func (k DeviceKind) String() string {
-	switch k {
-	case DeviceCPU:
-		return "CPU"
-	case DeviceGPU:
-		return "GPU"
-	case DeviceAccelerator:
-		return "ACCELERATOR"
-	case DeviceFPGA:
-		return "FPGA"
-	default:
-		return "UNKNOWN"
-	}
-}
 
 // PCIeModel is the host↔device link: effective bandwidth plus a fixed
 // per-request overhead (driver, doorbell, DMA setup). The per-request
@@ -89,21 +73,6 @@ func NewPlatform(name string, devices ...*Device) (*Platform, error) {
 		return nil, errors.New("opencl: a platform needs at least one device")
 	}
 	return &Platform{Name: name, devices: devices}, nil
-}
-
-// Devices returns all devices, optionally filtered by kind (pass -1 for
-// all).
-func (p *Platform) Devices(kind DeviceKind) []*Device {
-	if kind < 0 {
-		return append([]*Device(nil), p.devices...)
-	}
-	var out []*Device
-	for _, d := range p.devices {
-		if d.Kind == kind {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // DeviceByName finds a device.
@@ -151,9 +120,6 @@ func (n NDRange) Validate() error {
 	}
 	return nil
 }
-
-// WorkGroups returns the number of work-groups.
-func (n NDRange) WorkGroups() int { return n.GlobalSize / n.LocalSize }
 
 // TaskRange is the single-threaded Task geometry of a .c kernel — the
 // launch mode the paper's FPGA design uses (Section III-A), with the

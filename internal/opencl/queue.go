@@ -44,13 +44,6 @@ func (e *Event) Wait() error {
 	return e.err
 }
 
-// Status returns the current lifecycle state.
-func (e *Event) Status() EventStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.status
-}
-
 // ProfilingInfo returns the simulated-device start and end times; valid
 // after completion (like CL_PROFILING_COMMAND_START/END).
 func (e *Event) ProfilingInfo() (start, end time.Duration, err error) {
@@ -213,12 +206,6 @@ func (q *CommandQueue) enqueue(name string, modelDur time.Duration, waits []*Eve
 	return ev, nil
 }
 
-// EnqueueMarker returns an event that completes when every previously
-// enqueued command has completed (clEnqueueMarker on an in-order queue).
-func (q *CommandQueue) EnqueueMarker() (*Event, error) {
-	return q.enqueue("marker", 0, nil, func() error { return nil })
-}
-
 // Finish blocks until all previously enqueued commands complete — the
 // clFinish the paper's host calls before stopping the power window.
 func (q *CommandQueue) Finish() error {
@@ -283,23 +270,6 @@ func (q *CommandQueue) EnqueueTask(k *Kernel) (*Event, error) {
 	return q.EnqueueNDRange(k, TaskRange)
 }
 
-// EnqueueNDRangeWait is EnqueueNDRange with a cl_event wait list: the
-// kernel starts (on the simulated timeline, too) only after every listed
-// event completed; a failed dependency aborts the kernel.
-func (q *CommandQueue) EnqueueNDRangeWait(k *Kernel, nd NDRange, waits ...*Event) (*Event, error) {
-	if k == nil || k.Run == nil {
-		return nil, fmt.Errorf("opencl: nil kernel")
-	}
-	if err := nd.Validate(); err != nil {
-		return nil, err
-	}
-	var dur time.Duration
-	if k.Model != nil {
-		dur = k.Model(nd)
-	}
-	return q.enqueue("ndrange:"+k.Name, dur, waits, func() error { return k.Run(nd) })
-}
-
 // EnqueueReadBuffer copies elems float32 values from device buffer offset
 // into host[hostOffset:], charging one PCIe request on the simulated
 // clock. Optional trailing events form the wait list.
@@ -316,19 +286,5 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, offset int64, host []float32
 	dur := time.Duration(q.Device.PCIe.TransferTime(elems*4) * float64(time.Second))
 	return q.enqueue("read:"+b.Name(), dur, waits, func() error {
 		return b.ReadFloat32s(offset, host[hostOffset:hostOffset+elems])
-	})
-}
-
-// EnqueueWriteBuffer copies host data into the device buffer.
-func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, offset int64, host []float32) (*Event, error) {
-	if b == nil {
-		return nil, fmt.Errorf("opencl: nil buffer")
-	}
-	if b.Flags() == WriteOnly {
-		return nil, fmt.Errorf("%w: writing device-only buffer %q", ErrAccessViolation, b.Name())
-	}
-	dur := time.Duration(q.Device.PCIe.TransferTime(int64(len(host))*4) * float64(time.Second))
-	return q.enqueue("write:"+b.Name(), dur, nil, func() error {
-		return b.WriteFloat32s(offset, host)
 	})
 }

@@ -11,7 +11,7 @@ import (
 // completion level: commands finish in submission order and their
 // simulated profiling windows tile the device timeline back to back.
 func TestQueueCompletionOrder(t *testing.T) {
-	q, err := NewCommandQueue(PaperPlatform().Devices(DeviceFPGA)[0])
+	q, err := NewCommandQueue(paperDevice("FPGA"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestQueueCompletionOrder(t *testing.T) {
 // execute exactly once, serially, and each goroutine's own commands must
 // complete in its submission order.
 func TestQueueConcurrentEnqueue(t *testing.T) {
-	q, err := NewCommandQueue(PaperPlatform().Devices(DeviceFPGA)[0])
+	q, err := NewCommandQueue(paperDevice("FPGA"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestQueueConcurrentEnqueue(t *testing.T) {
 // everything; the total must match and no command may run concurrently
 // with another.
 func TestQueueConcurrentEnqueueNoWait(t *testing.T) {
-	q, err := NewCommandQueue(PaperPlatform().Devices(DeviceCPU)[0])
+	q, err := NewCommandQueue(paperDevice("CPU"))
 	if err != nil {
 		t.Fatal(err)
 	}

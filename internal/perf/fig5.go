@@ -60,16 +60,3 @@ func GlobalSizeSweep(w fpga.Workload, configs []KernelConfig, globalSizes []int)
 	}
 	return out, nil
 }
-
-// OptimalLocalSize scans a sweep and returns the localSize with the
-// lowest runtime for a platform/config pair (the derivation step of
-// Section IV-B: localSize_CPU = 8, localSize_GPU = 64, localSize_PHI = 16).
-func OptimalLocalSize(points []Fig5Point, platform, config string) (int, time.Duration) {
-	best, bestRt := 0, time.Duration(1<<62)
-	for _, p := range points {
-		if p.Platform == platform && p.Config == config && p.Runtime < bestRt {
-			best, bestRt = p.X, p.Runtime
-		}
-	}
-	return best, bestRt
-}

@@ -3,6 +3,7 @@ package perf
 import (
 	"math"
 	"testing"
+	"time"
 
 	"github.com/decwi/decwi/internal/fpga"
 	"github.com/decwi/decwi/internal/rng/normal"
@@ -387,4 +388,17 @@ func TestZigguratExtensionCosting(t *testing.T) {
 	if it.RejectionRate < 0.02 || it.RejectionRate > 0.09 {
 		t.Fatalf("ziggurat combined rejection %f", it.RejectionRate)
 	}
+}
+
+// OptimalLocalSize scans a sweep and returns the localSize with the
+// lowest runtime for a platform/config pair (the derivation step of
+// Section IV-B: localSize_CPU = 8, localSize_GPU = 64, localSize_PHI = 16).
+func OptimalLocalSize(points []Fig5Point, platform, config string) (int, time.Duration) {
+	best, bestRt := 0, time.Duration(1<<62)
+	for _, p := range points {
+		if p.Platform == platform && p.Config == config && p.Runtime < bestRt {
+			best, bestRt = p.X, p.Runtime
+		}
+	}
+	return best, bestRt
 }

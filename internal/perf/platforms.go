@@ -121,7 +121,7 @@ var (
 func MeasuredIters(k normal.Kind) IterStats {
 	iterOnce.Do(func() {
 		iterCache = make(map[normal.Kind]IterStats)
-		for _, tf := range []normal.Kind{normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.BoxMuller, normal.Ziggurat} {
+		for _, tf := range []normal.Kind{normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.Ziggurat} {
 			r := gamma.MeasureRejectionRate(tf, mt.MT521Params, 1.39, 200000, 20260706)
 			iterCache[tf] = IterStats{RejectionRate: r, ItersPerOutput: 1 + r}
 		}

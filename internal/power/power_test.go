@@ -208,3 +208,12 @@ func BenchmarkSynthesizeTrace(b *testing.B) {
 		_, _ = SynthesizeTrace(78, 3825*time.Millisecond, 150*time.Second)
 	}
 }
+
+// MeanPower returns the average plug power over a window.
+func (tr *Trace) MeanPower(from, to time.Duration) (float64, error) {
+	j, err := tr.Integrate(from, to)
+	if err != nil {
+		return 0, err
+	}
+	return j / (to - from).Seconds(), nil
+}

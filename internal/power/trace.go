@@ -116,15 +116,6 @@ func (tr *Trace) Integrate(from, to time.Duration) (float64, error) {
 	return joules, nil
 }
 
-// MeanPower returns the average plug power over a window.
-func (tr *Trace) MeanPower(from, to time.Duration) (float64, error) {
-	j, err := tr.Integrate(from, to)
-	if err != nil {
-		return 0, err
-	}
-	return j / (to - from).Seconds(), nil
-}
-
 // DynamicEnergyPerInvocation applies the paper's post-processing to the
 // trace: integrate plug power over the 100 s window between the last two
 // markers, subtract the static (idle) energy, and divide by the —

@@ -75,7 +75,7 @@ func (g *Generator) CycleBlock(dst []float32, attempts int, s *BlockScratch) (pr
 	g.mt0a.FillUint32(w1)
 	var w2 []uint32
 	switch g.transform {
-	case normal.MarsagliaBray, normal.BoxMuller:
+	case normal.MarsagliaBray:
 		w2 = s.w0b[:attempts]
 		g.mt0b.FillUint32(w2)
 	case normal.Ziggurat:

@@ -9,7 +9,7 @@ import (
 )
 
 var blockTransforms = []normal.Kind{
-	normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.BoxMuller, normal.Ziggurat,
+	normal.MarsagliaBray, normal.ICDFFPGA, normal.ICDFCUDA, normal.Ziggurat,
 }
 
 // TestCycleBlockMatchesCycleStep proves the block compute path's core

@@ -527,16 +527,10 @@ func (g *Generator) InstrumentTrips(h *telemetry.Histogram) {
 	g.sinceAccept = 0
 }
 
-// Params returns the gamma parameters of this generator.
-func (g *Generator) Params() Params { return g.p }
-
 // SetParams swaps the gamma parameters in place — the SECLOOP of
 // Listing 2 does exactly this between sectors (each financial sector has
 // its own variance) while the Mersenne-Twister states run on untouched.
 func (g *Generator) SetParams(p Params) { g.p = p }
-
-// Transform returns the uniform-to-normal transform in use.
-func (g *Generator) Transform() normal.Kind { return g.transform }
 
 // normalStep produces this cycle's normal candidate, consuming the
 // MT0 streams unconditionally (they are enabled on every cycle).
@@ -548,9 +542,6 @@ func (g *Generator) normalStep() (float32, bool) {
 		return normal.ICDFFPGAStep(g.mt0a.Next(true))
 	case normal.ICDFCUDA:
 		return normal.ICDFCUDAStep(g.mt0a.Next(true))
-	case normal.BoxMuller:
-		z := normal.BoxMullerStep(g.mt0a.Next(true), g.mt0b.Next(true))
-		return z, true
 	case normal.Ziggurat:
 		// Three words per cycle: the candidate word from one stream, the
 		// two acceptance uniforms from the second (consecutive words of
@@ -607,18 +598,6 @@ func (g *Generator) Next() float32 {
 			return r.Gamma
 		}
 	}
-}
-
-// Fill writes n valid gamma variates into dst (allocating if nil) and
-// returns it.
-func (g *Generator) Fill(dst []float32, n int) []float32 {
-	if dst == nil {
-		dst = make([]float32, 0, n)
-	}
-	for len(dst) < n {
-		dst = append(dst, g.Next())
-	}
-	return dst
 }
 
 // Cycles returns the total number of pipeline iterations executed.

@@ -21,7 +21,9 @@ func (g *Generator) JumpStreams(n uint64) {
 }
 
 // AdvanceStreams is the sequential O(n) equivalent of JumpStreams, kept
-// as the reference the jump is checked against.
+// as the reference the jump is checked against. No binary calls it: it
+// is test support for the jump-equivalence tests here and the gated
+// oracle in internal/core, which applies StreamOffset with it.
 func (g *Generator) AdvanceStreams(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		g.mt0a.Advance()
@@ -29,10 +31,4 @@ func (g *Generator) AdvanceStreams(n uint64) {
 		g.mt1.Advance()
 		g.mt2.Advance()
 	}
-}
-
-// StreamOffsets reports the word offsets of the four twister streams
-// since their last reseed — the generator-level checkpoint tuple.
-func (g *Generator) StreamOffsets() [4]uint64 {
-	return [4]uint64{g.mt0a.Offset(), g.mt0b.Offset(), g.mt1.Offset(), g.mt2.Offset()}
 }

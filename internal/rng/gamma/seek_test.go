@@ -61,3 +61,9 @@ func TestReseedResetsStreamOffsets(t *testing.T) {
 		}
 	}
 }
+
+// StreamOffsets reports the word offsets of the four twister streams
+// since their last reseed — the generator-level checkpoint tuple.
+func (g *Generator) StreamOffsets() [4]uint64 {
+	return [4]uint64{g.mt0a.Offset(), g.mt0b.Offset(), g.mt1.Offset(), g.mt2.Offset()}
+}

@@ -80,7 +80,7 @@ func TestFillUint32MatchesScalar(t *testing.T) {
 // first word of a subsequent fill.
 func TestFillUint32DrainsPeekCache(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
-		c := NewMT521(9)
+		c := New(MT521Params, 9)
 		ref := c.Clone()
 		peeked := c.Peek() // populates the cache without consuming
 		buf := make([]uint32, 40)

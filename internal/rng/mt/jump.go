@@ -38,7 +38,10 @@ import (
 // (re)seed. Together with the seed it forms an O(log n) checkpoint: a
 // stream is restored by seeding a fresh Core identically and calling
 // Jump(offset). Jump(n) itself adds n, Advance adds 1, FillUint32 adds
-// len(dst), and Seed/SeedRef reset the counter to zero.
+// len(dst), and Seed resets the counter to zero. No binary reads it: it
+// is test support for the jump and checkpoint tests here and in
+// internal/rng/gamma, and for the Poisson lane's word accounting in
+// internal/creditrisk.
 func (c *Core) Offset() uint64 { return c.offset }
 
 // smallJumpFactor bounds the regime where stepping sequentially beats
@@ -247,11 +250,4 @@ func computeJumpTables(p Params) *jumpTables {
 			combined[j] ^= seqs[bad][j]
 		}
 	}
-}
-
-// JumpPolynomialDegree exposes the live-space dimension (degree of the
-// derived minimal polynomial) for diagnostics and tests.
-func JumpPolynomialDegree(p Params) int {
-	jt := jumpTablesFor(p)
-	return jt.dm - 1
 }

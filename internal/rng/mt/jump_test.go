@@ -187,7 +187,7 @@ func TestJumpFarDistance(t *testing.T) {
 // consumption path and its reset on reseed.
 func TestOffsetCounter(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
-		c := NewMT521(77)
+		c := New(MT521Params, 77)
 		if c.Offset() != 0 {
 			t.Fatalf("fresh core offset = %d", c.Offset())
 		}
@@ -251,7 +251,7 @@ func BenchmarkJumpMT19937_1e9(b *testing.B) {
 }
 
 func BenchmarkJumpMT521_1e9(b *testing.B) {
-	c := NewMT521(1)
+	c := New(MT521Params, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

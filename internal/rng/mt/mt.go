@@ -79,8 +79,8 @@ var MT521Params = Params{
 }
 
 // Core is a one-word-at-a-time Mersenne-Twister engine. It implements
-// rng.Source32 and rng.Peeker32. The zero value is not usable;
-// construct with New or the MT19937/MT521 helpers.
+// rng.Source32. The zero value is not usable; construct with New or
+// NewMT19937.
 type Core struct {
 	p          Params
 	state      []uint32
@@ -88,7 +88,8 @@ type Core struct {
 	upperMask  uint32
 	lowerMask  uint32
 	haveCached bool
-	cached     uint32 // tempered output for the current index (Peek cache)
+	raw        uint32 // twisted state word for the current index (Peek cache)
+	cached     uint32 // its tempered output
 	// kernel is the FillUint32 kernel chosen for p, fixed by New.
 	kernel fillKernel
 	// offset counts state words consumed since the last (re)seed; it is
@@ -114,9 +115,6 @@ func New(p Params, seed uint64) *Core {
 
 // NewMT19937 returns the classic big twister.
 func NewMT19937(seed uint64) *Core { return New(MT19937Params, seed) }
-
-// NewMT521 returns the 17-state small twister of Table I.
-func NewMT521(seed uint64) *Core { return New(MT521Params, seed) }
 
 // Seed re-initializes the state with the Knuth-style recurrence used by
 // the 2002 reference implementation, folding all 64 seed bits in.
@@ -145,25 +143,21 @@ func (c *Core) Seed(seed uint64) {
 	c.offset = 0
 }
 
-// SeedRef initializes the state exactly like init_genrand of the 2002
-// reference implementation (32-bit seed, no decorrelation discard), so
-// that outputs can be compared against published MT19937 test vectors.
-func (c *Core) SeedRef(s uint32) {
-	c.state[0] = s
-	for i := 1; i < c.p.N; i++ {
-		c.state[i] = c.p.InitF*(c.state[i-1]^(c.state[i-1]>>30)) + uint32(i)
-	}
-	c.idx = 0
-	c.haveCached = false
-	c.offset = 0
-}
-
 // twist computes the next state word at the current index without storing
-// it.
+// it. The two taps wrap by compare-and-reset: idx < N and M < N, so
+// neither needs a division.
 func (c *Core) twist() uint32 {
-	n, m := c.p.N, c.p.M
-	y := (c.state[c.idx] & c.upperMask) | (c.state[(c.idx+1)%n] & c.lowerMask)
-	x := c.state[(c.idx+m)%n] ^ (y >> 1)
+	n := c.p.N
+	next := c.idx + 1
+	if next == n {
+		next = 0
+	}
+	tap := c.idx + c.p.M
+	if tap >= n {
+		tap -= n
+	}
+	y := (c.state[c.idx] & c.upperMask) | (c.state[next] & c.lowerMask)
+	x := c.state[tap] ^ (y >> 1)
 	if y&1 != 0 {
 		x ^= c.p.A
 	}
@@ -184,18 +178,26 @@ func (c *Core) temper(x uint32) uint32 {
 // output of the twister block, which is valid on every cycle.
 func (c *Core) Peek() uint32 {
 	if !c.haveCached {
-		c.cached = c.temper(c.twist())
+		c.raw = c.twist()
+		c.cached = c.temper(c.raw)
 		c.haveCached = true
 	}
 	return c.cached
 }
 
-// Advance consumes the current word: it commits the twisted state word and
-// moves the index forward, invalidating the Peek cache. This corresponds
-// to the enabled state-index increment in Listing 3.
+// Advance consumes the current word: it commits the twisted state word
+// (the one Peek already computed, if any) and moves the index forward,
+// invalidating the Peek cache. This corresponds to the enabled
+// state-index increment in Listing 3.
 func (c *Core) Advance() {
-	c.state[c.idx] = c.twist()
-	c.idx = (c.idx + 1) % c.p.N
+	if !c.haveCached {
+		c.raw = c.twist()
+	}
+	c.state[c.idx] = c.raw
+	c.idx++
+	if c.idx == c.p.N {
+		c.idx = 0
+	}
 	c.haveCached = false
 	c.offset++
 }
@@ -207,10 +209,11 @@ func (c *Core) Uint32() uint32 {
 	return v
 }
 
-// Next implements rng.GatedSource32: it returns the current output word
-// and consumes it only when enable is true. A pipelined loop can therefore
-// call Next on every iteration — keeping the initiation interval at one —
-// while logically stalling the stream during rejected iterations.
+// Next is the gated read of Listing 3: it returns the current output
+// word and consumes it only when enable is true. A pipelined loop can
+// therefore call Next on every iteration — keeping the initiation
+// interval at one — while logically stalling the stream during rejected
+// iterations.
 func (c *Core) Next(enable bool) uint32 {
 	v := c.Peek()
 	if enable {
@@ -385,24 +388,6 @@ func fillSeg(o, cur, nxt, tap []uint32) {
 		cur[j], o[j] = twist19937(cur[j], nxt[j], tap[j])
 	}
 	// bce:end
-}
-
-// StateLen returns the number of 32-bit state words (624 or 17 for the
-// paper's two variants); the platform performance models use it to cost
-// state storage traffic.
-func (c *Core) StateLen() int { return c.p.N }
-
-// Params returns the parameter set of this core.
-func (c *Core) Params() Params { return c.p }
-
-// Clone returns an independent deep copy in the same state, used by the
-// lockstep simulator to replay identical streams across execution models.
-func (c *Core) Clone() *Core {
-	n := &Core{p: c.p, idx: c.idx, upperMask: c.upperMask, lowerMask: c.lowerMask,
-		haveCached: c.haveCached, cached: c.cached, kernel: c.kernel,
-		offset: c.offset}
-	n.state = append([]uint32(nil), c.state...)
-	return n
 }
 
 // twist521 is twist19937 for the MT521 constants.

@@ -88,7 +88,7 @@ func TestCoreMatchesBlockOracle(t *testing.T) {
 // TestPeekIsIdempotent verifies that Peek never consumes state and that
 // Peek followed by Uint32 observe the same word.
 func TestPeekIsIdempotent(t *testing.T) {
-	c := NewMT521(99)
+	c := New(MT521Params, 99)
 	for i := 0; i < 100; i++ {
 		p1, p2 := c.Peek(), c.Peek()
 		if p1 != p2 {
@@ -126,7 +126,7 @@ func TestGatedNextSemantics(t *testing.T) {
 	// Interleave a pseudo-random enable pattern; consumed words must match
 	// the reference stream exactly (no word skipped, none duplicated).
 	c = ref
-	pattern := NewMT521(3)
+	pattern := New(MT521Params, 3)
 	plain := c.Clone()
 	consumed := 0
 	for consumed < 1000 {
@@ -144,8 +144,8 @@ func TestGatedNextSemantics(t *testing.T) {
 // TestSeedDecorrelation ensures nearby 64-bit seeds do not produce
 // correlated prefixes (the discard block in Seed is doing its job).
 func TestSeedDecorrelation(t *testing.T) {
-	a := NewMT521(1)
-	b := NewMT521(2)
+	a := New(MT521Params, 1)
+	b := New(MT521Params, 2)
 	same := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -160,7 +160,7 @@ func TestSeedDecorrelation(t *testing.T) {
 
 // TestSeedZeroIsUsable guards the all-zero-state degenerate case.
 func TestSeedZeroIsUsable(t *testing.T) {
-	c := NewMT521(0)
+	c := New(MT521Params, 0)
 	nonzero := false
 	for i := 0; i < 100; i++ {
 		if c.Uint32() != 0 {
@@ -200,7 +200,7 @@ func TestEquidistribution(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		c    *Core
-	}{{"MT19937", NewMT19937(2026)}, {"MT521", NewMT521(2026)}} {
+	}{{"MT19937", NewMT19937(2026)}, {"MT521", New(MT521Params, 2026)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const bins = 256
 			const n = 1 << 20
@@ -225,7 +225,7 @@ func TestEquidistribution(t *testing.T) {
 // TestBitBalance checks every output bit position is set close to half the
 // time for the small twister (the one with unverified DC parameters).
 func TestBitBalance(t *testing.T) {
-	c := NewMT521(77)
+	c := New(MT521Params, 77)
 	const n = 1 << 18
 	var ones [32]int
 	for i := 0; i < n; i++ {
@@ -248,7 +248,7 @@ func TestSerialCorrelation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		c    *Core
-	}{{"MT19937", NewMT19937(5)}, {"MT521", NewMT521(5)}} {
+	}{{"MT19937", NewMT19937(5)}, {"MT521", New(MT521Params, 5)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 1 << 18
 			prev := float64(tc.c.Uint32()) / (1 << 32)
@@ -282,8 +282,8 @@ func TestPropertyGatedEqualsPlain(t *testing.T) {
 		if len(pattern) > 4096 {
 			pattern = pattern[:4096]
 		}
-		g := NewMT521(seed)
-		p := NewMT521(seed)
+		g := New(MT521Params, seed)
+		p := New(MT521Params, seed)
 		for _, enable := range pattern {
 			v := g.Next(enable)
 			if enable {
@@ -325,7 +325,7 @@ func BenchmarkMT19937(b *testing.B) {
 }
 
 func BenchmarkMT521(b *testing.B) {
-	c := NewMT521(1)
+	c := New(MT521Params, 1)
 	var sink uint32
 	for i := 0; i < b.N; i++ {
 		sink += c.Uint32()
@@ -340,4 +340,34 @@ func BenchmarkGatedNext(b *testing.B) {
 		sink += c.Next(i&3 != 0)
 	}
 	_ = sink
+}
+
+// SeedRef initializes the state exactly like init_genrand of the 2002
+// reference implementation (32-bit seed, no decorrelation discard), so
+// that outputs can be compared against published MT19937 test vectors.
+func (c *Core) SeedRef(s uint32) {
+	c.state[0] = s
+	for i := 1; i < c.p.N; i++ {
+		c.state[i] = c.p.InitF*(c.state[i-1]^(c.state[i-1]>>30)) + uint32(i)
+	}
+	c.idx = 0
+	c.haveCached = false
+	c.offset = 0
+}
+
+// Clone returns an independent deep copy in the same state, so a test
+// can replay one stream down two paths.
+func (c *Core) Clone() *Core {
+	n := &Core{p: c.p, idx: c.idx, upperMask: c.upperMask, lowerMask: c.lowerMask,
+		haveCached: c.haveCached, raw: c.raw, cached: c.cached, kernel: c.kernel,
+		offset: c.offset}
+	n.state = append([]uint32(nil), c.state...)
+	return n
+}
+
+// JumpPolynomialDegree exposes the live-space dimension (degree of the
+// derived minimal polynomial) for diagnostics and tests.
+func JumpPolynomialDegree(p Params) int {
+	jt := jumpTablesFor(p)
+	return jt.dm - 1
 }

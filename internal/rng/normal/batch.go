@@ -104,17 +104,6 @@ func radii(f []float32, l, s []float64) (fallbacks int) {
 	return fallbacks
 }
 
-// BoxMullerFill computes one Box-Muller output per word pair; every
-// candidate is valid, so ok is set to true throughout and the count is
-// len(dst).
-func BoxMullerFill(dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
-	for i := range dst {
-		dst[i] = BoxMullerStep(w1[i], w2[i])
-		ok[i] = true
-	}
-	return len(dst)
-}
-
 // ICDFFPGAFill transforms one word per candidate through the bit-level
 // segmented inverse CDF. Saturated inputs (beyond the deepest octave,
 // a ~2^-29 event) are marked invalid exactly as in the scalar step.
@@ -205,7 +194,7 @@ func ZigguratFill(dst []float32, ok []bool, w1, w23 []uint32) (valid int) {
 
 // FillNormal dispatches to the batch kernel of the given transform kind,
 // consuming w1 (one word per candidate) and, for the two-stream kinds,
-// w2 (one word per candidate for Marsaglia-Bray and Box-Muller, two per
+// w2 (one word per candidate for Marsaglia-Bray, two per
 // candidate for the ziggurat; ignored — may be nil — for the ICDF
 // kinds). dst, ok and w1 must share their length. Returns the number of
 // valid candidates.
@@ -217,21 +206,9 @@ func FillNormal(k Kind, dst []float32, ok []bool, w1, w2 []uint32) (valid int) {
 		return ICDFFPGAFill(dst, ok, w1)
 	case ICDFCUDA:
 		return ICDFCUDAFill(dst, ok, w1)
-	case BoxMuller:
-		return BoxMullerFill(dst, ok, w1, w2)
 	case Ziggurat:
 		return ZigguratFill(dst, ok, w1, w2)
 	default:
 		panic("normal: unknown transform kind")
-	}
-}
-
-// InverseNormalCDFFill evaluates Wichura's AS241 Φ⁻¹ over a block:
-// dst[i] = InverseNormalCDF(p[i]). The statistics layer uses it where a
-// whole grid of quantiles is needed at once (ICDF coefficient fitting,
-// histogram references).
-func InverseNormalCDFFill(dst, p []float64) {
-	for i := range dst {
-		dst[i] = InverseNormalCDF(p[i])
 	}
 }

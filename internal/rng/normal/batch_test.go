@@ -21,13 +21,13 @@ func drawWords(src *mt.Core, n int) []uint32 {
 // number of true flags.
 func TestFillNormalMatchesScalar(t *testing.T) {
 	const n = 4096
-	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, BoxMuller, Ziggurat} {
+	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, Ziggurat} {
 		t.Run(k.String(), func(t *testing.T) {
 			src := mt.NewMT19937(42)
 			w1 := drawWords(src, n)
 			var w2 []uint32
 			switch k {
-			case MarsagliaBray, BoxMuller:
+			case MarsagliaBray:
 				w2 = drawWords(src, n)
 			case Ziggurat:
 				w2 = drawWords(src, 2*n)
@@ -47,8 +47,6 @@ func TestFillNormalMatchesScalar(t *testing.T) {
 					z, zok = ICDFFPGAStep(w1[i])
 				case ICDFCUDA:
 					z, zok = ICDFCUDAStep(w1[i])
-				case BoxMuller:
-					z, zok = BoxMullerStep(w1[i], w2[i]), true
 				case Ziggurat:
 					z, zok = ZigguratStep(w1[i], w2[2*i], w2[2*i+1])
 				}
@@ -72,23 +70,6 @@ func TestFillNormalMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestInverseNormalCDFFill checks the Wichura batch against the scalar
-// evaluation.
-func TestInverseNormalCDFFill(t *testing.T) {
-	const n = 1000
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = (float64(i) + 0.5) / float64(n)
-	}
-	dst := make([]float64, n)
-	InverseNormalCDFFill(dst, p)
-	for i := range p {
-		if want := InverseNormalCDF(p[i]); dst[i] != want {
-			t.Fatalf("quantile %v: batch %v != scalar %v", p[i], dst[i], want)
-		}
-	}
-}
-
 // TestFillNormalZeroAlloc gates the no-allocation contract of the batch
 // kernels in their steady state.
 func TestFillNormalZeroAlloc(t *testing.T) {
@@ -101,7 +82,7 @@ func TestFillNormalZeroAlloc(t *testing.T) {
 	w2 := drawWords(src, 2*n)
 	dst := make([]float32, n)
 	ok := make([]bool, n)
-	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, BoxMuller, Ziggurat} {
+	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, Ziggurat} {
 		FillNormal(k, dst, ok, w1, w2) // warm lazy tables outside the measured runs
 		if avg := testing.AllocsPerRun(20, func() { FillNormal(k, dst, ok, w1, w2) }); avg != 0 {
 			t.Fatalf("%v batch kernel allocates %v times per call, want 0", k, avg)
@@ -116,7 +97,7 @@ func BenchmarkFillNormal(b *testing.B) {
 	w2 := drawWords(src, 2*n)
 	dst := make([]float32, n)
 	ok := make([]bool, n)
-	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, BoxMuller, Ziggurat} {
+	for _, k := range []Kind{MarsagliaBray, ICDFFPGA, ICDFCUDA, Ziggurat} {
 		b.Run(k.String(), func(b *testing.B) {
 			b.SetBytes(4 * n)
 			for i := 0; i < b.N; i++ {

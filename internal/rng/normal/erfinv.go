@@ -61,30 +61,3 @@ func ICDFCUDAStep(w uint32) (z float32, ok bool) {
 	z = -float32(math.Sqrt2) * ErfcinvGiles(2*u)
 	return z, rng.IsFinite32(z)
 }
-
-// ICDFCUDASource adapts ICDFCUDAStep to an rng.NormalSource.
-type ICDFCUDASource struct{ U rng.Source32 }
-
-// NextNormal returns one ICDF variate, consuming a single uniform word.
-func (s *ICDFCUDASource) NextNormal() (float32, bool) {
-	return ICDFCUDAStep(s.U.Uint32())
-}
-
-// Erfinv64 is a double-precision erf⁻¹ built from the Giles seed refined
-// with two Newton steps against math.Erf; the statistics layer uses it
-// where float32 accuracy is insufficient.
-func Erfinv64(x float64) float64 {
-	if x <= -1 {
-		return math.Inf(-1)
-	}
-	if x >= 1 {
-		return math.Inf(1)
-	}
-	z := float64(ErfinvGiles(float32(x)))
-	// Newton: f(z) = erf(z) − x, f'(z) = 2/√π · exp(−z²).
-	for i := 0; i < 2; i++ {
-		err := math.Erf(z) - x
-		z -= err * math.Sqrt(math.Pi) / 2 * math.Exp(z*z)
-	}
-	return z
-}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-
-	"github.com/decwi/decwi/internal/rng"
 )
 
 // ICDF "FPGA-style": a bit-level inverse normal CDF following the
@@ -111,21 +109,4 @@ func ICDFFPGAStep(w uint32) (z float32, ok bool) {
 		zf = -zf // upper half of the distribution
 	}
 	return zf, ok
-}
-
-// ICDFFPGASource adapts ICDFFPGAStep to an rng.NormalSource.
-type ICDFFPGASource struct{ U rng.Source32 }
-
-// NextNormal returns one bit-level ICDF variate from a single word.
-func (s *ICDFFPGASource) NextNormal() (float32, bool) {
-	return ICDFFPGAStep(s.U.Uint32())
-}
-
-// ICDFTableBytes returns the coefficient storage footprint in bytes as it
-// would be mapped to BRAM (three Q4.28 words per segment, stored in 64-bit
-// containers here; the hardware packs them into 36-bit BRAM words). The
-// FPGA resource model uses this to cost the Config3/Config4 BRAM increase
-// visible in Table II.
-func ICDFTableBytes() int {
-	return icdfOctaves * icdfSegsPerOct * 3 * 8
 }

@@ -11,14 +11,15 @@
 //   - ICDF "CUDA-style" (Config3/Config4 on CPU/GPU/PHI): a branch-minimised
 //     erfcinv following Giles' erfinv approximation and the identity
 //     erfcinv(x) = erfinv(1−x), mirroring Nvidia's _curand_normal_icdf.
-//   - Box-Muller, kept as a baseline (the heavy-trigonometry method the
-//     Marsaglia-Bray transform avoids).
 //   - Wichura's AS241 double-precision inverse normal CDF, used as the
 //     coefficient generator and accuracy oracle for everything above.
+//   - The Marsaglia-Tsang ziggurat, the extension target the paper's
+//     conclusion names (not a Table I configuration).
 //
 // Every transform is available in two shapes: a pure step function
-// (word(s) in, candidate out) used by the pipelined kernels, and an
-// rng.NormalSource adapter that owns its uniform sources.
+// (word(s) in, candidate out) that the generator's one-word path and the
+// co-simulation call per cycle, and a batch fill over whole word blocks
+// (FillNormal) that the block path uses. The two agree bit for bit.
 package normal
 
 import (
@@ -37,8 +38,6 @@ const (
 	ICDFFPGA
 	// ICDFCUDA is the erfinv-based inverse-CDF transform.
 	ICDFCUDA
-	// BoxMuller is the trigonometric baseline.
-	BoxMuller
 	// Ziggurat is the Marsaglia-Tsang ziggurat rejection method — not a
 	// Table I configuration, but the extension target the paper's
 	// conclusion names (another rejection algorithm with data-dependent
@@ -55,8 +54,6 @@ func (k Kind) String() string {
 		return "ICDF FPGA-style"
 	case ICDFCUDA:
 		return "ICDF CUDA-style"
-	case BoxMuller:
-		return "Box-Muller"
 	case Ziggurat:
 		return "Ziggurat"
 	default:
@@ -70,36 +67,16 @@ func (k Kind) Rejecting() bool { return k == MarsagliaBray || k == Ziggurat }
 
 // UniformsPerCandidate returns how many raw uniform words one candidate
 // consumes. The polar method needs two (the paper splits them onto two
-// parallel dynamically-created Mersenne-Twisters); the ICDF variants and
-// Box-Muller are counted per output actually used by the case study.
+// parallel dynamically-created Mersenne-Twisters), the ziggurat three,
+// the ICDF variants one.
 func (k Kind) UniformsPerCandidate() int {
 	switch k {
-	case MarsagliaBray, BoxMuller:
+	case MarsagliaBray:
 		return 2
 	case Ziggurat:
 		return 3
 	default:
 		return 1
-	}
-}
-
-// Source constructs an rng.NormalSource of the given kind over the
-// provided uniform words. MarsagliaBray and BoxMuller consume two words
-// per candidate, the ICDF kinds one.
-func Source(k Kind, u rng.Source32) rng.NormalSource {
-	switch k {
-	case MarsagliaBray:
-		return &PolarSource{U: u}
-	case ICDFFPGA:
-		return &ICDFFPGASource{U: u}
-	case ICDFCUDA:
-		return &ICDFCUDASource{U: u}
-	case BoxMuller:
-		return &BoxMullerSource{U: u}
-	case Ziggurat:
-		return &ZigguratSource{U: u}
-	default:
-		panic("normal: unknown transform kind")
 	}
 }
 
@@ -127,30 +104,4 @@ func PolarStep(w1, w2 uint32) (z float32, ok bool) {
 // radius is the polar method's float32(√(−2·ln s/s)) for s ∈ (0,1).
 func radius(s float64) float32 {
 	return float32(math.Sqrt(-2 * math.Log(s) / s))
-}
-
-// PolarSource adapts PolarStep to an rng.NormalSource over a shared
-// uniform stream.
-type PolarSource struct{ U rng.Source32 }
-
-// NextNormal returns one polar candidate, consuming two uniform words.
-func (p *PolarSource) NextNormal() (float32, bool) {
-	return PolarStep(p.U.Uint32(), p.U.Uint32())
-}
-
-// BoxMullerStep computes one Box-Muller output from two raw words. It is
-// never invalid; it exists as the heavy-arithmetic baseline the paper's
-// Section II-D2 contrasts the polar method against.
-func BoxMullerStep(w1, w2 uint32) float32 {
-	u1 := float64(rng.U32ToFloatOpen(w1))
-	u2 := float64(rng.U32ToFloatOpen(w2))
-	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
-}
-
-// BoxMullerSource adapts BoxMullerStep to an rng.NormalSource.
-type BoxMullerSource struct{ U rng.Source32 }
-
-// NextNormal returns one Box-Muller variate (always valid).
-func (b *BoxMullerSource) NextNormal() (float32, bool) {
-	return BoxMullerStep(b.U.Uint32(), b.U.Uint32()), true
 }

@@ -117,10 +117,3 @@ var (
 		2.04426310338993978564e-15,
 	}
 )
-
-// NormalCDF evaluates Φ(x) in double precision via the complementary error
-// function; it is used by the statistical validation layer and by tests of
-// the inverse.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

@@ -99,12 +99,3 @@ func ZigguratStep(w1, w2, w3 uint32) (z float32, ok bool) {
 	}
 	return 0, false
 }
-
-// ZigguratSource adapts ZigguratStep to an rng.NormalSource consuming
-// three words per cycle.
-type ZigguratSource struct{ U rng.Source32 }
-
-// NextNormal returns one ziggurat attempt.
-func (s *ZigguratSource) NextNormal() (float32, bool) {
-	return ZigguratStep(s.U.Uint32(), s.U.Uint32(), s.U.Uint32())
-}

@@ -53,12 +53,12 @@ func TestZigguratAcceptanceRate(t *testing.T) {
 // exact normal CDF, including explicit tail coverage beyond |z| > r
 // (the base-strip path must populate the tails).
 func TestZigguratDistribution(t *testing.T) {
-	s := &ZigguratSource{U: mt.NewMT19937(11)}
+	next := stepper(Ziggurat, mt.NewMT19937(11))
 	const n = 400000
 	xs := make([]float64, 0, n)
 	tail := 0
 	for len(xs) < n {
-		z, ok := s.NextNormal()
+		z, ok := next()
 		if !ok {
 			continue
 		}
@@ -125,8 +125,8 @@ func TestZigguratSymmetry(t *testing.T) {
 	}
 }
 
-// TestZigguratKindIntegration: the Kind enum metadata and Source
-// constructor cover the new transform.
+// TestZigguratKindIntegration: the Kind enum metadata and the batch
+// dispatch cover the new transform.
 func TestZigguratKindIntegration(t *testing.T) {
 	if Ziggurat.String() != "Ziggurat" {
 		t.Error("name")
@@ -137,14 +137,17 @@ func TestZigguratKindIntegration(t *testing.T) {
 	if Ziggurat.UniformsPerCandidate() != 3 {
 		t.Error("draws per candidate")
 	}
-	s := Source(Ziggurat, mt.NewMT521(3))
-	if _, ok := s.(*ZigguratSource); !ok {
-		t.Error("Source dispatch")
+	w := make([]uint32, 3)
+	mt.New(mt.MT521Params, 3).FillUint32(w)
+	dst, ok := make([]float32, 1), make([]bool, 1)
+	FillNormal(Ziggurat, dst, ok, w[:1], w[1:])
+	if z, zok := ZigguratStep(w[0], w[1], w[2]); ok[0] != zok || (zok && dst[0] != z) {
+		t.Error("FillNormal dispatch")
 	}
 }
 
 func BenchmarkZigguratStep(b *testing.B) {
-	src := mt.NewMT521(1)
+	src := mt.New(mt.MT521Params, 1)
 	var sink float32
 	for i := 0; i < b.N; i++ {
 		z, _ := ZigguratStep(src.Uint32(), src.Uint32(), src.Uint32())

@@ -1,13 +1,14 @@
-// Package rng defines the interfaces and numeric conversions shared by the
-// random-number-generation stack of the decoupled work-item case study.
+// Package rng defines the source interface and numeric conversions shared
+// by the random-number-generation stack of the decoupled work-item case
+// study.
 //
 // The paper's application (Section II-D) is a nested random number
 // generator: raw uniform bits come from Mersenne-Twisters, are transformed
 // to normal variates (Marsaglia-Bray or ICDF), and finally drive the
-// Marsaglia-Tsang rejection sampler for gamma variates. Every stage in this
-// repository consumes sources through the small interfaces declared here so
-// that the same algorithm code runs under the FPGA dataflow simulator, the
-// SIMT lockstep simulator, and plain host execution.
+// Marsaglia-Tsang rejection sampler for gamma variates. The conversions
+// declared here fix how a raw word becomes a uniform, so every path —
+// the FPGA dataflow simulator, the SIMT lockstep simulator and plain host
+// execution — produces the same bytes.
 package rng
 
 import "math"
@@ -20,43 +21,8 @@ type Source32 interface {
 	Uint32() uint32
 }
 
-// Peeker32 is implemented by sources whose next output can be observed
-// without consuming it. The paper's adapted Mersenne-Twister (Listing 3)
-// relies on this: the twister output is computed every clock cycle, but the
-// internal state index only advances when an external enable flag is set,
-// so a rejected draw re-reads the same word on the next iteration.
-type Peeker32 interface {
-	// Peek returns the word that the next Uint32 call would return,
-	// without advancing the state.
-	Peek() uint32
-	// Advance consumes the current word, moving the state forward by one.
-	Advance()
-}
-
-// GatedSource32 is the contract of the paper's Listing 3: a free-running
-// generator with an external enable. Next always returns the current
-// output word; the state is consumed only when enable is true. This is
-// what allows a fully pipelined loop with initiation interval 1 to stall a
-// *logical* uniform stream without stalling the physical pipeline.
-type GatedSource32 interface {
-	// Next returns the current output word and, when enable is true,
-	// consumes it so that the following call observes a fresh word.
-	Next(enable bool) uint32
-}
-
-// NormalSource produces standard normal variates together with a validity
-// flag. Rejection-based transforms (Marsaglia-Bray) return ok=false on the
-// cycles in which the candidate is rejected; transform-based ones (ICDF)
-// are valid on every cycle except for degenerate inputs.
-type NormalSource interface {
-	// NextNormal returns a candidate N(0,1) variate and whether it is
-	// valid on this invocation.
-	NextNormal() (z float32, ok bool)
-}
-
 const (
 	inv24 = 1.0 / (1 << 24) // 2^-24, float32-exact
-	inv53 = 1.0 / (1 << 53) // 2^-53, float64-exact
 	inv32 = 1.0 / (1 << 32) // 2^-32
 )
 
@@ -79,12 +45,6 @@ func U32ToFloatOpen(x uint32) float32 {
 // (0,1) with the same half-step centring.
 func U32ToFloat64Open(x uint32) float64 {
 	return (float64(x) + 0.5) * inv32
-}
-
-// U64ToFloat64Open maps a 64-bit word to a double in (0,1) using the top
-// 53 bits.
-func U64ToFloat64Open(x uint64) float64 {
-	return (float64(x>>11) + 0.5) * inv53
 }
 
 // U32ToSigned maps a raw word to a single-precision uniform in (-1,1]
@@ -116,11 +76,9 @@ func (s *SplitMix64) Next() uint64 {
 }
 
 // Uint32 returns the next 32-bit word, making SplitMix64 usable as a
-// Source32 in tests.
+// Source32. No binary calls it: it is test support for the word-pattern
+// fixtures of several packages' tests.
 func (s *SplitMix64) Uint32() uint32 { return uint32(s.Next() >> 32) }
-
-// Seed resets the internal state.
-func (s *SplitMix64) Seed(seed uint64) { s.state = seed }
 
 // StreamSeeds derives n well-separated 64-bit seeds from a master seed.
 // The experiment harness assigns one to each decoupled work-item, mirroring

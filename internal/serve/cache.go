@@ -257,9 +257,6 @@ func (c *resultCache) evict(e *cacheEntry) {
 // totalBytes is the current global occupancy.
 func (c *resultCache) totalBytes() int64 { return c.bytes }
 
-// tenantBytes is one tenant's attributed occupancy.
-func (c *resultCache) tenantBytes(tenant string) int64 { return c.perTenant[tenant] }
-
 // len is the number of cached results (flight entries not counted).
 func (c *resultCache) len() int { return c.lru.Len() }
 

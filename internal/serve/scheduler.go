@@ -297,18 +297,6 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Payload returns the result's wire bytes and the state they were
-// observed under; the bytes are non-nil only in StateDone. The slice is
-// the one stored result, shared with the cache, every coalesced job and
-// every download — no copy is made, and callers must not modify it.
-func (j *Job) Payload() ([]byte, JobState) {
-	res, state := j.Result()
-	if res == nil {
-		return nil, state
-	}
-	return res.raw, state
-}
-
 // Result returns the job's result (nil until StateDone) and state.
 func (j *Job) Result() (*result, JobState) {
 	j.mu.Lock()
@@ -759,13 +747,6 @@ func (s *Scheduler) Remove(id string) bool {
 		}
 	}
 	return true
-}
-
-// Draining reports whether the scheduler has stopped admitting.
-func (s *Scheduler) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Drain stops admission and waits for every admitted job to finish —

@@ -1,9 +1,9 @@
 // Package stats provides the statistical machinery used to validate the
 // generated distributions (paper Fig. 6 and the rejection-rate claims of
-// Section IV-E): special functions (regularized incomplete gamma),
-// distribution objects for Gamma(α, β), histograms, empirical CDFs,
-// Kolmogorov-Smirnov and chi-square goodness-of-fit tests, and moment
-// summaries. Everything is stdlib-only, double precision.
+// Section IV-E): the regularized incomplete gamma function, the
+// Gamma(α, β) distribution object, histograms, and the
+// Kolmogorov-Smirnov and Anderson-Darling goodness-of-fit tests.
+// Everything is stdlib-only, double precision.
 package stats
 
 import (
@@ -32,25 +32,6 @@ func RegularizedGammaP(a, x float64) float64 {
 		return gammaPSeries(a, x)
 	}
 	return 1 - gammaQContinuedFraction(a, x)
-}
-
-// RegularizedGammaQ computes Q(a, x) = 1 − P(a, x) without cancellation in
-// the right tail.
-func RegularizedGammaQ(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
 }
 
 const (
@@ -150,52 +131,3 @@ func (g GammaDist) CDF(x float64) float64 {
 	}
 	return RegularizedGammaP(g.Alpha, x/g.Scale)
 }
-
-// Quantile inverts the CDF with bisection refined by Newton; accurate to
-// ~1e-12 relative. p must lie in (0,1).
-func (g GammaDist) Quantile(p float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return 0, fmt.Errorf("stats: quantile probability %g outside (0,1)", p)
-	}
-	// Bracket: start from the mean-scaled guess and expand.
-	lo, hi := 0.0, g.Alpha*g.Scale
-	for g.CDF(hi) < p {
-		hi *= 2
-		if hi > 1e308/2 {
-			return 0, fmt.Errorf("stats: quantile bracket overflow at p=%g", p)
-		}
-	}
-	x := hi / 2
-	for i := 0; i < 200; i++ {
-		f := g.CDF(x) - p
-		if math.Abs(f) < 1e-14 {
-			break
-		}
-		if f > 0 {
-			hi = x
-		} else {
-			lo = x
-		}
-		// Newton step, falling back to bisection when it leaves the bracket.
-		d := g.PDF(x)
-		var nx float64
-		if d > 0 {
-			nx = x - f/d
-		}
-		if !(nx > lo && nx < hi) {
-			nx = (lo + hi) / 2
-		}
-		if math.Abs(nx-x) < 1e-14*(1+x) {
-			x = nx
-			break
-		}
-		x = nx
-	}
-	return x, nil
-}
-
-// Mean returns αβ.
-func (g GammaDist) Mean() float64 { return g.Alpha * g.Scale }
-
-// Variance returns αβ².
-func (g GammaDist) Variance() float64 { return g.Alpha * g.Scale * g.Scale }

@@ -2,10 +2,10 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
-	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/gamma"
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
@@ -28,22 +28,9 @@ func TestRegularizedGammaKnownValues(t *testing.T) {
 	}
 }
 
-// TestRegularizedGammaComplement: P + Q = 1 across both evaluation
-// branches.
-func TestRegularizedGammaComplement(t *testing.T) {
-	for _, a := range []float64{0.3, 0.719, 1, 2.5, 10, 100} {
-		for _, x := range []float64{0.001, 0.1, a / 2, a, a + 2, 3 * a, 10 * a} {
-			p, q := RegularizedGammaP(a, x), RegularizedGammaQ(a, x)
-			if math.Abs(p+q-1) > 1e-12 {
-				t.Errorf("P+Q != 1 at a=%g x=%g: %g", a, x, p+q)
-			}
-		}
-	}
-}
-
 // TestRegularizedGammaEdgeCases covers the domain boundary contract.
 func TestRegularizedGammaEdgeCases(t *testing.T) {
-	if RegularizedGammaP(2, 0) != 0 || RegularizedGammaQ(2, 0) != 1 {
+	if RegularizedGammaP(2, 0) != 0 {
 		t.Error("x=0 boundary wrong")
 	}
 	if RegularizedGammaP(2, math.Inf(1)) != 1 {
@@ -73,19 +60,13 @@ func TestRegularizedGammaMonotone(t *testing.T) {
 	}
 }
 
-// TestGammaDistBasics checks PDF normalization (by numerical quadrature),
-// CDF/Quantile inversion and the moments.
+// TestGammaDistBasics checks PDF normalization against the CDF (by
+// numerical quadrature) and the constructor's domain.
 func TestGammaDistBasics(t *testing.T) {
 	for _, v := range []float64{0.4, 1.39, 5} {
 		g, err := NewGammaDist(1/v, v)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if math.Abs(g.Mean()-1) > 1e-12 {
-			t.Errorf("v=%g: mean %g", v, g.Mean())
-		}
-		if math.Abs(g.Variance()-v) > 1e-12 {
-			t.Errorf("v=%g: variance %g", v, g.Variance())
 		}
 		// PDF/CDF consistency on a pole-free interval: ∫₁⁵ pdf dx must
 		// equal CDF(5)−CDF(1). (For α<1 the density has an integrable
@@ -105,22 +86,19 @@ func TestGammaDistBasics(t *testing.T) {
 		if want := g.CDF(hi) - g.CDF(lo); math.Abs(integ-want) > 1e-6 {
 			t.Errorf("v=%g: ∫₁⁵ pdf = %g, CDF diff = %g", v, integ, want)
 		}
-		for _, p := range []float64{0.01, 0.1, 0.5, 0.9, 0.99} {
-			q, err := g.Quantile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if back := g.CDF(q); math.Abs(back-p) > 1e-9 {
-				t.Errorf("v=%g p=%g: CDF(Quantile)=%g", v, p, back)
-			}
-		}
 	}
 	if _, err := NewGammaDist(0, 1); err == nil {
 		t.Error("α=0 should fail")
 	}
-	if _, err := (GammaDist{Alpha: 1, Scale: 1}).Quantile(0); err == nil {
-		t.Error("p=0 quantile should fail")
+}
+
+// draw returns the generator's next n valid variates.
+func draw(g *gamma.Generator, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = g.Next()
 	}
+	return out
 }
 
 // TestKSAcceptsOwnDistribution: gamma samples from the independent
@@ -139,10 +117,10 @@ func TestKSAcceptsOwnDistribution(t *testing.T) {
 // TestKSRejectsWrongDistribution: the test must have power — normal
 // samples against a gamma CDF must fail decisively.
 func TestKSRejectsWrongDistribution(t *testing.T) {
-	src := normal.Source(normal.ICDFCUDA, mt.NewMT19937(3))
+	src := mt.NewMT19937(3)
 	xs := make([]float64, 0, 20000)
 	for len(xs) < 20000 {
-		z, ok := src.NextNormal()
+		z, ok := normal.ICDFCUDAStep(src.Uint32())
 		if ok {
 			xs = append(xs, float64(z)+1) // shift to overlap the gamma support
 		}
@@ -162,54 +140,15 @@ func TestKSTwoSampleSelfConsistency(t *testing.T) {
 	p := gamma.MustFromVariance(1.39)
 	g1 := gamma.NewGenerator(normal.MarsagliaBray, mt.MT19937Params, p, 10)
 	g2 := gamma.NewGenerator(normal.ICDFFPGA, mt.MT19937Params, p, 20)
-	a := Float32To64(g1.Fill(nil, n))
-	b := Float32To64(g2.Fill(nil, n))
+	a := Float32To64(draw(g1, n))
+	b := Float32To64(draw(g2, n))
 	if res := KSTestTwoSample(a, b); res.PValue < 0.001 {
 		t.Fatalf("two transforms of same distribution rejected: D=%g p=%g", res.D, res.PValue)
 	}
 	g3 := gamma.NewGenerator(normal.MarsagliaBray, mt.MT19937Params, gamma.MustFromVariance(2.5), 30)
-	c := Float32To64(g3.Fill(nil, n))
+	c := Float32To64(draw(g3, n))
 	if res := KSTestTwoSample(a, c); res.PValue > 1e-6 {
 		t.Fatalf("different variances not rejected: D=%g p=%g", res.D, res.PValue)
-	}
-}
-
-// TestChi2 validates the chi-square test on matched and mismatched
-// categorical data.
-func TestChi2(t *testing.T) {
-	src := rng.NewSplitMix64(4)
-	const n = 100000
-	const bins = 16
-	obs := make([]int, bins)
-	for i := 0; i < n; i++ {
-		obs[src.Uint32()>>28]++
-	}
-	exp := make([]float64, bins)
-	for i := range exp {
-		exp[i] = float64(n) / bins
-	}
-	res, err := Chi2GoodnessOfFit(obs, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PValue < 0.001 {
-		t.Fatalf("uniform data rejected: chi2=%g p=%g", res.Stat, res.PValue)
-	}
-	// Skewed expectation must be rejected.
-	exp[0] *= 2
-	res, _ = Chi2GoodnessOfFit(obs, exp)
-	if res.PValue > 1e-6 {
-		t.Fatalf("mismatched expectation not rejected: p=%g", res.PValue)
-	}
-	// Error paths.
-	if _, err := Chi2GoodnessOfFit([]int{1}, []float64{1}); err == nil {
-		t.Error("single category should fail")
-	}
-	if _, err := Chi2GoodnessOfFit([]int{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := Chi2GoodnessOfFit([]int{1, 2}, []float64{1, 0}); err == nil {
-		t.Error("zero expected should fail")
 	}
 }
 
@@ -260,8 +199,18 @@ func TestHistogramAgainstGammaPDF(t *testing.T) {
 
 	errAt := func(n int) float64 {
 		h, _ := NewHistogram(0.05, 8, 80)
-		h.AddAll(gen.Fill(nil, n))
-		return h.MaxDensityError(gd.PDF, 20)
+		h.AddAll(draw(gen, n))
+		// Sup-distance between the histogram density and the PDF at bin
+		// centres, over bins expecting at least 20 observations.
+		maxErr := 0.0
+		for i := range h.Counts {
+			want := gd.PDF(h.BinCenter(i))
+			if want*float64(h.Total)*h.BinWidth() < 20 {
+				continue
+			}
+			maxErr = math.Max(maxErr, math.Abs(h.Density(i)-want))
+		}
+		return maxErr
 	}
 	small := errAt(2000)
 	large := errAt(200000)
@@ -270,38 +219,6 @@ func TestHistogramAgainstGammaPDF(t *testing.T) {
 	}
 	if large > 0.05 {
 		t.Fatalf("density error at 200k samples too large: %g", large)
-	}
-}
-
-// TestECDF basic behaviour and agreement with the analytic CDF.
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2})
-	for _, tc := range []struct{ x, want float64 }{
-		{0.5, 0}, {1, 1.0 / 3}, {1.5, 1.0 / 3}, {2, 2.0 / 3}, {3, 1}, {4, 1},
-	} {
-		if got := e.At(tc.x); math.Abs(got-tc.want) > 1e-15 {
-			t.Errorf("ECDF(%g)=%g want %g", tc.x, got, tc.want)
-		}
-	}
-	if e.Len() != 3 {
-		t.Errorf("len %d", e.Len())
-	}
-}
-
-// TestComputeMoments on a known sample.
-func TestComputeMoments(t *testing.T) {
-	m := ComputeMoments([]float64{1, 2, 3, 4})
-	if m.N != 4 || m.Mean != 2.5 || math.Abs(m.Variance-1.25) > 1e-15 {
-		t.Fatalf("moments %+v", m)
-	}
-	if m.Min != 1 || m.Max != 4 {
-		t.Fatalf("min/max %g/%g", m.Min, m.Max)
-	}
-	if math.Abs(m.Skew) > 1e-12 {
-		t.Fatalf("symmetric sample has skew %g", m.Skew)
-	}
-	if z := ComputeMoments(nil); z.N != 0 {
-		t.Fatal("empty sample")
 	}
 }
 
@@ -347,7 +264,8 @@ func TestAndersonDarling(t *testing.T) {
 
 	// Corrupt the tail: clamp the top 2% of the sample.
 	bad := append([]float64(nil), xs...)
-	q, _ := g.Quantile(0.98)
+	sort.Float64s(bad)
+	q := bad[len(bad)*98/100]
 	for i := range bad {
 		if bad[i] > q {
 			bad[i] = q

@@ -6,53 +6,6 @@ import (
 	"sort"
 )
 
-// Moments summarizes a sample: n, mean, (population) variance, skewness
-// and excess kurtosis.
-type Moments struct {
-	N        int
-	Mean     float64
-	Variance float64
-	Skew     float64
-	ExKurt   float64
-	Min, Max float64
-}
-
-// ComputeMoments returns the moment summary of xs.
-func ComputeMoments(xs []float64) Moments {
-	m := Moments{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	if m.N == 0 {
-		return m
-	}
-	for _, x := range xs {
-		m.Mean += x
-		if x < m.Min {
-			m.Min = x
-		}
-		if x > m.Max {
-			m.Max = x
-		}
-	}
-	n := float64(m.N)
-	m.Mean /= n
-	var m2, m3, m4 float64
-	for _, x := range xs {
-		d := x - m.Mean
-		d2 := d * d
-		m2 += d2
-		m3 += d2 * d
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m3 /= n
-	m4 /= n
-	m.Variance = m2
-	if m2 > 0 {
-		m.Skew = m3 / math.Pow(m2, 1.5)
-		m.ExKurt = m4/(m2*m2) - 3
-	}
-	return m
-}
-
 // Float32To64 widens a float32 sample for the double-precision tests.
 func Float32To64(xs []float32) []float64 {
 	out := make([]float64, len(xs))
@@ -61,26 +14,6 @@ func Float32To64(xs []float32) []float64 {
 	}
 	return out
 }
-
-// ECDF is an empirical cumulative distribution function over a sorted
-// copy of a sample.
-type ECDF struct{ sorted []float64 }
-
-// NewECDF builds an ECDF (the input is copied and sorted).
-func NewECDF(xs []float64) ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return ECDF{sorted: s}
-}
-
-// At returns F̂(x) = #{xi ≤ x}/n.
-func (e ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Len returns the sample size.
-func (e ECDF) Len() int { return len(e.sorted) }
 
 // KSResult carries a Kolmogorov-Smirnov statistic and its asymptotic
 // p-value.
@@ -165,39 +98,6 @@ func KSTestTwoSample(xs, ys []float64) KSResult {
 	return KSResult{D: d, PValue: kolmogorovP(lambda), N: int(ne)}
 }
 
-// Chi2Result carries a chi-square statistic, degrees of freedom and
-// p-value.
-type Chi2Result struct {
-	Stat   float64
-	DF     int
-	PValue float64
-}
-
-// Chi2GoodnessOfFit tests observed counts against expected counts.
-// Categories with expected < 5 should be merged by the caller; the
-// function only validates totals.
-func Chi2GoodnessOfFit(observed []int, expected []float64) (Chi2Result, error) {
-	if len(observed) != len(expected) {
-		return Chi2Result{}, fmt.Errorf("stats: observed/expected length mismatch %d vs %d", len(observed), len(expected))
-	}
-	if len(observed) < 2 {
-		return Chi2Result{}, fmt.Errorf("stats: need at least 2 categories")
-	}
-	stat := 0.0
-	for i, o := range observed {
-		e := expected[i]
-		if e <= 0 {
-			return Chi2Result{}, fmt.Errorf("stats: nonpositive expected count in bin %d", i)
-		}
-		d := float64(o) - e
-		stat += d * d / e
-	}
-	df := len(observed) - 1
-	// p = Q(df/2, stat/2)
-	p := RegularizedGammaQ(float64(df)/2, stat/2)
-	return Chi2Result{Stat: stat, DF: df, PValue: p}, nil
-}
-
 // Histogram is a fixed-width binning of a sample over [Lo, Hi); values
 // outside the range are counted in Under/Over. It is what Fig. 6 plots
 // (gray area) against the reference density.
@@ -255,23 +155,4 @@ func (h *Histogram) Density(i int) float64 {
 		return 0
 	}
 	return float64(h.Counts[i]) / (float64(h.Total) * h.BinWidth())
-}
-
-// MaxDensityError returns the sup-distance between the histogram density
-// and pdf at bin centers, ignoring bins whose expected mass is below
-// minExpected observations (noise-dominated bins).
-func (h *Histogram) MaxDensityError(pdf func(float64) float64, minExpected float64) float64 {
-	maxErr := 0.0
-	for i := range h.Counts {
-		c := h.BinCenter(i)
-		want := pdf(c)
-		expCount := want * float64(h.Total) * h.BinWidth()
-		if expCount < minExpected {
-			continue
-		}
-		if err := math.Abs(h.Density(i) - want); err > maxErr {
-			maxErr = err
-		}
-	}
-	return maxErr
 }

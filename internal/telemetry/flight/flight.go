@@ -532,14 +532,6 @@ func New(ringCap, pinCap int, slow time.Duration) *Recorder {
 	}
 }
 
-// SlowThreshold reports the pin threshold (0 on nil).
-func (r *Recorder) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.slow
-}
-
 // Start begins a trace. traceID is adopted when it is a well-formed
 // 32-hex-digit W3C trace id (use TraceIDFrom on a raw traceparent
 // header); anything else is replaced by a freshly minted id. The trace

@@ -290,9 +290,6 @@ func TestFlightNilSafety(t *testing.T) {
 	if st := r.Stats(); st != (Stats{}) {
 		t.Fatalf("nil recorder stats %+v", st)
 	}
-	if r.SlowThreshold() != 0 {
-		t.Fatal("nil recorder has a slow threshold")
-	}
 }
 
 func TestFlightConcurrentChurnAndReads(t *testing.T) {

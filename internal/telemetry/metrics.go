@@ -185,22 +185,6 @@ func (h *Histogram) RecordBatch(b *HistogramBatch) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Name returns the histogram name ("" on nil).
 func (h *Histogram) Name() string {
 	if h == nil {

@@ -222,16 +222,6 @@ func (s *Server) Serve(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
-
 // Close gracefully shuts the server down, bounded by ctx, and joins the
 // serve goroutine — after Close returns no goroutine of this server is
 // left running. Safe to call before Serve (no-op) and more than once.

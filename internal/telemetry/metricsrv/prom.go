@@ -23,9 +23,10 @@ import (
 // internal/telemetry pins that this mapping is total and collision-free
 // for every name the stack registers.
 
-// MangleName exposes the mangling rule so the repo-wide naming lint can
-// assert the mapping stays collision-free as instrumentation sites are
-// added.
+// MangleName exposes the mangling rule so the repo-wide naming lint
+// (metrics_lint_test.go in the root package) can assert the mapping
+// stays collision-free as instrumentation sites are added. No binary
+// calls it: it is test support.
 func MangleName(name string) (mangled, instance string) { return promName(name) }
 
 // promName mangles a recorder metric name into a Prometheus metric name
@@ -190,7 +191,9 @@ func bucketLabel(instance, le string) string {
 // belongs to a family with preceding # HELP and # TYPE lines, histogram
 // cumulative buckets are monotonically non-decreasing and end with
 // le="+Inf" equal to _count. It returns the number of families seen per
-// type; the check.sh smoke step and the e2e test drive it.
+// type. No binary calls it: it is test support for the metrics tests in
+// the root package, cmd/decwi-served, cmd/decwi-gammagen, internal/serve
+// and this package.
 func CheckExposition(body string) (counters, gauges, histograms int, err error) {
 	type famState struct {
 		typ     string
@@ -308,7 +311,8 @@ func CheckExposition(body string) (counters, gauges, histograms int, err error) 
 	return counters, gauges, histograms, nil
 }
 
-// parseSample splits `name{k="v",...} value` into its parts. Label
+// parseSample splits `name{k="v",...} value` into its parts for
+// CheckExposition (test support, like its caller). Label
 // values produced by this package never contain escaped quotes, so the
 // parser stops at the first unescaped quote.
 func parseSample(line string) (name string, labels map[string]string, value int64, err error) {

@@ -15,7 +15,8 @@ import (
 // must be non-negative, and histogram quantiles must be ordered
 // (p50 ≤ p90 ≤ p99) with an empty histogram carrying no sum or max.
 // It returns the instrument counts per type so callers can assert
-// minimum coverage, mirroring CheckExposition.
+// minimum coverage, mirroring CheckExposition. No binary calls it: it is
+// test support for the same tests as CheckExposition.
 //
 // Delta semantics: the server computes each counter's delta against the
 // previous /snapshot scrape. Counters only add (telemetry.Counter has no

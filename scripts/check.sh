@@ -20,6 +20,19 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# The bench module (bench/, its own go.mod) imports internal/* directly,
+# so deleting something it uses would pass every step above and still
+# break the benchmark. Vetting it compiles it and its tests. (Its tests
+# are not run here: they assert per-layer figures, see ROADMAP.md.)
+echo "== bench module vet (cd bench && go vet ./...)"
+(cd bench && go vet ./...)
+
+# Unlinked-code gate: every function declared outside cmd/, examples/
+# and bench/ must be linked into a shipped binary, or be named on the
+# script's allowlist of cross-package test support.
+echo "== unlinked functions (scripts/unlinked.sh)"
+sh scripts/unlinked.sh
+
 echo "== go test -race ./..."
 go test -race ./...
 
