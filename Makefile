@@ -58,12 +58,11 @@ fuzz:
 bce-check:
 	sh scripts/bce_check.sh
 
-# One-iteration smoke run of the engine, burst-stream,
-# sharded-generation, compute-path and leaf-kernel benchmarks, so they
-# can never silently rot. Performance is measured by bench/run.sh.
+# One-iteration smoke run of the engine, sharded-generation,
+# compute-path and leaf-kernel benchmarks, so they can never silently
+# rot. Performance is measured by bench/run.sh.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkGamma -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 	$(GO) test -run '^$$' -bench BenchmarkGenerateParallel -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkBlockCompute -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkFillUint32 -benchtime 1x ./internal/rng/mt

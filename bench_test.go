@@ -8,6 +8,8 @@ package decwi_test
 // reproduction log.
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -293,7 +295,8 @@ func BenchmarkCoSimValidation(b *testing.B) {
 }
 
 // BenchmarkAblationNDRangeVsTask compares the two kernel formulations of
-// Section III-A at equal pipeline counts.
+// Section III-A at equal pipeline counts; the task arm is the engine's
+// host path, RunChunk over every work-item.
 func BenchmarkAblationNDRangeVsTask(b *testing.B) {
 	b.Run("ndrange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -309,6 +312,7 @@ func BenchmarkAblationNDRangeVsTask(b *testing.B) {
 		}
 	})
 	b.Run("task", func(b *testing.B) {
+		dst := make([]float32, 16384)
 		for i := 0; i < b.N; i++ {
 			eng, err := core.NewEngine(core.Config{
 				Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
@@ -318,7 +322,7 @@ func BenchmarkAblationNDRangeVsTask(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Run(); err != nil {
+			if err := eng.RunChunk(context.Background(), dst, 0, 4, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -455,24 +459,26 @@ func BenchmarkPortfolioRisk(b *testing.B) {
 
 // BenchmarkAblationStreamDepth sweeps the hls::stream FIFO depth, the
 // knob that trades BRAM for decoupling slack between the GammaRNG and
-// Transfer processes.
+// Transfer processes, through the cycle-accurate co-simulation. It
+// reports the pipeline cycles lost to FIFO backpressure per value
+// transferred: the device's cost of a shallow stream.
 func BenchmarkAblationStreamDepth(b *testing.B) {
+	const workItems, quota = 4, 4096
 	for _, depth := range []int{1, 16, 256} {
-		depth := depth
-		b.Run(map[int]string{1: "depth1", 16: "depth16", 256: "depth256"}[depth], func(b *testing.B) {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			var stalled int64
 			for i := 0; i < b.N; i++ {
-				eng, err := core.NewEngine(core.Config{
+				res, err := fpga.RunCoSim(fpga.CoSimConfig{
+					WorkItems: workItems, Quota: quota,
 					Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
-					WorkItems: 4, Scenarios: 32768, Sectors: 1,
-					SectorVariance: 1.39, StreamDepth: depth, Seed: uint64(i + 1),
+					Variance: 1.39, FIFODepth: depth, Seed: uint64(i + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
+				stalled += res.StalledCycles
 			}
+			b.ReportMetric(float64(stalled)/float64(b.N*workItems*quota), "stalled-cycles/value")
 		})
 	}
 }

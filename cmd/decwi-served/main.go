@@ -22,10 +22,11 @@
 //
 // SIGTERM/SIGINT starts a graceful drain: new submissions get 503,
 // queued and running jobs finish, and if any API request was open
-// when the drain began the API stays up for collectGrace, so clients
-// whose long-polls the drain answered can request their results (all
-// bounded by -drain-timeout). Then the listener and metrics server
-// shut down, downloads in progress complete, and the process exits 0.
+// when the drain began or began during it, the API stays up for
+// collectGrace, so clients whose long-polls the drain answered can
+// request their results (all bounded by -drain-timeout). Then the
+// listener and metrics server shut down, downloads in progress
+// complete, and the process exits 0.
 //
 // Usage:
 //
@@ -141,10 +142,11 @@ func buildLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
 }
 
-// collectGrace keeps the API listening after a drain that answered open
+// collectGrace keeps the API listening after a drain that answered
 // requests: a client whose long-poll the drain answered comes straight
 // back for the result, and a listener closed at once refuses that
-// download.
+// download. The drain grants it when a request was open at the signal
+// or began while the drain ran.
 const collectGrace = 250 * time.Millisecond
 
 func run(addr string, scfg serve.Config, drainTimeout time.Duration,
@@ -182,11 +184,13 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 	fmt.Fprintf(os.Stderr, "decwi-served: API on http://%s (POST /v1/generate /v1/risk, GET /v1/jobs/{id})\n", ln.Addr())
 
 	api := serve.NewServer(sched).Handler()
-	var open atomic.Int64 // API requests in progress
+	var open atomic.Int64  // API requests in progress
+	var begun atomic.Int64 // API requests ever begun
 	var freshMu sync.Mutex
 	fresh := map[net.Conn]bool{} // connections that have sent no request yet
 	httpSrv := &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			begun.Add(1)
 			open.Add(1)
 			defer open.Add(-1)
 			api.ServeHTTP(w, r)
@@ -217,8 +221,10 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stopSignals()
+	var openAtSignal, begunAtSignal int64
 	select {
 	case <-sigCtx.Done():
+		openAtSignal, begunAtSignal = open.Load(), begun.Load()
 		fmt.Fprintf(os.Stderr, "decwi-served: signal received, draining (budget %v)\n", drainTimeout)
 	case err := <-serveErr:
 		sched.Drain(context.Background())
@@ -229,15 +235,15 @@ func run(addr string, scfg serve.Config, drainTimeout time.Duration,
 
 	// Drain order matters: first stop admitting and let queued + running
 	// jobs finish (new submissions see 503 immediately), then give the
-	// clients whose open requests that answered a grace to request their
-	// results, and only then shut the listener down. By that point every
-	// job is terminal, so lingering long-polls resolve instead of
-	// holding connections open, and Shutdown waits for the downloads.
-	answered := open.Load() > 0
+	// clients whose requests the drain answered — open at the signal or
+	// begun during the drain — a grace to request their results, and
+	// only then shut the listener down. By that point every job is
+	// terminal, so lingering long-polls resolve instead of holding
+	// connections open, and Shutdown waits for the downloads.
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := sched.Drain(drainCtx)
-	if answered {
+	if openAtSignal > 0 || begun.Load() != begunAtSignal {
 		grace := time.NewTimer(collectGrace)
 		select {
 		case <-drainCtx.Done():

@@ -488,6 +488,71 @@ func TestSmokeDrainCoalescedFlight(t *testing.T) {
 	}
 }
 
+// TestSmokeDrainLatePoll: a client whose long-poll begins only after
+// SIGTERM, with no API request open at the signal, gets its answer
+// from the drain and must still be able to download the result. An
+// injected executor delay keeps the job running through the signal,
+// and the client pauses between the answered poll and the download, as
+// a client that inspects the status first does.
+func TestSmokeDrainLatePoll(t *testing.T) {
+	s := startServed(t, "-inject-exec-delay", "800ms")
+	body, err := json.Marshal(serve.JobSpec{Config: 2, Seed: 78, Scenarios: 5000, Sectors: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(s.api+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s: %v", resp.StatusCode, body, err)
+	}
+	var st serve.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(s.log.String(), "signal received"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no signal line after SIGTERM:\n%s", s.log)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	code, body, err := get(s.api + "/v1/jobs/" + st.ID + "?wait=10s")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("long-poll after SIGTERM: %d %s: %v\n%s", code, body, err, s.log)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != serve.StateDone {
+		t.Fatalf("drain answered the long-poll with state %s, want done", st.State)
+	}
+	time.Sleep(50 * time.Millisecond)
+	code, payload, err := get(s.api + "/v1/jobs/" + st.ID + "/result")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("result fetch after the drain answered: %d: %v\n%s", code, err, s.log)
+	}
+	if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != st.SHA256 {
+		t.Fatalf("result digest %x, status digest %s", sum, st.SHA256)
+	}
+
+	select {
+	case <-s.exited:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("decwi-served still running 60s after SIGTERM:\n%s", s.log)
+	}
+	if s.waitErr != nil || !strings.Contains(s.log.String(), "drained, exiting") {
+		t.Fatalf("decwi-served exit after SIGTERM: %v\n%s", s.waitErr, s.log)
+	}
+}
+
 // TestSmokeDegradedHealthz: an instance whose every engine run is
 // slower than a 1 ms latency objective burns both SLO windows, so
 // /healthz answers 503 "degraded: ..."; it still drains cleanly.

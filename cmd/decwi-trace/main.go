@@ -3,10 +3,11 @@
 //
 //   - a Chrome trace_event JSON file (load it in chrome://tracing or
 //     https://ui.perfetto.dev) of the run trace: the OpenCL command
-//     queue, the dataflow processes, the hls::stream blocking spans,
-//     the cycle-accurate co-simulation lanes and (with -parallel) the
-//     scheduler's chunks, one trace process per clock, plus every
-//     counter's final value on a "counters" track;
+//     queue, the kernel run and its work-items' sector loops, the
+//     cycle-accurate co-simulation's lanes and memory channel (the
+//     model of Listing 1's streams and Transfer engines) and (with
+//     -parallel) the scheduler's chunks, one trace process per clock,
+//     plus every counter's final value on a "counters" track;
 //   - a plain-text stall-attribution report ranking which stream or
 //     loop-carried dependency cost the most cycles.
 //
@@ -211,9 +212,9 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	}
 	defer stopMetrics()
 
-	// Pass 1: the full OpenCL host path — command-queue spans, dataflow
-	// process lifecycles, hls::stream blocking, per-work-item rejection
-	// and feed-stream counters.
+	// Pass 1: the full OpenCL host path — command-queue spans, the
+	// kernel span, per-work-item sector spans, rejection and feed-stream
+	// counters.
 	sess, err := decwi.NewSession("FPGA")
 	if err != nil {
 		return nil, err

@@ -121,8 +121,6 @@ type GenerateOptions struct {
 	// WorkItems overrides the number of decoupled pipelines; 0 selects
 	// the configuration's place-and-route outcome (6 or 8).
 	WorkItems int
-	// BurstRNs is the memory burst length in values (default 64).
-	BurstRNs int
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// StreamOffset fast-forwards every work-item's Mersenne-Twister
@@ -142,9 +140,8 @@ type GenerateOptions struct {
 	// so the output layout is unchanged but the twister streams advance.
 	BreakID int
 	// Telemetry, when non-nil, records engine instrumentation for the
-	// run (per-work-item divergence, retry and scheduler attribution;
-	// stream backpressure on Session's Listing 1 dataflow). Tracing never
-	// perturbs the generated data.
+	// run (per-work-item divergence, retry and scheduler attribution).
+	// Tracing never perturbs the generated data.
 	Telemetry *telemetry.Recorder
 }
 
@@ -186,7 +183,7 @@ func Generate(c ConfigID, opt GenerateOptions) (*GenerateResult, error) {
 		par:           par,
 	}
 	w := fpga.Workload{NumScenarios: opt.Scenarios, NumSectors: int64(opt.Sectors), BytesPerValue: 4}
-	t, err := fpga.DefaultDevice().KernelRuntime(w, par.WorkItems, res.RejectionRate, par.burstRNs)
+	t, err := fpga.DefaultDevice().KernelRuntime(w, par.WorkItems, res.RejectionRate, perf.FPGABurstRNs)
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,11 @@ var tableIConfigs = []struct {
 	{"Config4-ICDF-MT521", normal.ICDFCUDA, mt.MT521Params},
 }
 
-// TestBatchedTransportEquivalence: Run's stream carries WordRNs-sized
-// bursts through a FIFO shallower than a burst, and the buffer it fills
-// must hold exactly the per-value sequence of the gated scalar oracle,
-// for every Table I config at a fixed seed. Batching may only change
-// *how* values cross the FIFO, never their order or contents.
+// TestBatchedTransportEquivalence: the candidate blocks RunChunk writes
+// in batches must fill the buffer with exactly the per-value sequence
+// of the gated scalar oracle, for every Table I config at a fixed seed.
+// Batching may only change *how* values reach the buffer, never their
+// order or contents.
 func TestBatchedTransportEquivalence(t *testing.T) {
 	for _, tc := range tableIConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,33 +31,21 @@ func TestBatchedTransportEquivalence(t *testing.T) {
 				Transform: tc.transform, MTParams: tc.params,
 				WorkItems: 2, Scenarios: 100, Sectors: 3,
 				SectorVariance: 1.39, Seed: 0xFEEDFACE,
-				StreamDepth: 8, // small FIFO: bursts larger than depth
 			}
-			sameRun(t, "batched Run vs gated oracle", gatedReference(t, cfg), runSmall(t, cfg))
+			sameRun(t, "batched RunChunk vs gated oracle", gatedReference(t, cfg), runChunked(t, cfg))
 		})
 	}
 }
 
 // TestBatchedTransportDeterminism: two batched runs at the same seed are
-// identical — the burst path introduces no scheduling-dependent state.
+// identical — the block path introduces no scheduling-dependent state.
 func TestBatchedTransportDeterminism(t *testing.T) {
 	cfg := Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 4, Scenarios: 256, Sectors: 2,
 		SectorVariance: 1.39, Seed: 42,
 	}
-	run := func() []float32 {
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Data
-	}
-	a, b := run(), run()
+	a, b := runChunked(t, cfg).Data, runChunked(t, cfg).Data
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Data[%d] differs across identical batched runs", i)

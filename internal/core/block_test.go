@@ -45,18 +45,7 @@ func TestBlockComputeDeterminism(t *testing.T) {
 		WorkItems: 4, Scenarios: 3000, Sectors: 2,
 		SectorVariance: 1.39, Seed: 7,
 	}
-	run := func() []float32 {
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Data
-	}
-	a, b := run(), run()
+	a, b := runChunked(t, cfg).Data, runChunked(t, cfg).Data
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Data[%d] differs across identical block-path runs", i)
@@ -77,7 +66,7 @@ func TestBlockComputeTinyQuota(t *testing.T) {
 			WorkItems: 3, Scenarios: scenarios, Sectors: 2,
 			SectorVariance: 0.9, Seed: 31, BreakID: 1,
 		}
-		sameRun(t, fmt.Sprintf("scenarios=%d", scenarios), gatedReference(t, cfg), runSmall(t, cfg))
+		sameRun(t, fmt.Sprintf("scenarios=%d", scenarios), gatedReference(t, cfg), runChunked(t, cfg))
 	}
 }
 
@@ -94,10 +83,10 @@ var sweepTransforms = []normal.Kind{
 // TestBlockComputeQuotaSweep crosses every quota of quotaSweep with
 // every transform and BreakID {0, 1, 2, 300} — 300 exceeds blockCycles,
 // so the discarded overshoot runs as more than one block — and demands
-// that the fused and streamed block paths match the gated MAINLOOP in
-// data and in cycles, acceptances and overshoot. Two work-items share
-// one buffer, so an overshoot written into the sink would land in the
-// next work-item's rows and show as a data diff. The delayed exit must
+// that the block path match the gated MAINLOOP in data and in cycles,
+// acceptances and overshoot. Two work-items share one buffer, so an
+// overshoot written into the buffer would land in the next rows and
+// show as a data diff. The delayed exit must
 // fire exactly BreakID+1 trips after each sector's quota trip. Quota 0
 // (one scenario over two work-items leaves the second empty) must spend
 // no trips at all: its exit fires before the first trip.
@@ -117,23 +106,16 @@ func TestBlockComputeQuotaSweep(t *testing.T) {
 					Seed:            uint64(1000*i + 10*breakID + int(quota)),
 					BreakID:         breakID,
 				}
-				gated := gatedReference(t, base)
-				for _, streamed := range []bool{false, true} {
-					block := runChunked
-					if streamed {
-						block = runSmall
+				got := runChunked(t, base)
+				sameRun(t, fmt.Sprintf("%v BreakID=%d quota=%d", tr, breakID, quota), gatedReference(t, base), got)
+				for w, b := range got.PerWI {
+					want := int64(breakID+1) * int64(base.Sectors)
+					if b.Scenarios == 0 {
+						want = 0
 					}
-					got := block(t, base)
-					sameRun(t, fmt.Sprintf("%v BreakID=%d quota=%d streamed=%v", tr, breakID, quota, streamed), gated, got)
-					for w, b := range got.PerWI {
-						want := int64(breakID+1) * int64(base.Sectors)
-						if b.Scenarios == 0 {
-							want = 0
-						}
-						if b.Overshoot != want {
-							t.Fatalf("%v BreakID=%d quota=%d work-item %d: overshoot %d, want (BreakID+1)·Sectors = %d",
-								tr, breakID, quota, w, b.Overshoot, want)
-						}
+					if b.Overshoot != want {
+						t.Fatalf("%v BreakID=%d quota=%d work-item %d: overshoot %d, want (BreakID+1)·Sectors = %d",
+							tr, breakID, quota, w, b.Overshoot, want)
 					}
 				}
 			}

@@ -18,21 +18,15 @@ import (
 // chunked run therefore writes each work-item's values straight into the
 // caller-provided device-layout buffer at the work-item's final offset
 // (zero-copy assembly), on any goroutine, in any order, and the bytes
-// are identical to a monolithic Run (TestRunChunkEquivalence).
-//
-// Unlike Run, a chunk executes its work-items *fused*: generateWI emits
-// directly into the destination slice with no hls::stream, no 512-bit
-// packing and no Transfer goroutine. This is the host's generation path
-// — every facade entry point runs it — while Run stays the hardware
-// model of Listing 1. Both consume the identical generator sequence, so
-// the emitted values — and the result bytes — cannot differ.
+// are those of the gated scalar oracle (TestRunChunkEquivalence). Every
+// facade entry point runs this path.
 
 // RunChunk executes work-items [lo, hi) of the engine's layout, writing
 // each one's output into dst at its final device-layout offset. dst must
 // be the full result buffer (length Scenarios·Sectors); disjoint chunks
 // touch disjoint ranges of it and may run concurrently on one engine.
 //
-// stats, when non-nil, must have length Config().WorkItems; entry w is
+// stats, when non-nil, must have one entry per work-item; entry w is
 // overwritten for every executed work-item w. ctx, when non-nil, cancels
 // the chunk at the next work-item or sector boundary.
 func (e *Engine) RunChunk(ctx context.Context, dst []float32, lo, hi int, stats []WorkItemStats) error {
@@ -52,66 +46,9 @@ func (e *Engine) RunChunk(ctx context.Context, dst []float32, lo, hi int, stats 
 				return fmt.Errorf("core: chunk [%d,%d) cancelled at work-item %d: %w", lo, hi, wid, err)
 			}
 		}
-		if err := e.runWorkItemFused(ctx, wid, dst, stats); err != nil {
+		if err := e.generateWI(ctx, wid, dst, stats); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runWorkItemFused generates one work-item's full output directly into
-// dst[offsets[wid]:offsets[wid+1]].
-func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, stats []WorkItemStats) error {
-	cfg := e.cfg
-	var st WorkItemStats
-	stp := &st
-	if stats != nil {
-		stp = &stats[wid]
-		*stp = WorkItemStats{}
-	}
-	stp.WID = wid
-	stp.Scenarios = e.per[wid]
-
-	gen := getGenerator(cfg.Transform, cfg.MTParams,
-		gamma.MustFromVariance(cfg.variance(0)), e.seeds[wid])
-	// (Re)attach this run's trip histogram: the pooled generator may carry
-	// one from a previous run's recorder, and with telemetry off this
-	// detaches it.
-	e.instrumentTrips(gen)
-	e.seekStreams(gen)
-	defer putGenerator(cfg.Transform, cfg.MTParams, gen)
-
-	off := e.offsets[wid]
-	end := e.offsets[wid+1]
-	// Fused-pipe telemetry: how much of the work-item's output skipped
-	// the per-value hand-off entirely, landing in the device buffer as
-	// whole candidate blocks. Nil-safe no-ops when tracing is off.
-	cBlocks := cfg.Telemetry.Counter(fmt.Sprintf("engine.fused-blocks[%d]", wid), "events",
-		"candidate blocks generated directly into the device buffer by the fused pipe")
-	cDirect := cfg.Telemetry.Counter(fmt.Sprintf("engine.fused-direct[%d]", wid), "values",
-		"outputs written to the device buffer without per-value transport (fused pipe block phase)")
-	snk := sink{
-		// A block of n attempts only runs while at least n outputs remain
-		// in the current sector's row, so dst[off:off+n] can never cross
-		// the work-item's block (blockPhase.sector's quota bound).
-		dest: func(n int) []float32 {
-			return dst[off : off+int64(n)]
-		},
-		commit: func(out []float32) {
-			off += int64(len(out))
-			cBlocks.Add(1)
-			cDirect.Add(int64(len(out)))
-		},
-	}
-	if err := e.generateWI(ctx, wid, e.per[wid], gen, snk, stp); err != nil {
-		return err
-	}
-	if off != end {
-		return fmt.Errorf("core: work-item %d wrote %d values, block expects %d",
-			wid, off-e.offsets[wid], end-e.offsets[wid])
-	}
-	if stp.Accepted > 0 {
-		stp.RejectionRate = float64(stp.Cycles-stp.Accepted) / float64(stp.Accepted)
 	}
 	return nil
 }

@@ -10,12 +10,11 @@ import (
 	"github.com/decwi/decwi/internal/rng/normal"
 )
 
-// TestRunChunkEquivalence is this PR's tentpole invariant at the core
-// level: assembling a run from work-item chunks — any chunking, any
-// execution order, fused emit with no streams — produces the bitwise
-// output of the monolithic streamed Run, including BreakID > 0 (the
-// delayed-exit overshoot) and per-sector variances. Per-work-item stats
-// must agree too.
+// TestRunChunkEquivalence is the chunk path's defining invariant:
+// assembling a run from work-item chunks — any chunking, any execution
+// order — produces the bitwise output of the gated scalar oracle,
+// including BreakID > 0 (the delayed-exit overshoot) and per-sector
+// variances. Per-work-item stats must agree too.
 func TestRunChunkEquivalence(t *testing.T) {
 	for _, tc := range tableIConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -30,10 +29,7 @@ func TestRunChunkEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := gatedReference(t, cfg)
 			for _, chunks := range [][][2]int{
 				{{0, 5}},                                 // one chunk = whole run
 				{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, // one work-item per chunk
@@ -49,13 +45,13 @@ func TestRunChunkEquivalence(t *testing.T) {
 				}
 				for i := range want.Data {
 					if got[i] != want.Data[i] {
-						t.Fatalf("chunks %v: Data[%d]: chunked %x, Run %x", chunks, i, got[i], want.Data[i])
+						t.Fatalf("chunks %v: Data[%d]: chunked %x, gated %x", chunks, i, got[i], want.Data[i])
 					}
 				}
 				for w := range stats {
 					g, s := want.PerWI[w], stats[w]
 					if g.Cycles != s.Cycles || g.Accepted != s.Accepted || g.Overshoot != s.Overshoot || g.Scenarios != s.Scenarios {
-						t.Fatalf("chunks %v: work-item %d stats diverge: Run {cycles %d accepted %d overshoot %d}, chunked {%d %d %d}",
+						t.Fatalf("chunks %v: work-item %d stats diverge: gated {cycles %d accepted %d overshoot %d}, chunked {%d %d %d}",
 							chunks, w, g.Cycles, g.Accepted, g.Overshoot, s.Cycles, s.Accepted, s.Overshoot)
 					}
 				}
@@ -82,10 +78,7 @@ func TestRunChunkTinyQuota(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := gatedReference(t, cfg)
 		got := make([]float32, len(want.Data))
 		for w := 0; w < cfg.WorkItems; w++ {
 			if err := e.RunChunk(context.Background(), got, w, w+1, nil); err != nil {
@@ -94,7 +87,7 @@ func TestRunChunkTinyQuota(t *testing.T) {
 		}
 		for i := range want.Data {
 			if got[i] != want.Data[i] {
-				t.Fatalf("scenarios=%d Data[%d]: chunked %x, Run %x", scenarios, i, got[i], want.Data[i])
+				t.Fatalf("scenarios=%d Data[%d]: chunked %x, gated %x", scenarios, i, got[i], want.Data[i])
 			}
 		}
 	}
@@ -113,10 +106,7 @@ func TestRunChunkConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := gatedReference(t, cfg)
 	got := make([]float32, len(want.Data))
 	stats := make([]WorkItemStats, cfg.WorkItems)
 	var wg sync.WaitGroup
@@ -136,7 +126,7 @@ func TestRunChunkConcurrent(t *testing.T) {
 	}
 	for i := range want.Data {
 		if got[i] != want.Data[i] {
-			t.Fatalf("Data[%d]: concurrent chunks %x, Run %x", i, got[i], want.Data[i])
+			t.Fatalf("Data[%d]: concurrent chunks %x, gated %x", i, got[i], want.Data[i])
 		}
 	}
 }

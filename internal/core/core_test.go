@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -25,13 +26,10 @@ func TestConfigValidation(t *testing.T) {
 		"zero sectors":        func(c *Config) { c.Sectors = 0 },
 		"bad variance":        func(c *Config) { c.SectorVariance = 0 },
 		"variance len":        func(c *Config) { c.SectorVariances = []float64{1} },
-		"burst not multiple":  func(c *Config) { c.BurstRNs = 24 },
-		"burst negative":      func(c *Config) { c.BurstRNs = -16 },
 		"negative breakid":    func(c *Config) { c.BreakID = -1 },
 		"limit factor too lo": func(c *Config) { c.LimitMaxFactor = 1 },
 		"zero variance entry": func(c *Config) { c.SectorVariances = []float64{1.39, 0} },
 		"neg variance entry":  func(c *Config) { c.SectorVariances = []float64{-0.5, 1.39} },
-		"negative depth":      func(c *Config) { c.StreamDepth = -1 },
 	} {
 		c := good
 		mutate(&c)
@@ -49,8 +47,8 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.Config()
-	if c.BurstRNs != 64 || c.StreamDepth != 64 || c.LimitMaxFactor != 8 {
+	c := e.cfg
+	if c.LimitMaxFactor != 8 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if c.MTParams.N != mt.MT19937Params.N {
@@ -58,25 +56,11 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// runSmall executes a modest workload and returns the result.
-func runSmall(t *testing.T, cfg Config) *RunResult {
-	t.Helper()
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestEngineProducesCompleteData: every slot of the device buffer is a
 // positive finite gamma value (gamma variates are strictly positive, so a
 // zero would indicate an unwritten or padded slot).
 func TestEngineProducesCompleteData(t *testing.T) {
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 4, Scenarios: 4096, Sectors: 3, SectorVariance: 1.39, Seed: 1,
 	})
@@ -94,10 +78,10 @@ func TestEngineProducesCompleteData(t *testing.T) {
 }
 
 // TestEngineUnevenSplit: scenario counts that do not divide by the
-// work-item count are distributed with the remainder up front, and the
-// partial-word tail path fills every slot exactly.
+// work-item count are distributed with the remainder up front, and
+// every slot is filled exactly.
 func TestEngineUnevenSplit(t *testing.T) {
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 		WorkItems: 3, Scenarios: 1000, Sectors: 2, SectorVariance: 0.7, Seed: 2,
 	})
@@ -105,9 +89,6 @@ func TestEngineUnevenSplit(t *testing.T) {
 	for w, s := range res.PerWI {
 		if s.Scenarios != wantPer[w] {
 			t.Fatalf("work-item %d got %d scenarios, want %d", w, s.Scenarios, wantPer[w])
-		}
-		if s.FlushedWords == 0 {
-			t.Errorf("work-item %d: expected a partial trailing word on a non-divisible workload", w)
 		}
 	}
 	for i, v := range res.Data {
@@ -120,7 +101,7 @@ func TestEngineUnevenSplit(t *testing.T) {
 // TestEngineLayoutAccessors: At and SectorValues agree with the raw
 // device layout.
 func TestEngineLayoutAccessors(t *testing.T) {
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.ICDFFPGA, MTParams: mt.MT521Params,
 		WorkItems: 2, Scenarios: 64, Sectors: 4, SectorVariance: 1.0, Seed: 3,
 	})
@@ -148,11 +129,11 @@ func TestEngineLayoutAccessors(t *testing.T) {
 }
 
 // TestEngineDistribution: the engine's output passes a KS test against
-// the analytic Gamma CDF — the end-to-end Fig. 6 property through streams,
-// packing, bursts and the delayed-exit loop.
+// the analytic Gamma CDF — the end-to-end Fig. 6 property through the
+// block path and the delayed-exit loop.
 func TestEngineDistribution(t *testing.T) {
 	const scen = 60000
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 6, Scenarios: scen, Sectors: 1, SectorVariance: 1.39, Seed: 4,
 	})
@@ -170,7 +151,7 @@ func TestEngineDistribution(t *testing.T) {
 // honoured — each sector's sample variance tracks its configured v.
 func TestEnginePerSectorVariances(t *testing.T) {
 	vs := []float64{0.4, 1.39, 3.0}
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 		WorkItems: 4, Scenarios: 40000, Sectors: 3, SectorVariances: vs,
 		SectorVariance: -1, // must be ignored when the slice is set
@@ -206,11 +187,11 @@ func TestEngineWorkItemsAreDecoupled(t *testing.T) {
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 1, Scenarios: 512, Sectors: 2, SectorVariance: 1.39, Seed: 77,
 	}
-	solo := runSmall(t, base)
+	solo := runChunked(t, base)
 
 	base.WorkItems = 4
 	base.Scenarios = 512 * 4 // keep per-work-item share identical
-	multi := runSmall(t, base)
+	multi := runChunked(t, base)
 
 	for sec := 0; sec < 2; sec++ {
 		for i := int64(0); i < 512; i++ {
@@ -225,7 +206,7 @@ func TestEngineWorkItemsAreDecoupled(t *testing.T) {
 // configured transform (≈0.30 for Marsaglia-Bray, ≈0.02 for ICDF), and
 // overshoot is bounded by sectors·(breakID+1).
 func TestEngineRejectionTelemetry(t *testing.T) {
-	res := runSmall(t, Config{
+	res := runChunked(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 2, Scenarios: 40000, Sectors: 2, SectorVariance: 1.39, Seed: 6,
 	})
@@ -236,23 +217,19 @@ func TestEngineRejectionTelemetry(t *testing.T) {
 		if s.Overshoot > int64(2)*1 { // sectors · (breakID+1)
 			t.Fatalf("work-item %d overshoot %d exceeds bound", s.WID, s.Overshoot)
 		}
-		if s.Bursts == 0 {
-			t.Fatalf("work-item %d issued no bursts", s.WID)
-		}
 	}
-	if res.MaxWorkItemCycles() == 0 {
+	if maxCycles(res.PerWI) == 0 {
 		t.Fatal("cycle telemetry missing")
 	}
 }
 
 // TestEngineDeterminism: the engine's output is bit-identical across
-// runs despite the concurrent dataflow execution — each work-item owns
-// its streams and its output region, so goroutine scheduling cannot leak
-// into the result. This is the reproducibility property a simulation
-// substrate must have.
+// runs — each work-item owns its streams and its output region, so
+// pooled state cannot leak into the result. This is the reproducibility
+// property a simulation substrate must have.
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []float32 {
-		res := runSmall(t, Config{
+		res := runChunked(t, Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 			WorkItems: 6, Scenarios: 9000, Sectors: 3, SectorVariance: 1.39, Seed: 99,
 		})
@@ -283,7 +260,7 @@ func TestEngineStarvation(t *testing.T) {
 	// is not possible. Use a tiny limitMax by tiny scenarios + huge
 	// rejection: not reachable with valid transforms. Accept: run must
 	// succeed with factor 2 at r≈0.3.
-	if _, err := e.Run(); err != nil {
+	if err := e.RunChunk(context.Background(), make([]float32, 4096), 0, 1, nil); err != nil {
 		if !strings.Contains(err.Error(), "starved") {
 			t.Fatalf("unexpected error: %v", err)
 		}
@@ -303,12 +280,7 @@ func TestPropertyEngineConservation(t *testing.T) {
 			WorkItems: wi, Scenarios: scen, Sectors: sectors,
 			SectorVariance: 1.39, Seed: seed,
 		}
-		// Conservation must hold on both transports; alternate the
-		// fused pipe and the streamed dataflow across the sweep.
 		res := runChunked(t, cfg)
-		if seed%2 == 0 {
-			res = runSmall(t, cfg)
-		}
 		// Accepted counts pipeline acceptances; overshoot cycles may
 		// accept candidates that the counter<limitMain write guard
 		// drops, so Accepted can exceed the emitted total by at most
@@ -331,35 +303,4 @@ func TestPropertyEngineConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkEngineRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := NewEngine(Config{
-			Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
-			WorkItems: 4, Scenarios: 16384, Sectors: 2, SectorVariance: 1.39, Seed: 1,
-		})
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// At returns the value for (workItem, sector, scenarioIndex) from the
-// device layout.
-func (r *RunResult) At(wid, sector int, scenario int64) float32 {
-	limitMain := (r.BlockOffsets[wid+1] - r.BlockOffsets[wid]) / int64(r.cfg.Sectors)
-	return r.Data[r.BlockOffsets[wid]+int64(sector)*limitMain+scenario]
-}
-
-// SectorValues gathers every value of one sector across all work-items —
-// the per-sector marginal the Fig. 6 validation histograms.
-func (r *RunResult) SectorValues(sector int) []float32 {
-	out := make([]float32, 0, r.cfg.Scenarios)
-	for w := 0; w < r.cfg.WorkItems; w++ {
-		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.cfg.Sectors)
-		start := r.BlockOffsets[w] + int64(sector)*limitMain
-		out = append(out, r.Data[start:start+limitMain]...)
-	}
-	return out
 }

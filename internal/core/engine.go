@@ -1,3 +1,25 @@
+// Package core implements the paper's primary contribution: fully
+// decoupled OpenCL work-items on an FPGA-style dataflow substrate.
+//
+// The structure follows the paper's listings:
+//
+//   - Engine / DecoupledWorkItems (Listing 1): N independent
+//     work-items, each with its own Mersenne-Twister streams and its own
+//     offset into the single device buffer (device-level buffer
+//     combining, Section III-E-2).
+//   - generateWI (Listing 2): the single fully pipelined block computing,
+//     correcting and only afterwards validating each gamma candidate,
+//     with the delayed-counter MAINLOOP exit.
+//
+// The host's one generation path is RunChunk: each work-item's candidate
+// blocks land straight in its rows of the device-layout buffer. The
+// engine is *functional*: it produces the gamma data the validation
+// layer (Fig. 6) and the CreditRisk+ application consume. The stream and
+// the Transfer engine of Listings 1 and 4 (FIFO depth, II stalls, burst
+// buffers, channel arbitration) are modelled cycle by cycle by
+// internal/fpga's co-simulation, and kernel timing by its analytic
+// model from the statistics this engine records (cycles, rejection
+// rates).
 package core
 
 import (
@@ -5,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/decwi/decwi/internal/hls"
 	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/gamma"
 	"github.com/decwi/decwi/internal/rng/mt"
@@ -33,13 +54,6 @@ type Config struct {
 	// Sectors).
 	SectorVariance  float64
 	SectorVariances []float64
-	// BurstRNs is the burst length in values (Listing 4's SXTRANSF);
-	// must be a multiple of WordRNs. Default 64.
-	BurstRNs int
-	// StreamDepth is the hls::stream FIFO depth between generation and
-	// transfer in Run's dataflow. Default 64; negative depths are
-	// rejected.
-	StreamDepth int
 	// StreamOffset fast-forwards every work-item's four Mersenne-Twister
 	// streams by this many state words before generation begins — an
 	// O(log n) seek through each stream (mt.Core.Jump). The default 0
@@ -57,11 +71,11 @@ type Config struct {
 	// Seed is the master seed; per-work-item streams are split from it.
 	Seed uint64
 	// Telemetry, when non-nil, records cycle telemetry for the run:
-	// hls::stream backpressure, per-work-item divergence and retry
-	// attribution, and — into its run trace — dataflow process, sector
-	// and burst spans. A nil recorder leaves the hot paths on their
-	// uninstrumented fast path. Tracing never perturbs the generated
-	// data (see TestTelemetryDoesNotPerturbRNG).
+	// per-work-item cycle, rejection and feed-stream attribution, block
+	// counters and — into its run trace — per-sector spans on each
+	// work-item's cycle clock. A nil recorder leaves the hot paths on
+	// their uninstrumented fast path. Tracing never perturbs the
+	// generated data (see TestTelemetryDoesNotPerturbRNG).
 	Telemetry *telemetry.Recorder
 }
 
@@ -86,20 +100,6 @@ func (c Config) setDefaults() (Config, error) {
 	}
 	if c.SectorVariances == nil && !(c.SectorVariance > 0) {
 		return c, fmt.Errorf("core: SectorVariance must be positive, got %g", c.SectorVariance)
-	}
-	if c.BurstRNs == 0 {
-		c.BurstRNs = 64
-	}
-	if c.BurstRNs < WordRNs || c.BurstRNs%WordRNs != 0 {
-		return c, fmt.Errorf("core: BurstRNs %d must be a positive multiple of %d", c.BurstRNs, WordRNs)
-	}
-	if c.StreamDepth < 0 {
-		// hls.NewStream clamps sub-1 depths to 1; a negative depth is a
-		// configuration error and must not be silently absorbed.
-		return c, fmt.Errorf("core: StreamDepth must be ≥ 0 (0 selects the default), got %d", c.StreamDepth)
-	}
-	if c.StreamDepth == 0 {
-		c.StreamDepth = 64
 	}
 	if c.BreakID < 0 {
 		return c, fmt.Errorf("core: BreakID must be ≥ 0, got %d", c.BreakID)
@@ -137,34 +137,15 @@ type WorkItemStats struct {
 	Accepted      uint64
 	RejectionRate float64 // Eq. (1) sense: extra trips per output
 	Overshoot     int64   // delayed-exit extra trips, summed over sectors
-	// Stream-side stats of Run's dataflow; zero after RunChunk, which
-	// has no stream.
-	Bursts       int64 // memory bursts issued by the Transfer engine
-	FlushedWords int64 // partial trailing words (0 on divisible setups)
-	StreamHigh   int   // high-water occupancy of the hls::stream
 }
 
-// RunResult carries the generated data and the run telemetry.
-type RunResult struct {
-	// Data holds Scenarios·Sectors gamma values in device layout: one
-	// contiguous block per work-item, sector-major inside the block
-	// (Section III-E-2's single device buffer with per-wid offsets).
-	Data []float32
-	// BlockOffsets[w] is the index of work-item w's block in Data;
-	// BlockOffsets[WorkItems] == len(Data).
-	BlockOffsets []int64
-	// PerWI is the per-work-item telemetry.
-	PerWI []WorkItemStats
-	cfg   Config
-}
-
-// Engine executes Config as a DATAFLOW region of decoupled work-items.
+// Engine executes Config's decoupled work-items.
 //
 // The run layout — per-work-item quotas, device-layout block offsets and
 // per-work-item master seeds — is fixed at construction time and depends
 // only on the configuration, never on how a run is executed. This is
-// what makes a chunked run (RunChunk over a subset of work-items, in any
-// order, on any goroutine) bitwise-identical to Run's dataflow model.
+// what makes a chunked run (RunChunk over any subset of work-items, in
+// any order, on any goroutine) write the same bytes as any other.
 type Engine struct {
 	cfg     Config
 	per     []int64  // per-work-item output quota (Listing 2's limitMain)
@@ -194,9 +175,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // BlockOffsets returns a copy of the device-layout block offsets:
 // work-item w's output occupies [BlockOffsets[w], BlockOffsets[w+1]) of
 // the result buffer, sector-major inside the block.
@@ -217,67 +195,6 @@ func (e *Engine) splitScenarios() []int64 {
 		}
 	}
 	return out
-}
-
-// Run executes the engine as Listing 1's DecoupledWorkItems: one
-// gammaRNG process and one Transfer process per work-item, joined by a
-// blocking hls::stream, all scheduled concurrently as a DATAFLOW region.
-// It is the hardware model — stream backpressure, burst accounting and
-// dataflow process spans are its observables — not the host's fast
-// path, which is RunChunk. Both write the same bytes
-// (TestFusedRunEquivalence).
-func (e *Engine) Run() (*RunResult, error) {
-	cfg := e.cfg
-	per := e.per
-
-	res := &RunResult{
-		Data:         make([]float32, cfg.Scenarios*int64(cfg.Sectors)),
-		BlockOffsets: append([]int64(nil), e.offsets...),
-		PerWI:        make([]WorkItemStats, cfg.WorkItems),
-		cfg:          cfg,
-	}
-	wiSeeds := e.seeds
-
-	procs := make([]hls.Process, 0, 2*cfg.WorkItems)
-	for w := 0; w < cfg.WorkItems; w++ {
-		wid := w
-		limitMain := per[wid]
-		stream := hls.NewStream[float32](fmt.Sprintf("gamma[%d]", wid), cfg.StreamDepth)
-		stream.Instrument(cfg.Telemetry)
-		stats := &res.PerWI[wid]
-		stats.WID = wid
-		stats.Scenarios = limitMain
-
-		gen := gamma.NewGenerator(cfg.Transform, cfg.MTParams,
-			gamma.MustFromVariance(cfg.variance(0)), wiSeeds[wid])
-		e.instrumentTrips(gen)
-		e.seekStreams(gen)
-
-		procs = append(procs,
-			hls.Process{
-				Name: fmt.Sprintf("GammaRNG[%d]", wid),
-				Run:  func() error { return e.gammaRNG(wid, limitMain, gen, stream, stats) },
-			},
-			hls.Process{
-				Name: fmt.Sprintf("Transfer[%d]", wid),
-				Run:  func() error { return e.transfer(wid, limitMain, stream, res, stats) },
-			},
-		)
-	}
-	tr := cfg.Telemetry.Trace()
-	kStart := tr.Now()
-	if err := hls.DataflowWith(cfg.Telemetry, procs); err != nil {
-		return nil, err
-	}
-	tr.Put(flight.Span{Track: "engine", Name: "kernel", StartUS: kStart, EndUS: tr.Now(),
-		Arg: cfg.Scenarios * int64(cfg.Sectors)})
-	for w := range res.PerWI {
-		s := &res.PerWI[w]
-		if s.Accepted > 0 {
-			s.RejectionRate = float64(s.Cycles-s.Accepted) / float64(s.Accepted)
-		}
-	}
-	return res, nil
 }
 
 // transformSlug lowercases a transform name into a metric-name-safe
@@ -324,77 +241,48 @@ func (e *Engine) seekStreams(gen *gamma.Generator) {
 // and its delayed-exit overshoot are shorter, bounded by the quota.
 const blockCycles = 256
 
-// blockBuffers bundles one work-item's block-path scratch. The buffers
-// are pooled because engine runs spin up fresh goroutines per work-item
-// (lifetimes cross goroutines between runs); within one gammaRNG call
-// the same buffers are reused with zero allocation.
-type blockBuffers struct {
-	scratch *gamma.BlockScratch
-	out     []float32
-}
+// scratchPool holds block scratch sized for blockCycles attempts. Chunks
+// run on any goroutine, so a work-item borrows one for its run; within
+// the run the scratch is reused with zero allocation.
+var scratchPool = sync.Pool{New: func() any { return gamma.NewBlockScratch(blockCycles) }}
 
-var blockBuffersPool = sync.Pool{New: func() any {
-	return &blockBuffers{
-		scratch: gamma.NewBlockScratch(blockCycles),
-		out:     make([]float32, blockCycles),
-	}
-}}
-
-// gammaRNG is Listing 2: SECLOOP over sectors, each running the delayed-
-// exit MAINLOOP until limitMain validated outputs are written to the
-// stream. Validated outputs are staged in a WordRNs-sized batch and
-// moved with one WriteBurst per 512-bit word; the value sequence on the
-// stream is the one RunChunk writes in place (see generateWI).
-func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *hls.Stream[float32], stats *WorkItemStats) error {
-	defer out.Close()
-	batch := make([]float32, 0, WordRNs)
-	emit := func(vals []float32) {
-		for _, v := range vals {
-			batch = append(batch, v)
-			if len(batch) == WordRNs {
-				out.WriteBurst(batch)
-				batch = batch[:0]
-			}
-		}
-	}
-	if err := e.generateWI(nil, wid, limitMain, gen, sink{commit: emit}, stats); err != nil {
-		return err
-	}
-	// Flush the partial trailing batch (runs before the deferred Close,
-	// so the consumer sees every emitted value before end-of-stream).
-	if len(batch) > 0 {
-		out.WriteBurst(batch)
-	}
-	return nil
-}
-
-// sink is generateWI's output hand-off. dest, when non-nil, returns a
-// destination slice for up to n outputs so every block generates
-// straight into final storage — RunChunk's fused pipe; when nil, blocks
-// generate into the work-item's scratch row, which is what the streamed
-// transport needs. commit receives each block's produced outputs, in
-// order, wherever they were generated.
-type sink struct {
-	dest   func(n int) []float32
-	commit func(out []float32)
-}
-
-// generateWI is the transport-agnostic body of gammaRNG: the SECLOOP
-// over sectors with the delayed-exit MAINLOOP, handing each validated
-// output to the sink, in order. The value sequence depends only on the
-// work-item's generator (seed, transform, twister, variances) — never on
-// where the sink puts the value — which is what makes the streamed Run
-// path and the fused RunChunk path bitwise-identical. ctx, when
-// non-nil, is polled at sector boundaries so a cancelled chunked run
-// aborts promptly without perturbing any completed sector.
+// generateWI runs work-item wid — Listing 2's SECLOOP over sectors,
+// each a delayed-exit MAINLOOP — writing its output into
+// dst[offsets[wid]:offsets[wid+1]] and its telemetry into stats[wid]
+// (or a discarded record when stats is nil). The value sequence depends
+// only on the work-item's split seed, quota and the configuration,
+// which is what lets chunks run in any order on any goroutine. ctx,
+// when non-nil, is polled at sector boundaries so a cancelled chunked
+// run aborts promptly without perturbing any completed sector.
 //
 // Each sector runs on the block compute path (blockPhase.sector), which
 // spends the same trips on the same Mersenne-Twister words and writes
 // the same values as Listing 2's one-word gated MAINLOOP — the scalar
 // oracle the equivalence tests keep (TestBlockComputeEquivalence).
-func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *gamma.Generator, snk sink, stats *WorkItemStats) error {
+func (e *Engine) generateWI(ctx context.Context, wid int, dst []float32, stats []WorkItemStats) error {
 	cfg := e.cfg
+	var st WorkItemStats
+	stp := &st
+	if stats != nil {
+		stp = &stats[wid]
+		*stp = WorkItemStats{}
+	}
+	limitMain := e.per[wid]
 	limitMax := cfg.LimitMaxFactor*limitMain + 1024
+	stp.WID = wid
+	stp.Scenarios = limitMain
+
+	gen := getGenerator(cfg.Transform, cfg.MTParams,
+		gamma.MustFromVariance(cfg.variance(0)), e.seeds[wid])
+	// (Re)attach this run's trip histogram: the pooled generator may carry
+	// one from a previous run's recorder, and with telemetry off this
+	// detaches it.
+	e.instrumentTrips(gen)
+	e.seekStreams(gen)
+	defer putGenerator(cfg.Transform, cfg.MTParams, gen)
+	scratch := scratchPool.Get().(*gamma.BlockScratch)
+	defer scratchPool.Put(scratch)
+
 	// Telemetry: a cycle-clock track timestamped by the generator's own
 	// cycle counter. All handles are nil-safe no-ops when tracing is off,
 	// and everything here is per-sector or per-block — the MAINLOOP body
@@ -404,17 +292,19 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	if tr != nil {
 		track = fmt.Sprintf("GammaRNG[%d]", wid)
 	}
-
-	bufs := blockBuffersPool.Get().(*blockBuffers)
-	defer blockBuffersPool.Put(bufs)
 	blk := blockPhase{
-		gen: gen, bufs: bufs, snk: snk,
+		gen: gen, scratch: scratch,
+		dst:        dst[e.offsets[wid]:e.offsets[wid+1]],
 		overshoot:  int64(cfg.BreakID) + 1,
 		perAttempt: int64(cfg.Transform.UniformsPerCandidate()),
 		cFills: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
 			"bulk block-generation batches (CycleBlock calls)"),
 		cWords: cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
 			"Mersenne-Twister words consumed through bulk fills"),
+		cBlocks: cfg.Telemetry.Counter(fmt.Sprintf("engine.fused-blocks[%d]", wid), "events",
+			"candidate blocks generated directly into the device buffer by the fused pipe"),
+		cDirect: cfg.Telemetry.Counter(fmt.Sprintf("engine.fused-direct[%d]", wid), "values",
+			"outputs written to the device buffer without per-value transport (fused pipe block phase)"),
 	}
 
 	for sector := 0; sector < cfg.Sectors; sector++ {
@@ -431,7 +321,7 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 			return fmt.Errorf("core: work-item %d starved in sector %d: %d/%d outputs within limitMax=%d",
 				wid, sector, counter, limitMain, limitMax)
 		}
-		stats.Overshoot += trips - (quotaAt + 1)
+		stp.Overshoot += trips - (quotaAt + 1)
 		end := int64(gen.Cycles())
 		tr.Put(flight.Span{Track: track, Clock: flight.CycleClock, Name: "sector",
 			StartUS: sectorStart, EndUS: end, Arg: trips})
@@ -439,21 +329,30 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 		tr.Put(flight.Span{Track: track, Clock: flight.CycleClock, Name: "rejection-retry",
 			StartUS: end, EndUS: end, Arg: trips - limitMain})
 	}
-	stats.Cycles = gen.Cycles()
-	stats.Accepted = gen.Accepted()
+	if blk.written != len(blk.dst) {
+		return fmt.Errorf("core: work-item %d wrote %d values, block expects %d", wid, blk.written, len(blk.dst))
+	}
+	stp.Cycles = gen.Cycles()
+	stp.Accepted = gen.Accepted()
+	if stp.Accepted > 0 {
+		stp.RejectionRate = float64(stp.Cycles-stp.Accepted) / float64(stp.Accepted)
+	}
 	e.recordWICounters(wid, gen)
 	return nil
 }
 
 // blockPhase is one work-item's block compute path: every trip of every
-// sector runs through gamma.CycleBlock.
+// sector runs through gamma.CycleBlock, and kept outputs land in dst,
+// the work-item's rows of the device buffer, in order.
 type blockPhase struct {
-	gen            *gamma.Generator
-	bufs           *blockBuffers
-	snk            sink
-	overshoot      int64 // delayed-exit trips after the quota: BreakID+1
-	perAttempt     int64 // always-enabled MT0 words per attempt
-	cFills, cWords *telemetry.Counter
+	gen        *gamma.Generator
+	scratch    *gamma.BlockScratch
+	dst        []float32
+	written    int   // outputs written to dst so far
+	overshoot  int64 // delayed-exit trips after the quota: BreakID+1
+	perAttempt int64 // always-enabled MT0 words per attempt
+
+	cFills, cWords, cBlocks, cDirect *telemetry.Counter
 }
 
 // sector runs one sector as quota-bounded blocks and returns what
@@ -469,8 +368,8 @@ type blockPhase struct {
 //   - The gated delayed exit reads the counter through BreakID+1
 //     register stages, so it always fires exactly BreakID+1 trips after
 //     the quota trip (limitMax permitting). Those trips run as discarded
-//     blocks into the scratch row — never into the sink, which at a
-//     work-item's last sector would be the next work-item's rows.
+//     blocks in the scratch — never into dst, whose next rows belong to
+//     the next sector.
 func (b *blockPhase) sector(limitMain, limitMax int64) (counter, trips, quotaAt int64) {
 	for counter < limitMain && trips < limitMax {
 		n := min(blockCycles, limitMain-counter, limitMax-trips)
@@ -492,16 +391,19 @@ func (b *blockPhase) sector(limitMain, limitMax int64) (counter, trips, quotaAt 
 }
 
 // block runs one CycleBlock of n attempts and returns the outputs it
-// produced. Kept outputs go to the sink; the overshoot's are discarded.
+// produced. Kept outputs go straight to dst: a kept block of n attempts
+// only runs while at least n outputs remain in the sector's row, so it
+// never crosses into the next row. The overshoot's are discarded.
 func (b *blockPhase) block(n int64, keep bool) int64 {
 	nvBefore := b.gen.NormalValid()
-	out := b.bufs.out[:n]
-	if keep && b.snk.dest != nil {
-		out = b.snk.dest(int(n))
-	}
-	produced := b.gen.CycleBlock(out, int(n), b.bufs.scratch)
+	var produced int
 	if keep {
-		b.snk.commit(out[:produced])
+		produced = b.gen.CycleBlock(b.dst[b.written:b.written+int(n)], int(n), b.scratch)
+		b.written += produced
+		b.cBlocks.Add(1)
+		b.cDirect.Add(int64(produced))
+	} else {
+		produced = b.gen.ConsumeBlock(int(n), b.scratch, func([]float32) {})
 	}
 	// One bulk increment per block: MT0 words (always enabled), the gated
 	// MT1 words (one per valid normal) and the gated MT2 words (one per
@@ -538,100 +440,4 @@ func (e *Engine) recordWICounters(wid int, gen *gamma.Generator) {
 		"Mersenne-Twister feed stream MT1 held (rejection uniform gated)").Add(cycles - nvalid)
 	rec.Counter(fmt.Sprintf("mtfeed.mt2-hold[%d]", wid), "cycles",
 		"Mersenne-Twister feed stream MT2 held (correction uniform gated)").Add(cycles - accepted)
-}
-
-// transfer is Listing 4: read the stream, pack into 512-bit words, fill
-// the burst buffer, and copy each completed burst into the single device
-// buffer at this work-item's running offset. Each ReadBurst dequeues one
-// whole 512-bit word; a trailing partial word is written with its exact
-// length, so no padding lands in the result buffer.
-func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res *RunResult, stats *WorkItemStats) error {
-	cfg := e.cfg
-	burstWords := cfg.BurstRNs / WordRNs
-	burst := make([]Word512, 0, burstWords)
-	tr := cfg.Telemetry.Trace()
-	var track string
-	if tr != nil {
-		track = fmt.Sprintf("Transfer[%d]", wid)
-	}
-	cBursts := cfg.Telemetry.Counter(fmt.Sprintf("membus.bursts[%d]", wid), "events",
-		"memory bursts issued by the Transfer engine")
-
-	offset := res.BlockOffsets[wid] // running value offset (blockOffset·wid)
-	emit := func(w Word512, n int) {
-		copy(res.Data[offset:offset+int64(n)], w[:n])
-		offset += int64(n)
-	}
-	flushBurst := func() {
-		if len(burst) == 0 {
-			return
-		}
-		// One memcpy burst: LTRANSF consecutive beats at the offset.
-		payload := int64(len(burst) * WordRNs)
-		for _, w := range burst {
-			emit(w, WordRNs)
-		}
-		burst = burst[:0]
-		stats.Bursts++
-		cBursts.Add(1)
-		now := tr.Now()
-		tr.Put(flight.Span{Track: track, Name: "mem-burst", StartUS: now, EndUS: now, Arg: payload})
-	}
-
-	total := limitMain * int64(cfg.Sectors)
-	var w Word512
-	words := total / int64(WordRNs)
-	for i := int64(0); i < words; i++ {
-		n, err := in.ReadBurst(w[:])
-		if err != nil || n < WordRNs {
-			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-				wid, i*int64(WordRNs)+int64(n), total, errTruncated(err))
-		}
-		burst = append(burst, w)
-		if len(burst) == burstWords {
-			flushBurst()
-		}
-	}
-	flushBurst()
-	if rem := int(total % int64(WordRNs)); rem > 0 {
-		n, err := in.ReadBurst(w[:rem])
-		if err != nil || n < rem {
-			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-				wid, words*int64(WordRNs)+int64(n), total, errTruncated(err))
-		}
-		emit(w, rem)
-		stats.FlushedWords++
-		stats.Bursts++
-	}
-	if offset != res.BlockOffsets[wid+1] {
-		return fmt.Errorf("core: transfer %d: wrote %d values, block expects %d",
-			wid, offset-res.BlockOffsets[wid], res.BlockOffsets[wid+1]-res.BlockOffsets[wid])
-	}
-	_, _, stats.StreamHigh = streamStats(in)
-	return nil
-}
-
-// streamStats adapts the Stream telemetry accessor.
-func streamStats(s *hls.Stream[float32]) (uint64, uint64, int) { return s.Stats() }
-
-// errTruncated normalises the short-read cases of ReadBurst: a short
-// count with a nil error still means the producer closed early.
-func errTruncated(err error) error {
-	if err != nil {
-		return err
-	}
-	return hls.ErrStreamClosed
-}
-
-// MaxWorkItemCycles returns the largest per-work-item cycle count — the
-// quantity that determines the kernel's compute time, since decoupled
-// work-items run independently and the slowest one finishes last.
-func (r *RunResult) MaxWorkItemCycles() uint64 {
-	var m uint64
-	for _, s := range r.PerWI {
-		if s.Cycles > m {
-			m = s.Cycles
-		}
-	}
-	return m
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/decwi/decwi/internal/fpga"
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 	"github.com/decwi/decwi/internal/stats"
@@ -131,7 +132,8 @@ func TestNDRangePipelineScaling(t *testing.T) {
 // TestNDRangeVsTaskCompute: at equal pipeline counts the two formulations
 // need the same compute cycles (time multiplexing has no divergence
 // penalty — the pipeline is never idle), so the paper's preference for
-// the Task form is about transfers, not compute.
+// the Task form is about transfers, not compute: the co-simulation of
+// the Task form's streams and Transfer engines forms full bursts.
 func TestNDRangeVsTaskCompute(t *testing.T) {
 	const scen = 32768
 	nd := ndBase()
@@ -144,29 +146,26 @@ func TestNDRangeVsTaskCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	task, err := NewEngine(Config{
+	taskRes := runChunked(t, Config{
 		Transform: nd.Transform, MTParams: nd.MTParams,
 		WorkItems: 4, Scenarios: scen, Sectors: 1,
 		SectorVariance: 1.39, Seed: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	taskRes, err := task.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ndC := float64(ndRes.MaxCUCycles())
-	taskC := float64(taskRes.MaxWorkItemCycles())
+	taskC := float64(maxCycles(taskRes.PerWI))
 	if math.Abs(ndC-taskC)/taskC > 0.03 {
 		t.Fatalf("equal-pipeline compute cycles should match: NDRange %g vs Task %g", ndC, taskC)
 	}
-	// But the Task engine forms real bursts while NDRange scatters.
-	var bursts int64
-	for _, s := range taskRes.PerWI {
-		bursts += s.Bursts
+	// But the Task form's Transfer engines form real bursts while
+	// NDRange scatters.
+	cosim, err := fpga.RunCoSim(fpga.CoSimConfig{
+		WorkItems: 4, Quota: scen / 4,
+		Transform: nd.Transform, MTParams: nd.MTParams, Variance: 1.39, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bursts == 0 {
+	if cosim.Bursts == 0 {
 		t.Fatal("task engine should issue bursts")
 	}
 	if ndRes.ScatteredStores() != scen {

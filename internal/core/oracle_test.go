@@ -31,20 +31,60 @@ func gatedSector(gen *gamma.Generator, breakID int, limitMain, limitMax int64, e
 	return counter, trips, quotaAt
 }
 
+// runResult is one whole run's device buffer and per-work-item stats.
+type runResult struct {
+	// Data holds Scenarios·Sectors values in device layout: one
+	// contiguous block per work-item, sector-major inside the block.
+	Data []float32
+	// BlockOffsets[w] is the index of work-item w's block in Data.
+	BlockOffsets []int64
+	PerWI        []WorkItemStats
+	cfg          Config
+}
+
+// At returns the value for (workItem, sector, scenarioIndex) from the
+// device layout.
+func (r *runResult) At(wid, sector int, scenario int64) float32 {
+	limitMain := (r.BlockOffsets[wid+1] - r.BlockOffsets[wid]) / int64(r.cfg.Sectors)
+	return r.Data[r.BlockOffsets[wid]+int64(sector)*limitMain+scenario]
+}
+
+// SectorValues gathers every value of one sector across all work-items —
+// the per-sector marginal the Fig. 6 validation histograms.
+func (r *runResult) SectorValues(sector int) []float32 {
+	out := make([]float32, 0, r.cfg.Scenarios)
+	for w := 0; w < r.cfg.WorkItems; w++ {
+		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.cfg.Sectors)
+		start := r.BlockOffsets[w] + int64(sector)*limitMain
+		out = append(out, r.Data[start:start+limitMain]...)
+	}
+	return out
+}
+
+// maxCycles returns the largest per-work-item cycle count: decoupled
+// work-items run independently, so the slowest sets the compute time.
+func maxCycles(stats []WorkItemStats) uint64 {
+	var m uint64
+	for _, s := range stats {
+		m = max(m, s.Cycles)
+	}
+	return m
+}
+
 // gatedReference generates cfg's whole device buffer through the scalar
 // oracle: each work-item on a fresh generator from its split seed,
 // StreamOffset applied by the O(n) word-by-word walk, every sector a
 // gatedSector. It shares only the layout (quotas, offsets, seeds) with
-// the engine, so the block path, the jump seek and both transports are
-// all checked against it.
-func gatedReference(t *testing.T, cfg Config) *RunResult {
+// the engine, so the block path and the jump seek are both checked
+// against it.
+func gatedReference(t *testing.T, cfg Config) *runResult {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := e.cfg
-	res := &RunResult{
+	res := &runResult{
 		Data:         make([]float32, c.Scenarios*int64(c.Sectors)),
 		BlockOffsets: e.BlockOffsets(),
 		PerWI:        make([]WorkItemStats, c.WorkItems),
@@ -76,15 +116,15 @@ func gatedReference(t *testing.T, cfg Config) *RunResult {
 }
 
 // runChunked executes cfg through the host path — one RunChunk over
-// every work-item — and returns it in RunResult form.
-func runChunked(t *testing.T, cfg Config) *RunResult {
+// every work-item — and returns it as a runResult.
+func runChunked(t *testing.T, cfg Config) *runResult {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.Config()
-	res := &RunResult{
+	c := e.cfg
+	res := &runResult{
 		Data:         make([]float32, c.Scenarios*int64(c.Sectors)),
 		BlockOffsets: e.BlockOffsets(),
 		PerWI:        make([]WorkItemStats, c.WorkItems),
@@ -98,7 +138,7 @@ func runChunked(t *testing.T, cfg Config) *RunResult {
 
 // sameRun fails unless got matches want in data and in each work-item's
 // cycles, acceptances, overshoot and quota.
-func sameRun(t *testing.T, what string, want, got *RunResult) {
+func sameRun(t *testing.T, what string, want, got *runResult) {
 	t.Helper()
 	if len(want.Data) != len(got.Data) {
 		t.Fatalf("%s: length %d, want %d", what, len(got.Data), len(want.Data))

@@ -22,21 +22,13 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 		SectorVariance: 1.39, Seed: 99,
 	}
 
-	// Both transports must be telemetry-transparent: Run because its
-	// stream and burst hooks sit between the generator and the buffer,
-	// RunChunk because its per-block counter bookkeeping reads the
-	// generator's counters mid-sector. Either way a hook that drew a
-	// word would shift the stream.
-	for _, streamed := range []bool{true, false} {
-		run := runChunked
-		if streamed {
-			run = runSmall
-		}
-		plain := run(t, base)
-		traced := base
-		traced.Telemetry = telemetry.New(1 << 12)
-		sameRun(t, fmt.Sprintf("streamed=%v telemetry on vs off", streamed), plain, run(t, traced))
-	}
+	// RunChunk's per-block counter bookkeeping reads the generator's
+	// counters mid-sector; a hook that drew a word would shift the
+	// stream.
+	plain := runChunked(t, base)
+	traced := base
+	traced.Telemetry = telemetry.New(1 << 12)
+	sameRun(t, "telemetry on vs off", plain, runChunked(t, traced))
 }
 
 // TestTelemetryCountersPopulated verifies the engine actually records the
@@ -45,17 +37,11 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 // rejection-loop retries.
 func TestTelemetryCountersPopulated(t *testing.T) {
 	rec := telemetry.New(1 << 12)
-	eng, err := NewEngine(Config{
+	runChunked(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 2, Scenarios: 1000, Sectors: 1,
 		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 
 	byName := map[string]*telemetry.Counter{}
 	for _, c := range rec.Counters() {
@@ -65,7 +51,6 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 		"engine.cycles[0]", "engine.accepted[0]",
 		"mtfeed.mt1-hold[0]", "mtfeed.mt2-hold[0]",
 		"rejection.gamma-loop[0]", "rejection.normal-transform[0]",
-		"membus.bursts[0]",
 	} {
 		c, ok := byName[name]
 		if !ok {
@@ -99,18 +84,12 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 // block counters do, or the identity breaks.
 func TestTelemetryBlockCounters(t *testing.T) {
 	rec := telemetry.New(1 << 12)
-	eng, err := NewEngine(Config{
-		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
-		WorkItems: 2, Scenarios: 4000, Sectors: 2,
-		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for run := 0; run < 2; run++ {
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		runChunked(t, Config{
+			Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
+			WorkItems: 2, Scenarios: 4000, Sectors: 2,
+			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
+		})
 	}
 	block := map[string]*telemetry.Counter{}
 	for _, c := range rec.Counters() {

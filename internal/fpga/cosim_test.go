@@ -249,6 +249,51 @@ func TestCoSimPartialFinalBurst(t *testing.T) {
 	}
 }
 
+// TestCoSimGolden pins the cycle-accurate co-simulation — the repo's
+// only model of Listing 1's streams, Transfer engines and memory
+// channel — to committed numbers for the four Table I kernels at their
+// place-and-route work-item counts, plus a Config1 build with a
+// two-deep FIFO so the backpressure path is pinned too. The other
+// co-simulation tests check relations between these numbers; this one
+// catches a change that moves them all together. A quota of 3000 is not
+// a multiple of the 64-value burst, so every lane also flushes a
+// partial final burst.
+func TestCoSimGolden(t *testing.T) {
+	type want struct {
+		cycles, computeDone, stalled, channelBusy, overlap, bursts int64
+	}
+	for _, tc := range []struct {
+		name      string
+		transform normal.Kind
+		params    mt.Params
+		workItems int
+		fifoDepth int
+		want      want
+	}{
+		{"Config1", normal.MarsagliaBray, mt.MT19937Params, 6, 0, want{3986, 3967, 0, 3666, 3645, 282}},
+		{"Config2", normal.MarsagliaBray, mt.MT521Params, 6, 0, want{3982, 3966, 0, 3666, 3649, 282}},
+		{"Config3", normal.ICDFFPGA, mt.MT19937Params, 8, 0, want{4954, 4787, 13402, 4888, 4723, 376}},
+		{"Config4", normal.ICDFFPGA, mt.MT521Params, 8, 0, want{4954, 4788, 13399, 4888, 4724, 376}},
+		{"Config1-fifo2", normal.MarsagliaBray, mt.MT19937Params, 6, 2, want{4155, 4139, 1048, 3666, 3644, 282}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunCoSim(CoSimConfig{
+				WorkItems: tc.workItems, Quota: 3000,
+				Transform: tc.transform, MTParams: tc.params, Variance: 1.39,
+				FIFODepth: tc.fifoDepth, Seed: 2017,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := want{res.Cycles, res.ComputeDoneCycle, res.StalledCycles,
+				res.ChannelBusyCycles, res.OverlapCycles, res.Bursts}
+			if got != tc.want {
+				t.Fatalf("co-simulation moved:\n got  %+v\n want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
 func BenchmarkCoSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunCoSim(CoSimConfig{

@@ -1,16 +1,24 @@
+// Package hls models the high-level-synthesis constructs the paper's FPGA
+// design is built from (Xilinx Vivado HLS via SDAccel, Section II-A).
+// Dataflow is a process network runner (goroutines joined with error
+// collection), standing in for `#pragma HLS DATAFLOW`; the NDRange
+// formulation in internal/core runs its compute units through it.
+//
+// The Listing 2 cycle models (initiation-interval scheduling, the
+// delay-register array, the delayed loop exit) and a model of Listing
+// 1's hls::stream live in this package's tests; the engine's block
+// phase in internal/core runs the loop itself, and internal/fpga's
+// co-simulation models the stream and its transfers cycle by cycle.
 package hls
 
 import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"github.com/decwi/decwi/internal/telemetry"
-	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // Process is one node of a DATAFLOW region. It runs to completion and
-// returns an error on failure; communication happens over Streams
+// returns an error on failure; communication happens over state
 // captured in its closure.
 type Process struct {
 	Name string
@@ -22,33 +30,16 @@ type Process struct {
 // parallel (Listing 1) — and joins them, collecting every error. Panics
 // inside a process are recovered and reported as errors so one failing
 // work-item cannot take down the simulation host.
-func Dataflow(procs []Process) error { return DataflowWith(nil, procs) }
-
-// DataflowWith is Dataflow with process-lifecycle telemetry: each
-// process gets a "process" span (start..finish, wall clock) on its own
-// track of the recorder's run trace. A recorder without a run trace
-// records nothing and costs nothing.
-func DataflowWith(rec *telemetry.Recorder, procs []Process) error {
-	tr := rec.Trace()
+func Dataflow(procs []Process) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(procs))
 	for i, p := range procs {
 		wg.Add(1)
 		go func(i int, p Process) {
 			defer wg.Done()
-			start := tr.Now()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("hls: process %q panicked: %v", p.Name, r)
-				}
-				if tr != nil {
-					// Span arg 1 flags a failed process in the trace.
-					var failed int64
-					if errs[i] != nil {
-						failed = 1
-					}
-					tr.Put(flight.Span{Track: "proc " + p.Name, Name: "process",
-						StartUS: start, EndUS: tr.Now(), Arg: failed})
 				}
 			}()
 			if err := p.Run(); err != nil {

@@ -280,36 +280,3 @@ func TestStreamBurstTelemetryBulkCounters(t *testing.T) {
 		t.Fatalf("Stats writes=%d reads=%d", w, r)
 	}
 }
-
-// BenchmarkBatchedStream is the transport-level proof of the burst win:
-// the same number of float32 values moved in one-value bursts (the
-// per-cycle handshake) versus WordRNs-sized (16) and 4-word (64) bursts
-// through a depth-64 stream.
-func BenchmarkBatchedStream(b *testing.B) {
-	const depth = 64
-	run := func(b *testing.B, batch int) {
-		b.Helper()
-		s := NewStream[float32]("bench", depth)
-		go func() {
-			defer s.Close()
-			buf := make([]float32, batch)
-			for i := 0; i < b.N; i += batch {
-				n := batch
-				if rem := b.N - i; rem < n {
-					n = rem
-				}
-				s.WriteBurst(buf[:n])
-			}
-		}()
-		dst := make([]float32, batch)
-		for {
-			if _, err := s.ReadBurst(dst); err != nil {
-				break
-			}
-		}
-		b.SetBytes(4)
-	}
-	b.Run("burst1", func(b *testing.B) { run(b, 1) })
-	b.Run("burst16", func(b *testing.B) { run(b, 16) })
-	b.Run("burst64", func(b *testing.B) { run(b, 64) })
-}

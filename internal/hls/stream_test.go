@@ -1,18 +1,12 @@
-// Package hls models the high-level-synthesis constructs the paper's FPGA
-// design is built from (Xilinx Vivado HLS via SDAccel, Section II-A):
-//
-//   - Stream: a bounded blocking FIFO standing in for hls::stream, the
-//     single-producer/single-consumer channel that the DATAFLOW pragma
-//     requires between the GammaRNG and Transfer processes (Listing 1).
-//     Values move in bursts (WriteBurst/ReadBurst), the granularity of
-//     the 512-bit-word transfers.
-//   - Dataflow: a process network runner (goroutines joined with error
-//     collection), standing in for `#pragma HLS DATAFLOW`.
-//
-// The Listing 2 cycle models (initiation-interval scheduling, the
-// delay-register array, the delayed loop exit) live in this package's
-// tests; the engine's block phase in internal/core runs the loop itself.
 package hls
+
+// Stream is a test-side model of Listing 1's hls::stream: a bounded
+// blocking FIFO between one producer and one consumer goroutine, moved
+// in bursts (WriteBurst/ReadBurst). The product models the stream
+// cycle by cycle in internal/fpga's co-simulation (FIFO depth, II
+// stalls); this model stays beside listing2_test.go's Listing 2 cycle
+// models to pin the channel's ordering and close/drain semantics, and
+// TestDataflowRunsConcurrently wires Dataflow processes through it.
 
 import (
 	"errors"
@@ -146,9 +140,7 @@ func (p *streamProbe) instant(name string, count uint64) {
 }
 
 // NewStream creates a stream with the given FIFO depth (≥1) and a
-// diagnostic name. Depths below 1 are clamped to 1 (configuration
-// layers reject negative depths before they reach here; see
-// core.Config.StreamDepth).
+// diagnostic name. Depths below 1 are clamped to 1.
 func NewStream[T any](name string, depth int) *Stream[T] {
 	if depth < 1 {
 		depth = 1

@@ -8,7 +8,7 @@ import (
 // BlockScratch holds the preallocated intermediate buffers CycleBlock
 // needs for one block of attempts. One scratch serves any number of
 // CycleBlock calls (and any transform) up to its capacity; the engine
-// keeps one per work-item goroutine so the steady-state loop never
+// pools them across work-item runs so the steady-state loop never
 // allocates.
 type BlockScratch struct {
 	capacity int

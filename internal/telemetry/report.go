@@ -21,9 +21,9 @@ import (
 //     every other group against "engine.cycles" (total pipeline
 //     iterations). The two clocks count different workloads, so a
 //     share of one is never taken against the other's total.
-//   - unit "ns": wall-clock blocking time measured around blocking
-//     stream operations; ranked separately (the functional engine runs
-//     on goroutines, so wall time is a proxy, not a cycle count).
+//   - unit "ns": host wall-clock time, such as the parallel scheduler's
+//     per-worker busy time; ranked separately, because wall time on the
+//     host is not a cycle count of the device.
 //   - any other unit: listed unranked at the end (bursts, commands...).
 //
 // The "engine.cycles"/"engine.accepted" groups, when present, feed the
@@ -40,9 +40,9 @@ type reportGroup struct {
 
 // groupKey strips a trailing "[...]" instance suffix from a counter
 // name: "mtfeed.mt1-hold[4]" → "mtfeed.mt1-hold". Only a *trailing*
-// bracket group is an instance index — "stream.gamma[0].push-block"
-// names one specific stream and stays its own group, so the report can
-// rank individual streams.
+// bracket group is an instance index — "rng.gamma[0].block-fills"
+// names one specific work-item's counter and stays its own group, so
+// the report can rank individual work-items.
 func groupKey(name string) string {
 	if strings.HasSuffix(name, "]") {
 		if i := strings.LastIndexByte(name, '['); i > 0 {
@@ -164,8 +164,8 @@ func (r *Recorder) StallReport() string {
 	}
 
 	if len(nsGroups) > 0 {
-		fmt.Fprintf(&b, "Wall-clock blocking (ranked; goroutine-level proxy)\n")
-		fmt.Fprintf(&b, "%-4s %-44s %14s\n", "rank", "source", "blocked")
+		fmt.Fprintf(&b, "Host wall-clock time (ranked)\n")
+		fmt.Fprintf(&b, "%-4s %-44s %14s\n", "rank", "source", "time")
 		for i, g := range nsGroups {
 			label := g.desc
 			if label == "" {

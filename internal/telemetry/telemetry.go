@@ -1,7 +1,6 @@
 // Package telemetry is the observability substrate of the decoupled
 // work-item stack: atomic counters, gauges and histograms threaded
-// through internal/hls (stream blocking, dataflow process lifecycle),
-// internal/core (per-work-item divergence and retry accounting),
+// through internal/core (per-work-item divergence and retry accounting),
 // internal/fpga (co-simulation cycle accounting, memory bursts) and
 // internal/opencl (command-queue accounting), plus the run trace those
 // layers record their spans into.

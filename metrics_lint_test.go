@@ -15,7 +15,7 @@ import (
 
 // metricNameRE is the repo naming convention once bracket instance
 // groups are stripped: dot-separated lowercase segments, dashes allowed
-// after the first segment ("rejection.gamma-loop", "stream.gamma.push").
+// after the first segment ("rejection.gamma-loop", "engine.fused-blocks").
 var metricNameRE = regexp.MustCompile(`^[a-z0-9]+(\.[a-z0-9-]+)+$`)
 
 // instanceRE constrains what may appear inside a bracket group.
@@ -32,15 +32,13 @@ var bracketRE = regexp.MustCompile(`\[[^\]]*\]`)
 func TestMetricNamingLint(t *testing.T) {
 	rec := telemetry.New(0)
 
-	// Functional engine + HLS streams + session/queue layer.
+	// Functional engine + session/queue layer.
 	sess, err := decwi.NewSession("FPGA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.SetTelemetry(rec)
 	if _, err := sess.EnqueueGamma(decwi.Config2, decwi.GenerateOptions{
-		// Session runs Listing 1's dataflow, so the stream.*/membus.*
-		// names stay under the lint.
 		Scenarios: 4096, Sectors: 2, Seed: 3,
 	}, false); err != nil {
 		t.Fatal(err)

@@ -17,9 +17,8 @@ import (
 // normalizeGenerate validates opt against kernel k and fills the
 // documented defaults: Variance 1.39 when neither variance field is
 // set, Seed 1, WorkItems from the configuration's place-and-route
-// outcome. Everything else (BurstRNs, LimitMaxFactor, stream depth) is
-// defaulted by core.Config itself so the facade cannot disagree with
-// the engine.
+// outcome. Everything else (LimitMaxFactor, the twister) is defaulted
+// by core.Config itself so the facade cannot disagree with the engine.
 func normalizeGenerate(k perf.KernelConfig, opt GenerateOptions) (GenerateOptions, error) {
 	if opt.Scenarios < 1 {
 		return opt, fmt.Errorf("decwi: scenarios %d must be ≥ 1", opt.Scenarios)
@@ -48,7 +47,6 @@ func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 		Sectors:         opt.Sectors,
 		SectorVariance:  opt.Variance,
 		SectorVariances: opt.Variances,
-		BurstRNs:        opt.BurstRNs,
 		Seed:            opt.Seed,
 		StreamOffset:    opt.StreamOffset,
 		BreakID:         opt.BreakID,

@@ -175,7 +175,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	k := perf.Config2
 	opt := GenerateOptions{
 		Scenarios: 7, Sectors: 3, Variance: 2.2, Variances: []float64{1, 2, 3},
-		WorkItems: 5, BurstRNs: 128, Seed: 77,
+		WorkItems: 5, Seed: 77,
 		StreamOffset: 4099, BreakID: 4, Telemetry: telemetry.New(8),
 	}
 	cfg := engineConfig(k, opt)
@@ -184,7 +184,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	}
 	if cfg.WorkItems != 5 || cfg.Scenarios != 7 || cfg.Sectors != 3 ||
 		cfg.SectorVariance != 2.2 || len(cfg.SectorVariances) != 3 ||
-		cfg.BurstRNs != 128 || cfg.Seed != 77 ||
+		cfg.Seed != 77 ||
 		cfg.StreamOffset != 4099 || cfg.BreakID != 4 || cfg.Telemetry != opt.Telemetry {
 		t.Fatalf("engine config dropped a knob: %+v", cfg)
 	}

@@ -69,8 +69,7 @@ type ParallelResult struct {
 	// identical to the sequential run's.
 	RejectionRate float64
 
-	sectors  int
-	burstRNs int // the engine's normalized burst length, for Generate's timing model
+	sectors int
 }
 
 // Sector returns every value of one sector across work-items — the
@@ -101,7 +100,7 @@ var parallelChunkFault func(ctx context.Context, chunk int) error
 //
 // Output is bitwise-identical for every (Workers, ChunkWorkItems)
 // choice and any goroutine schedule — Generate is the
-// one-worker case — and to Session.EnqueueGamma's Listing 1 dataflow.
+// one-worker case, and Session.EnqueueGamma reads back the same bytes.
 // The scheduling knobs only decide how the work-item axis is
 // partitioned and claimed.
 //
@@ -259,7 +258,6 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 		ChunkImbalance: chunkImbalance(chunkDur),
 		RejectionRate:  core.CombineStats(stats),
 		sectors:        opt.Sectors,
-		burstRNs:       eng.Config().BurstRNs,
 	}, nil
 }
 

@@ -133,9 +133,8 @@ func TestGenerateParallelProperty(t *testing.T) {
 			return false
 		}
 		if seed%2 == 1 {
-			// Half the sweep also checks Session's Listing 1 dataflow:
-			// the parallel path always runs fused chunks, so this
-			// cross-checks the two transports.
+			// Half the sweep also checks Session's read-back: the
+			// device buffer and its combining must not move a byte.
 			kr, err := sess.EnqueueGamma(c, opt, false)
 			if err != nil {
 				t.Logf("EnqueueGamma: %v", err)

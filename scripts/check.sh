@@ -5,6 +5,42 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# require_tests FILTER PKG...: fail unless every |-separated alternative
+# of a named step's -run or -bench filter matches a test, benchmark or
+# fuzz target in the listed packages (go test -list), so a deleted or
+# renamed test cannot narrow a named step silently.
+require_tests() {
+    filter="$1"
+    shift
+    pkgs="$*"
+    listed="$(go test -list "$filter" "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)')" || true
+    set -f
+    old_ifs="$IFS"
+    IFS='|'
+    for alt in $filter; do
+        if ! printf '%s\n' "$listed" | grep -Eq -- "$alt"; then
+            echo "named step filter '$alt' matches nothing in $pkgs" >&2
+            exit 1
+        fi
+    done
+    IFS="$old_ifs"
+    set +f
+}
+
+# run_named FILTER GO_TEST_ARGS...: require_tests on the packages among
+# the arguments, then go test -run FILTER with them, so the checked
+# filter and the run one cannot drift apart.
+run_named() {
+    filter="$1"
+    shift
+    named_pkgs=""
+    for arg in "$@"; do
+        case "$arg" in .|./*) named_pkgs="$named_pkgs $arg" ;; esac
+    done
+    require_tests "$filter" $named_pkgs
+    go test -run "$filter" "$@"
+}
+
 # Formatting gate: every tracked Go file must be gofmt-clean.
 echo "== gofmt -l"
 unformatted="$(gofmt -l $(git ls-files '*.go'))"
@@ -61,18 +97,17 @@ sh scripts/bce_check.sh
 # hold with full synchronization checking (already part of the tree-wide -race run above, but named
 # here so a narrowed test filter can never drop it).
 echo "== block-compute equivalence under -race"
-go test -race -run 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
+run_named 'TestBlockCompute|TestBlockComputeQuotaSweep|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' -race \
     ./internal/core ./internal/rng/gamma ./internal/rng/mt
 
-# Fused-pipe equivalence under the race detector: the fused transport
-# writes candidate blocks straight into the shared device buffer, and
-# the gamma→loss pipe batches the creditrisk sector draws, so their
-# bitwise-equivalence proofs (streamed Run vs fused RunChunk, the
-# SimulateMC pipe against its golden digests) must also hold with full
-# synchronization checking.
+# Fused-pipe equivalence under the race detector: RunChunk writes
+# candidate blocks straight into the shared device buffer, and the
+# gamma→loss pipe batches the creditrisk sector draws, so their
+# bitwise-equivalence proofs (fused and batched RunChunk vs the gated
+# scalar oracle, the SimulateMC pipe against its golden digests) must
+# also hold with full synchronization checking.
 echo "== fused-pipe & gamma→loss pipe equivalence under -race"
-go test -race -count=1 \
-    -run 'TestFused|TestPropertyFused|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' \
+run_named 'TestFused|TestPropertyFused|TestBatchedTransport|TestSimulateMCPipeEquivalence|TestPipe|TestPipeQuotaSweep|TestConsumeBlock' -race -count=1 \
     ./internal/core ./internal/creditrisk ./internal/rng/gamma
 
 # Serve admission lanes under the race detector: cache semantics
@@ -89,8 +124,7 @@ go test -race -count=1 \
 # narrowed filter can never drop the determinism-safety proof the
 # cache's correctness rests on.
 echo "== serve admission lanes (cache hit, coalesce, queue) under -race"
-go test -race -count=1 \
-    -run 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestIndexAbandonedFlight|TestIndexCoalescedPanic|TestIndexCompletionRace|TestIndexDrainCoalescedFlight|TestSchedulerRemoveUnsettled|TestResultDigest|TestPayloadSharesStoredBytes|TestServerClientDisconnectMidResult|TestServerEvictionDuringDownload|TestServerReplayDeterminism|TestServerResultDigestStability|TestServerGoldenDigests' \
+run_named 'TestResultCache|TestSchedulerCache|TestSchedulerSingleflight|TestIndexAbandonedFlight|TestIndexCoalescedPanic|TestIndexCompletionRace|TestIndexDrainCoalescedFlight|TestSchedulerRemoveUnsettled|TestResultDigest|TestPayloadSharesStoredBytes|TestServerClientDisconnectMidResult|TestServerEvictionDuringDownload|TestServerReplayDeterminism|TestServerResultDigestStability|TestServerGoldenDigests' -race -count=1 \
     ./internal/serve
 
 # Observability correctness under the race detector: flight-recorder
@@ -109,8 +143,7 @@ go test -race -count=1 \
 # shares do not move when -parallel adds an engine pass. Named so a
 # narrowed filter can never drop the tracing plane's consistency proofs.
 echo "== job tracing, flight recorder, run trace, add-only counters & SLO plane under -race"
-go test -race -count=1 \
-    -run 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace|TestRegistryOneKindPerName|TestTelemetryBlockCounters|TestSchedulerScrapeCountersOnlyAdd|TestStallReportSharesStableUnderParallel' \
+run_named 'TestFlight|TestTrace|TestChrome|TestCheck|TestSLO|TestDebugJobs|TestTracing|TestGenerateParallelChunkSpans|TestGenerateParallelTelemetry|TestHealthAndSLOHooks|TestRunTraceBudget|TestConcurrentEmit|TestKernelModeTrace|TestJobModeTrace|TestRegistryOneKindPerName|TestTelemetryBlockCounters|TestSchedulerScrapeCountersOnlyAdd|TestStallReportSharesStableUnderParallel' -race -count=1 \
     ./internal/telemetry ./internal/telemetry/flight ./internal/telemetry/slo \
     ./internal/telemetry/metricsrv ./internal/serve ./internal/core ./cmd/decwi-trace .
 
@@ -121,17 +154,16 @@ go test -race -count=1 \
 # narrowed filter can never drop the stream seek's bitwise-exactness
 # proof.
 echo "== jump-ahead & stream-offset equivalence under -race"
-go test -race -count=1 \
-    -run 'TestJump|TestOffset|TestCheckpointResume|TestStreamOffset' \
+run_named 'TestJump|TestOffset|TestCheckpointResume|TestStreamOffset' -race -count=1 \
     ./internal/rng/mt ./internal/rng/gamma ./internal/core
 
 # Allocation gates (meaningful only without -race, whose instrumentation
 # allocates): the steady-state block loops must not allocate at all, and
 # neither may a histogram Record on the telemetry hot path.
 echo "== zero-allocation gates (steady-state block loops, histogram Record)"
-go test -run 'TestSteadyStateBlockZeroAllocs|TestFillUint32ZeroAlloc|TestFillNormalZeroAlloc' \
+run_named 'TestSteadyStateBlockZeroAllocs|TestFillUint32ZeroAlloc|TestFillNormalZeroAlloc' \
     ./internal/rng/gamma ./internal/rng/mt ./internal/rng/normal
-go test -run 'TestHistogramRecordZeroAlloc' ./internal/telemetry
+run_named 'TestHistogramRecordZeroAlloc' ./internal/telemetry
 
 # Native Go fuzzing, 5 s per target: strict JobSpec decode + Validate
 # (no panic; an accepted spec keeps a stable cache key that scheduling
@@ -164,6 +196,7 @@ go test -run '^$' -fuzz '^FuzzFillUint32$' -fuzztime 5s ./internal/rng/mt
 # the sequential bytes (the GenerateParallel == Generate contract) and
 # the committed golden digests.
 echo "== parallel equivalence & golden digests under GOMAXPROCS=1 and GOMAXPROCS=4 (-race)"
+require_tests 'TestGenerateParallel|TestRunChunk|TestNormalize|TestGolden' . ./internal/core
 GOMAXPROCS=1 go test -race -count=1 \
     -run 'TestGenerateParallel|TestRunChunk|TestNormalize|TestGolden' . ./internal/core
 GOMAXPROCS=4 go test -race -count=1 \
@@ -193,12 +226,15 @@ if [ "$seekgot" != "$seekwant" ]; then
     exit 1
 fi
 
-# Benchmark smoke run: one iteration each, so the engine, burst-stream,
+# Benchmark smoke run: one iteration each, so the engine,
 # sharded-generation, compute-path and leaf-kernel benchmarks can never
 # silently rot. Performance is measured by bench/run.sh.
-echo "== bench smoke (BenchmarkGamma, BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkFillUint32, BenchmarkCycleBlock, BenchmarkHistogramRecord)"
+echo "== bench smoke (BenchmarkGamma, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkFillUint32, BenchmarkCycleBlock, BenchmarkHistogramRecord)"
+require_tests 'BenchmarkGamma|BenchmarkGenerateParallel|BenchmarkBlockCompute' .
+require_tests 'BenchmarkFillUint32' ./internal/rng/mt
+require_tests 'BenchmarkCycleBlock' ./internal/rng/gamma
+require_tests 'BenchmarkHistogramRecord' ./internal/telemetry
 go test -run '^$' -bench BenchmarkGamma -benchtime 1x .
-go test -run '^$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 go test -run '^$' -bench BenchmarkGenerateParallel -benchtime 1x .
 go test -run '^$' -bench BenchmarkBlockCompute -benchtime 1x .
 go test -run '^$' -bench BenchmarkFillUint32 -benchtime 1x ./internal/rng/mt
@@ -214,13 +250,13 @@ go test -run '^$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telem
 # their results), and prove /healthz degrades under an injected slow
 # executor. -count=1 so a cached pass cannot stand in for the run.
 echo "== service and metrics smoke (TestSmoke* in cmd/decwi-served and cmd/decwi-gammagen)"
-go test -count=1 -run '^TestSmoke' ./cmd/decwi-served ./cmd/decwi-gammagen
+run_named '^TestSmoke' -count=1 ./cmd/decwi-served ./cmd/decwi-gammagen
 
 # Tracing non-perturbation: cache-hot HTTP jobs/s with the flight
 # recorder and SLO plane on must hold a median >= 0.90x the tracing-off
 # rate over 40 short interleaved in-process pairs (the test skips itself
 # under -race, so it runs here by name).
 echo "== tracing-overhead gate (flight recorder on vs off, cache-hot, interleaved)"
-go test -run '^TestTracingOverheadCacheHot$' -count=1 -v ./internal/serve
+run_named '^TestTracingOverheadCacheHot$' -count=1 -v ./internal/serve
 
 echo "tier-1 gate: OK"

@@ -1,6 +1,7 @@
 package decwi
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/decwi/decwi/internal/opencl"
 	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/telemetry"
+	"github.com/decwi/decwi/internal/telemetry/flight"
 )
 
 // Session is the OpenCL-level path through the system: a host context on
@@ -74,12 +76,11 @@ type KernelRun struct {
 // paper selects in Section III-E-2). Set hostCombine to use strategy 1
 // (N sub-buffer reads) instead.
 //
-// The kernel body is the engine's hardware model, core.Engine.Run:
-// Listing 1's dataflow of one GammaRNG and one Transfer process per
-// work-item joined by an hls::stream, with 512-bit packing and burst
-// copies. It is the only facade route to that model, and so the one
-// that records stream backpressure, burst and FIFO-occupancy telemetry.
-// The bytes read back equal Generate's for the same options.
+// The kernel body runs the engine's one generation path, RunChunk over
+// every work-item, into the device buffer, so the bytes read back equal
+// Generate's for the same options. Its wall-clock "kernel" span goes on
+// the recorder's run trace; the stream and burst behaviour of Listing 1
+// is fpga.RunCoSim's to model.
 func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool) (*KernelRun, error) {
 	k, err := c.kernel()
 	if err != nil {
@@ -107,23 +108,23 @@ func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool
 
 	// The kernel closure runs the decoupled work-item engine and stores
 	// into device global memory; its duration model is the fpga timing
-	// model at the engine's measured rejection rate (approximated by the
-	// transform's calibrated rate for the profiling estimate).
-	var run *core.RunResult
+	// model at the transform's calibrated rejection rate.
 	w := fpga.Workload{NumScenarios: opt.Scenarios, NumSectors: int64(opt.Sectors), BytesPerValue: 4}
 	kernel := &opencl.Kernel{
 		Name: k.Name,
 		Run: func(opencl.NDRange) error {
-			r, err := eng.Run()
-			if err != nil {
+			tr := opt.Telemetry.Trace()
+			start := tr.Now()
+			data := make([]float32, total)
+			if err := eng.RunChunk(context.Background(), data, 0, wi, nil); err != nil {
 				return err
 			}
-			run = r
-			return buf.WriteFloat32s(0, r.Data)
+			tr.Put(flight.Span{Track: "engine", Name: "kernel", StartUS: start, EndUS: tr.Now(), Arg: total})
+			return buf.WriteFloat32s(0, data)
 		},
 		Model: func(opencl.NDRange) time.Duration {
 			t, err := fpga.DefaultDevice().KernelRuntime(w, wi,
-				perf.MeasuredIters(k.Transform).RejectionRate, eng.Config().BurstRNs)
+				perf.MeasuredIters(k.Transform).RejectionRate, perf.FPGABurstRNs)
 			if err != nil {
 				return 0
 			}
@@ -148,9 +149,10 @@ func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool
 	if hostCombine {
 		// Strategy 1: N sub-buffer views, N read requests.
 		var views []*opencl.Buffer
+		offsets := eng.BlockOffsets()
 		for widx := 0; widx < wi; widx++ {
-			lo := run.BlockOffsets[widx] * 4
-			hi := run.BlockOffsets[widx+1] * 4
+			lo := offsets[widx] * 4
+			hi := offsets[widx+1] * 4
 			v, err := buf.SubBuffer(fmt.Sprintf("wi%d", widx), lo, hi-lo)
 			if err != nil {
 				return nil, err
@@ -165,8 +167,8 @@ func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool
 	if err != nil {
 		return nil, err
 	}
-	// Read-back accounting mirrors the stream-side burst counters: one
-	// bulk increment for the whole combined transfer, not one per value.
+	// Read-back accounting: one bulk increment for the whole combined
+	// transfer, not one per value.
 	s.tel.Counter("session.readback-values", "values",
 		"float32 values read back from the device buffer, bulk-counted per combine").Add(total)
 	s.tel.Counter("session.readback-requests", "events",
